@@ -1,18 +1,32 @@
-//! Emits an FNV-1a digest of the traversal MATVEC output bits for the CI
+//! Emits FNV-1a digests of the traversal engine's output bits for the CI
 //! leaf-kernel-determinism stage: carved-sphere meshes (2-D and 3-D, with
-//! hanging nodes from boundary refinement) at orders 1 and 2, applied
-//! through the batched stiffness kernel. Traversal threads come from
-//! `CARVE_PAR_THREADS` and the leaf-panel width from `CARVE_BATCH_WIDTH`,
-//! so the stage reruns this binary across a width × threads matrix and
-//! byte-compares the documents — the panel path must be bitwise identical
-//! to the scalar path under any schedule.
+//! hanging nodes from boundary refinement) at orders 1 and 2, driven through
+//! the three uses of the one traversal sweep —
+//!
+//! * `matvec`   — the 1-rank fork-join `traversal_matvec_par` apply,
+//! * `dist`     — a 2-rank `DistMesh::matvec_par(.., GhostState::Ghosted, ..)`
+//!   apply (interior sweep overlapped with the ghost exchange, then the
+//!   boundary sweep), one digest per rank over the ghosted output,
+//! * `assemble` — `traversal_assemble_par`, digesting the built CSR's
+//!   `row_ptr` / `cols` / value bits.
+//!
+//! Traversal threads come from `CARVE_PAR_THREADS` and the leaf-panel width
+//! from `CARVE_BATCH_WIDTH`, so the stage reruns this binary across a
+//! width × threads matrix and byte-compares the documents — the panel path
+//! must be bitwise identical to the scalar path under any schedule.
 //!
 //! Usage: `matvec_digest [OUT.txt]` — writes to the path, or stdout.
 
-use carve_core::{traversal_matvec_par, Mesh, TraversalWorkspace};
-use carve_fem::StiffnessKernel;
+use carve_comm::run_spmd;
+use carve_core::{
+    traversal_assemble_par, traversal_matvec_par, DistMesh, GhostState, Mesh, TraversalWorkspace,
+};
+use carve_fem::{StiffnessKernel, StiffnessMatrixKernel};
 use carve_geom::{CarvedSolids, Sphere};
+use carve_la::CooBuilder;
 use carve_sfc::Curve;
+
+const SCALE: f64 = 16.0;
 
 /// FNV-1a over the raw bit patterns, so `-0.0 != +0.0` and NaN payloads
 /// would all show up as digest differences.
@@ -27,14 +41,19 @@ fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
     h
 }
 
-fn digest<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> u64 {
-    let mesh = Mesh::<DIM>::build(domain, Curve::Hilbert, 3, 5, p);
+/// Deterministic input value of global dof `id`.
+fn field(id: usize) -> f64 {
+    (id as f64 * 0.13).sin() + 0.01
+}
+
+fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
+    let p = mesh.order as usize;
     let n = mesh.num_dofs();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() + 0.01).collect();
+    let x: Vec<f64> = (0..n).map(field).collect();
     let mut y = vec![0.0f64; n];
     // Env-resolved workspace: CARVE_PAR_THREADS and CARVE_BATCH_WIDTH apply.
     let mut ws = TraversalWorkspace::<DIM>::new();
-    let make_kernel = || StiffnessKernel::<DIM>::new(p as usize, 16.0);
+    let make_kernel = || StiffnessKernel::<DIM>::new(p, SCALE);
     // Two rounds through the same workspace so arena/pool reuse is covered.
     for _ in 0..2 {
         y.iter_mut().for_each(|v| *v = 0.0);
@@ -52,13 +71,68 @@ fn digest<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> u64 {
     fnv1a(y.iter().map(|v| v.to_bits()))
 }
 
+fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
+    let p = mesh.order as usize;
+    let n = mesh.num_dofs();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let mut ws = TraversalWorkspace::<DIM>::new();
+    let mut coo = CooBuilder::new(n);
+    traversal_assemble_par(
+        &mesh.elems,
+        0..mesh.elems.len(),
+        mesh.curve,
+        &mesh.nodes,
+        &ids,
+        &mut coo,
+        &mut ws,
+        &|| StiffnessMatrixKernel::<DIM>::new(p, SCALE),
+    );
+    let a = coo.build();
+    fnv1a(
+        (a.row_ptr.iter().map(|&r| r as u64))
+            .chain(a.cols.iter().map(|&c| c as u64))
+            .chain(a.vals.iter().map(|v| v.to_bits())),
+    )
+}
+
+/// Per-rank digests of the ghosted output of one 2-rank overlapped apply.
+fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> Vec<u64> {
+    run_spmd(2, |c| {
+        let dm = DistMesh::<DIM>::build(c, domain, Curve::Hilbert, 3, 5, p);
+        let x: Vec<f64> = dm.global_id.iter().map(|&g| field(g as usize)).collect();
+        let mut y = vec![0.0f64; x.len()];
+        let mut ws = TraversalWorkspace::<DIM>::new();
+        let make_kernel = || StiffnessKernel::<DIM>::new(p as usize, SCALE);
+        for _ in 0..2 {
+            dm.matvec_par(c, &x, &mut y, &mut ws, GhostState::Ghosted, &make_kernel);
+        }
+        fnv1a(y.iter().map(|v| v.to_bits()))
+    })
+}
+
+fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, out: &mut String) {
+    let mesh = Mesh::<DIM>::build(domain, Curve::Hilbert, 3, 5, p);
+    let tag = format!("dim={DIM} p={p}");
+    out.push_str(&format!(
+        "matvec {tag} digest={:016x}\n",
+        matvec_digest(&mesh)
+    ));
+    for (rank, d) in dist_digests(domain, p).iter().enumerate() {
+        out.push_str(&format!("dist {tag} ranks=2 rank={rank} digest={d:016x}\n"));
+    }
+    out.push_str(&format!(
+        "assemble {tag} digest={:016x}\n",
+        assemble_digest(&mesh)
+    ));
+}
+
 fn main() {
     let d2 = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
     let d3 = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.28))]);
-    let mut out = String::from("carve-matvec-digest-v1\n");
+    let mut out = String::from("carve-matvec-digest-v2\n");
     for p in [1u64, 2] {
-        out.push_str(&format!("dim=2 p={p} digest={:016x}\n", digest(&d2, p)));
-        out.push_str(&format!("dim=3 p={p} digest={:016x}\n", digest(&d3, p)));
+        rows(&d2, p, &mut out);
+        rows(&d3, p, &mut out);
     }
     match std::env::args().nth(1) {
         Some(path) => std::fs::write(&path, out).expect("write matvec digest"),

@@ -16,9 +16,11 @@
 #   adapt-determinism  adapt_trace bitwise-diffed over threads {1,4} x
 #                      {clean, lossy chaos} (DESIGN.md §7)
 #   leaf-kernel-determinism
-#                      matvec_digest byte-compared over batch widths {1,8}
-#                      x threads {1,4}: the batched SoA leaf path must be
-#                      bitwise identical to the scalar path (DESIGN.md §6h)
+#                      matvec_digest (1-rank matvec, 2-rank overlapped
+#                      matvec, assembled CSR) byte-compared over batch
+#                      widths {1,8} x threads {1,4}: the batched SoA leaf
+#                      path must be bitwise identical to the scalar path
+#                      in every use of the traversal sweep (DESIGN.md §6h)
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
 #   bench-gate         scripts/bench_gate.sh perf regression gate
@@ -91,8 +93,9 @@ run_stage() {
       ;;
     # The batched SoA leaf path (CARVE_BATCH_WIDTH, DESIGN.md §6h) must be
     # bitwise identical to the scalar path (width 1) at any thread budget:
-    # digest the matvec output bits over the width x threads matrix and
-    # byte-compare the documents.
+    # digest the output bits of all three uses of the traversal sweep
+    # (1-rank matvec, 2-rank overlapped matvec, assembly) over the width x
+    # threads matrix and byte-compare the documents.
     leaf-kernel-determinism)
       cargo build --release -q -p carve-bench --bin matvec_digest
       local tmp
