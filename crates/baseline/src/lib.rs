@@ -214,7 +214,7 @@ pub fn complete_tree_partition_active_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carve_core::traversal_matvec;
+    use carve_core::{traversal_matvec_ws, TraversalWorkspace};
     use carve_geom::{CarvedSolids, Sphere};
     use rand::{Rng, SeedableRng};
 
@@ -276,13 +276,14 @@ mod tests {
         let mut y1 = vec![0.0; n];
         baseline.matvec(&x, &mut y1, &mut kernel);
         let mut y2 = vec![0.0; n];
-        traversal_matvec(
+        traversal_matvec_ws(
             &carved.elems,
             0..carved.elems.len(),
             Curve::Morton,
             &carved.nodes,
             &x,
             &mut y2,
+            &mut TraversalWorkspace::with_threads(1),
             &mut kernel,
         );
         for (a, b) in y1.iter().zip(&y2) {

@@ -7,7 +7,7 @@
 //!   matrices (why constant-coefficient operators fly and NS doesn't),
 //! * Morton vs Hilbert ordering for the traversal MATVEC.
 
-use carve_core::{traversal_matvec, Mesh};
+use carve_core::{traversal_matvec_ws, Mesh, TraversalWorkspace};
 use carve_fem::poisson::reference_stiffness;
 use carve_fem::ElementCache;
 use carve_geom::{CarvedSolids, Sphere};
@@ -107,16 +107,18 @@ fn bench_kernels(c: &mut Criterion) {
             &mesh,
             |b, mesh| {
                 let mut cache = ElementCache::<3>::new(1);
+                let mut ws = TraversalWorkspace::with_threads(1);
                 let mut y = vec![0.0; n];
                 b.iter(|| {
                     y.iter_mut().for_each(|v| *v = 0.0);
-                    traversal_matvec(
+                    traversal_matvec_ws(
                         &mesh.elems,
                         0..mesh.elems.len(),
                         mesh.curve,
                         &mesh.nodes,
                         &x,
                         &mut y,
+                        &mut ws,
                         &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
                             cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
                         },

@@ -4,7 +4,7 @@
 //! MATVEC configuration.
 
 use carve_baseline::ImmersedMesh;
-use carve_core::{traversal_assemble, traversal_matvec, Mesh};
+use carve_core::{traversal_assemble_ws, traversal_matvec_ws, Mesh, TraversalWorkspace};
 use carve_fem::ElementCache;
 use carve_geom::{CarvedSolids, FullDomain, Sphere};
 use carve_la::CooBuilder;
@@ -31,16 +31,18 @@ fn bench_matvec(c: &mut Criterion) {
             &mesh,
             |b, mesh| {
                 let mut cache = ElementCache::<3>::new(p);
+                let mut ws = TraversalWorkspace::with_threads(1);
                 let mut y = vec![0.0; n];
                 b.iter(|| {
                     y.iter_mut().for_each(|v| *v = 0.0);
-                    traversal_matvec(
+                    traversal_matvec_ws(
                         &mesh.elems,
                         0..mesh.elems.len(),
                         mesh.curve,
                         &mesh.nodes,
                         &x,
                         &mut y,
+                        &mut ws,
                         &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
                             cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
                         },
@@ -76,13 +78,14 @@ fn bench_matvec(c: &mut Criterion) {
         let cache = ElementCache::<3>::new(p);
         let mut coo = CooBuilder::new(n);
         let ids: Vec<u32> = (0..n as u32).collect();
-        traversal_assemble(
+        traversal_assemble_ws(
             &mesh.elems,
             0..mesh.elems.len(),
             mesh.curve,
             &mesh.nodes,
             &ids,
             &mut coo,
+            &mut TraversalWorkspace::with_threads(1),
             &mut |e: &Octant<3>| cache.stiffness(e.bounds_unit().1),
         );
         let a = coo.build();

@@ -9,7 +9,7 @@
 //! α–β communication model applied to the exact ghost byte counts.
 
 use carve_core::nodes::{elem_node_coord, lattice_index, nodes_per_elem};
-use carve_core::{resolve_slot, traversal_matvec, Mesh, SlotRef};
+use carve_core::{resolve_slot, traversal_matvec_ws, Mesh, SlotRef, TraversalWorkspace};
 use carve_fem::ElementCache;
 use carve_sfc::{sfc_cmp, Octant};
 use std::cmp::Ordering;
@@ -73,19 +73,21 @@ pub fn calibrate<const DIM: usize>(mesh: &Mesh<DIM>, reps: usize) -> (MachineMod
     let mut cache = ElementCache::<DIM>::new(p);
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut y = vec![0.0; n];
+    let mut ws = TraversalWorkspace::with_threads(1);
     // Phase timings come from the observability layer; the thread-local
     // snapshot diff is immune to concurrent activity on other threads.
     let _e = carve_obs::force_enabled();
     let before = carve_obs::thread_snapshot();
     for _ in 0..reps.max(1) {
         y.iter_mut().for_each(|v| *v = 0.0);
-        traversal_matvec(
+        traversal_matvec_ws(
             &mesh.elems,
             0..mesh.elems.len(),
             mesh.curve,
             &mesh.nodes,
             &x,
             &mut y,
+            &mut ws,
             &mut |e: &Octant<DIM>, u: &[f64], v: &mut [f64]| {
                 let h = e.bounds_unit().1;
                 cache.apply_stiffness_tensor(h, u, v);

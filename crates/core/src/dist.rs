@@ -17,10 +17,7 @@
 
 use crate::balance::bottom_up_constrain_neighbors;
 use crate::construct::{construct_constrained, construct_uniform};
-use crate::matvec::{
-    traversal_matvec_overlap_par, traversal_matvec_overlap_ws, traversal_matvec_par,
-    traversal_matvec_ws, TraversalWorkspace,
-};
+use crate::matvec::{matvec_driver, Input, Kernels, LeafKernel, TraversalWorkspace, Tree};
 use crate::nodes::{
     elem_node_coord, enumerate_nodes, lattice_index, nodes_per_elem, resolve_slot, NodeSet, SlotRef,
 };
@@ -290,23 +287,15 @@ impl<const DIM: usize> DistMesh<DIM> {
     }
 
     /// Distributed MATVEC `y = A x` on local vectors (indexed like
-    /// `self.nodes`): post the ghost-read of `x`, traverse interior
-    /// elements while it is in flight, wait (`matvec/ghost_wait`), traverse
-    /// boundary elements, ghost-accumulate `y`, and finish with a ghost-read
-    /// of `y` so every rank holds consistent values ([`GhostState::Ghosted`]
-    /// semantics). Phase timings report through `carve-obs`.
-    pub fn matvec<K>(&self, comm: &Comm, x: &[f64], y: &mut [f64], kernel: &mut K)
-    where
-        K: crate::matvec::LeafKernel<DIM>,
-    {
-        let mut ws = TraversalWorkspace::with_threads(1);
-        self.matvec_ws(comm, x, y, &mut ws, GhostState::Ghosted, kernel);
-    }
-
-    /// [`Self::matvec`] reusing a caller-held [`TraversalWorkspace`] (no
-    /// per-apply allocation: the ghosted input lives in the workspace) with
-    /// an explicit output [`GhostState`]. `OwnedOnly` skips the trailing
-    /// consistency read — the right choice inside Krylov loops.
+    /// `self.nodes`), sequentially, with the caller's `kernel`: post the
+    /// ghost-read of `x`, traverse interior elements while it is in flight,
+    /// wait (`matvec/ghost_wait`), traverse boundary elements,
+    /// ghost-accumulate `y`. The ghosted input lives in the caller-held
+    /// [`TraversalWorkspace`], so warm applies allocate nothing.
+    /// [`GhostState::Ghosted`] finishes with a ghost-read of `y` so every
+    /// rank holds consistent values; `OwnedOnly` skips that round — the
+    /// right choice inside Krylov loops. Phase timings report through
+    /// `carve-obs`.
     pub fn matvec_ws<K>(
         &self,
         comm: &Comm,
@@ -316,60 +305,16 @@ impl<const DIM: usize> DistMesh<DIM> {
         ghost: GhostState,
         kernel: &mut K,
     ) where
-        K: crate::matvec::LeafKernel<DIM>,
+        K: LeafKernel<DIM>,
     {
-        let mut xg = ws.take_ghost_scratch();
-        xg.clear();
-        xg.extend_from_slice(x);
-        y.iter_mut().for_each(|v| *v = 0.0);
-        if comm.size() == 1 {
-            // Zero-comm fast path: no exchange posted, no tag ticked.
-            traversal_matvec_ws(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &xg,
-                y,
-                ws,
-                kernel,
-            );
-            ws.restore_ghost_scratch(xg);
-            return;
-        }
-        {
-            let mut ex = self.exchange.borrow_mut();
-            let pending = {
-                let _obs = carve_obs::scope("ghost_read");
-                ex.post_read(comm, &xg)
-            };
-            let wait = move |v: &mut [f64]| {
-                ex.wait_read(comm, pending, v);
-            };
-            traversal_matvec_overlap_ws(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &mut xg,
-                y,
-                ws,
-                &self.boundary_elem,
-                wait,
-                kernel,
-            );
-        }
-        ws.restore_ghost_scratch(xg);
-        self.ghost_accumulate(comm, y);
-        if matches!(ghost, GhostState::Ghosted) {
-            self.ghost_read(comm, y);
-        }
+        self.apply(comm, x, y, ws, ghost, Kernels::<K, fn() -> K>::Held(kernel));
     }
 
-    /// Fork-join [`Self::matvec`]: interior subtree tasks run on up to
-    /// `ws.threads()` workers *while this thread waits on the ghost
-    /// exchange*, then boundary tasks fork after the payloads land. Output
-    /// is bitwise identical for any thread count and to [`Self::matvec_ws`].
+    /// Fork-join [`Self::matvec_ws`]: interior subtree tasks run on up to
+    /// `ws.threads()` workers, each building its kernel from `make_kernel`,
+    /// *while this thread waits on the ghost exchange*; boundary tasks fork
+    /// after the payloads land. Output is bitwise identical for any thread
+    /// count and to [`Self::matvec_ws`].
     pub fn matvec_par<K, F>(
         &self,
         comm: &Comm,
@@ -379,48 +324,54 @@ impl<const DIM: usize> DistMesh<DIM> {
         ghost: GhostState,
         make_kernel: &F,
     ) where
-        K: crate::matvec::LeafKernel<DIM>,
+        K: LeafKernel<DIM>,
+        F: Fn() -> K + Sync,
+    {
+        self.apply(comm, x, y, ws, ghost, Kernels::Make(make_kernel));
+    }
+
+    /// The one distributed matvec body behind [`Self::matvec_ws`] and
+    /// [`Self::matvec_par`], which differ only in the kernel source.
+    fn apply<K, F>(
+        &self,
+        comm: &Comm,
+        x: &[f64],
+        y: &mut [f64],
+        ws: &mut TraversalWorkspace<DIM>,
+        ghost: GhostState,
+        kernels: Kernels<'_, K, F>,
+    ) where
+        K: LeafKernel<DIM>,
         F: Fn() -> K + Sync,
     {
         let mut xg = ws.take_ghost_scratch();
         xg.clear();
         xg.extend_from_slice(x);
         y.iter_mut().for_each(|v| *v = 0.0);
+        let tree = Tree {
+            elems: &self.elems,
+            owned: self.owned.clone(),
+            curve: self.curve,
+            nodes: &self.nodes,
+        };
         if comm.size() == 1 {
-            traversal_matvec_par(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &xg,
-                y,
-                ws,
-                make_kernel,
-            );
-            ws.restore_ghost_scratch(xg);
-            return;
-        }
-        {
+            // Zero-comm fast path: no exchange posted, no tag ticked (the
+            // ghost rounds below are no-ops on one rank too).
+            matvec_driver(tree, Input::<fn(&mut [f64])>::Complete(&xg), y, ws, kernels);
+        } else {
             let mut ex = self.exchange.borrow_mut();
             let pending = {
                 let _obs = carve_obs::scope("ghost_read");
                 ex.post_read(comm, &xg)
             };
-            let wait = move |v: &mut [f64]| {
-                ex.wait_read(comm, pending, v);
+            let input = Input::InFlight {
+                xg: &mut xg,
+                boundary_elem: &self.boundary_elem,
+                wait: move |v: &mut [f64]| {
+                    ex.wait_read(comm, pending, v);
+                },
             };
-            traversal_matvec_overlap_par(
-                &self.elems,
-                self.owned.clone(),
-                self.curve,
-                &self.nodes,
-                &mut xg,
-                y,
-                ws,
-                &self.boundary_elem,
-                wait,
-                make_kernel,
-            );
+            matvec_driver(tree, input, y, ws, kernels);
         }
         ws.restore_ghost_scratch(xg);
         self.ghost_accumulate(comm, y);
@@ -983,7 +934,7 @@ pub fn dist_construct_constrained<const DIM: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matvec::traversal_matvec;
+    use crate::matvec::traversal_matvec_ws;
     use crate::mesh::Mesh;
     use carve_comm::run_spmd;
     use carve_geom::{CarvedSolids, FullDomain, RetainBox, Sphere};
@@ -1046,13 +997,15 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
         let x_global: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y_ref = vec![0.0; n];
-        traversal_matvec(
+        let mut ws = TraversalWorkspace::with_threads(1);
+        traversal_matvec_ws(
             &seq.elems,
             0..seq.elems.len(),
             curve,
             &seq.nodes,
             &x_global,
             &mut y_ref,
+            &mut ws,
             &mut toy_kernel::<2>(),
         );
         // Distributed: global ids on the distributed side must map onto the
@@ -1073,7 +1026,14 @@ mod tests {
                 })
                 .collect();
             let mut y = vec![0.0; x_local.len()];
-            m.matvec(c, &x_local, &mut y, &mut toy_kernel::<2>());
+            m.matvec_ws(
+                c,
+                &x_local,
+                &mut y,
+                &mut TraversalWorkspace::with_threads(1),
+                GhostState::Ghosted,
+                &mut toy_kernel::<2>(),
+            );
             // Report owned node results keyed by coordinate.
             (0..m.nodes.len())
                 .filter(|&i| m.owner[i] as usize == c.rank())
@@ -1089,13 +1049,14 @@ mod tests {
             })
             .collect();
         let mut y_keyed = vec![0.0; n];
-        traversal_matvec(
+        traversal_matvec_ws(
             &seq.elems,
             0..seq.elems.len(),
             curve,
             &seq.nodes,
             &x_keyed,
             &mut y_keyed,
+            &mut ws,
             &mut toy_kernel::<2>(),
         );
         let mut seen = 0;
@@ -1286,8 +1247,8 @@ mod tests {
     #[test]
     fn overlapped_matvec_bitwise_identical_across_threads() {
         // The interior/boundary overlap split (sequential and fork-join, any
-        // worker count, cold and warm workspaces) must reproduce the plain
-        // distributed MATVEC bit for bit.
+        // worker count, any spine split depth, cold and warm workspaces)
+        // must reproduce the plain distributed MATVEC bit for bit.
         let p = 3;
         let splits: Vec<(usize, usize)> = run_spmd(p, |c| {
             let domain = sphere_domain_2d();
@@ -1315,18 +1276,36 @@ mod tests {
             );
             assert_eq!(bits(&y_ref), bits(&y_warm), "warm matvec_ws drifted");
             let mk = || toy_kernel::<2>();
-            for t in [1usize, 2, 8] {
-                let mut wst = TraversalWorkspace::with_threads(t);
+            for (t, depth) in [
+                (1usize, 1u8),
+                (2, 1),
+                (8, 1),
+                (1, 2),
+                (8, 2),
+                (2, 3),
+                (8, 3),
+            ] {
+                let mut wst = TraversalWorkspace::with_threads(t).with_split_depth(depth);
                 for pass in 0..2 {
                     let mut y = vec![0.0; x.len()];
                     m.matvec_par(c, &x, &mut y, &mut wst, GhostState::OwnedOnly, &mk);
                     assert_eq!(
                         bits(&y_ref),
                         bits(&y),
-                        "threads={t} pass={pass} rank={}",
+                        "threads={t} depth={depth} pass={pass} rank={}",
                         c.rank()
                     );
                 }
+                let mut y = vec![0.0; x.len()];
+                m.matvec_ws(
+                    c,
+                    &x,
+                    &mut y,
+                    &mut wst,
+                    GhostState::OwnedOnly,
+                    &mut toy_kernel::<2>(),
+                );
+                assert_eq!(bits(&y_ref), bits(&y), "matvec_ws depth={depth}");
             }
             let nb = m.owned.clone().filter(|&ei| m.boundary_elem[ei]).count();
             (m.num_owned_elems() - nb, nb)

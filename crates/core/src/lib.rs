@@ -39,9 +39,8 @@ pub use dist::{
     FusedReduce, GhostState, GhostStats,
 };
 pub use matvec::{
-    traversal_assemble, traversal_assemble_par, traversal_assemble_ws, traversal_matvec,
-    traversal_matvec_overlap_par, traversal_matvec_overlap_ws, traversal_matvec_par,
-    traversal_matvec_ws, AssemblyKernel, LeafKernel, TraversalWorkspace,
+    traversal_assemble_par, traversal_assemble_ws, traversal_matvec_par, traversal_matvec_ws,
+    AssemblyKernel, LeafKernel, TraversalWorkspace,
 };
 pub use mesh::{find_leaf, Mesh};
 pub use nodes::{enumerate_nodes, resolve_slot, NodeFlags, NodeSet, SlotRef};

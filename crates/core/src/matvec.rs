@@ -14,11 +14,31 @@
 //! incomplete trees and distributed ownership need no special treatment —
 //! the property the paper calls "gracefully handles incomplete octrees".
 //!
-//! # Execution model (DESIGN.md §6d)
+//! # One driver, six entry points (DESIGN.md §6d)
+//!
+//! The paper has one traversal, and so does this module: a private `sweep`
+//! that runs a selected set of subtree tasks. Everything public is a use of
+//! it —
+//!
+//! * [`traversal_matvec_ws`] / [`traversal_matvec_par`] — `y += A x`;
+//! * [`traversal_assemble_ws`] / [`traversal_assemble_par`] — the same
+//!   sweep carrying node ids instead of values, draining per-task triplet
+//!   logs in SFC order;
+//! * [`crate::DistMesh::matvec_ws`] / [`crate::DistMesh::matvec_par`] — the
+//!   matvec split in two sweeps around the ghost exchange: interior tasks,
+//!   with the wait for the ghost payloads running meanwhile on the calling
+//!   thread, then — input values refreshed — the boundary tasks
+//!   (DESIGN.md §6e).
+//!
+//! `_ws` and `_par` differ only in where the elemental kernel comes from:
+//! the caller's own `&mut K` (one worker, inline) or a `Fn() -> K + Sync`
+//! factory (up to [`TraversalWorkspace::threads`] workers, one kernel each).
+//!
+//! # Execution model
 //!
 //! The engine splits the tree at a fixed *spine* depth into SFC-contiguous
-//! subtree **tasks**. The spine buckets are built serially; tasks then run
-//! either inline or fork-joined across scoped worker threads
+//! subtree **tasks**. The spine buckets are built serially; the sweep then
+//! runs tasks either inline or fork-joined across scoped worker threads
 //! (`CARVE_PAR_THREADS` / `available_parallelism` via
 //! [`crate::par::thread_budget`]). A task owns its subtree's bucket stack;
 //! writes that would land in a shared ancestor bucket (hanging-node
@@ -27,7 +47,7 @@
 //! bottom-up bucket merges exactly where the sequential traversal would
 //! have performed them. Every floating-point accumulation therefore happens
 //! in the *same order for any thread count* (and any split depth): results
-//! are bitwise identical to the sequential engine by construction.
+//! are bitwise identical across all six entry points by construction.
 //!
 //! All bucket vectors come from a [`TraversalWorkspace`] arena that pools
 //! them across recursion levels *and* across repeated calls (Krylov
@@ -126,16 +146,16 @@ struct WorkerScratch<const DIM: usize> {
     reuse: u64,
 }
 
+/// Default panel width: one full sibling group in 3D (`2^3`), the natural
+/// maximum run length the traversal produces.
+const DEFAULT_BATCH_WIDTH: usize = 8;
+
 /// Reusable arena for the traversal engine: bucket vectors, scatter logs,
 /// and per-worker scratch pooled across recursion levels and across calls.
 /// Also carries the intra-rank thread budget (`CARVE_PAR_THREADS` env or
 /// `available_parallelism`) and the spine split depth (`CARVE_PAR_SPLIT`
 /// env, default 1). Results never depend on either knob — see the module
 /// docs — only wall-clock does.
-/// Default panel width: one full sibling group in 3D (`2^3`), the natural
-/// maximum run length the traversal produces.
-const DEFAULT_BATCH_WIDTH: usize = 8;
-
 pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
     split_depth: u8,
@@ -189,6 +209,14 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// The maximum leaf-panel width batch-capable kernels will see.
     pub fn batch_width(&self) -> usize {
         self.batch_width
+    }
+
+    /// Sets the spine split depth (tests only: the determinism tests sweep
+    /// it to cover the multi-level `refresh_vin` / `join_rec` paths).
+    #[cfg(test)]
+    pub(crate) fn with_split_depth(mut self, depth: u8) -> Self {
+        self.split_depth = depth.max(1);
+        self
     }
 
     fn build(threads: usize, split_depth: u8, batch_width: usize) -> Self {
@@ -1443,156 +1471,141 @@ where
     }
 }
 
-// --- Public entry points: MATVEC ------------------------------------------
+// --- The traversal driver ---------------------------------------------------
 
-/// Applies the global operator `y += A x` matrix-free via octree traversal.
-///
-/// * `elems` — SFC-sorted leaf elements (owned + ghost in the distributed
-///   case); `owned` restricts which leaves apply their elemental kernel.
-/// * `kernel(e, u_e, v_e)` — the elemental operator (`v_e = K_e u_e`).
-///
-/// Convenience wrapper over [`traversal_matvec_ws`] with a throwaway
-/// workspace; hot loops (Krylov iterations) should hold a
-/// [`TraversalWorkspace`] and call the `_ws` / `_par` variants.
-pub fn traversal_matvec<const DIM: usize, K>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-    y: &mut [f64],
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-{
-    let mut ws = TraversalWorkspace::with_threads(1);
-    traversal_matvec_ws(elems, owned, curve, nodes, x, y, &mut ws, kernel);
+/// The tree one traversal walks: SFC-sorted leaf elements (owned + ghost in
+/// the distributed case), the `owned` sub-range whose leaves apply their
+/// elemental kernel, and the node set bucketed down it.
+pub(crate) struct Tree<'a, const DIM: usize> {
+    pub(crate) elems: &'a [Octant<DIM>],
+    pub(crate) owned: Range<usize>,
+    pub(crate) curve: Curve,
+    pub(crate) nodes: &'a NodeSet<DIM>,
 }
 
-/// Sequential matvec reusing `ws`'s bucket arena across calls. Output is
-/// bitwise identical to [`traversal_matvec_par`] at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_ws<const DIM: usize, K>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-{
-    assert_eq!(x.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
-        return;
-    }
-    let _obs = carve_obs::scope("matvec");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
-        for t in tasks.iter_mut() {
-            run_task(&env, t, interior, scr, &mut vis);
+/// Where a sweep's elemental kernels come from: the caller's own kernel
+/// (one worker, inline — the `_ws` entry points) or a factory building one
+/// kernel per worker (up to `ws.threads()` workers — the `_par` entry
+/// points). Nothing else distinguishes sequential from fork-join execution.
+pub(crate) enum Kernels<'a, K, F> {
+    Held(&'a mut K),
+    Make(&'a F),
+}
+
+/// The matvec input vector: complete up front, or — the overlapped exchange
+/// of §3.5 — with its ghost entries still in flight.
+pub(crate) enum Input<'a, W> {
+    Complete(&'a [f64]),
+    /// The caller has already *posted* the nonblocking ghost read of `xg`'s
+    /// owned entries. Tasks none of whose owned elements is a
+    /// `boundary_elem` (stencil closure rank-local) sweep against the stale
+    /// vector while `wait` completes the exchange into `xg`; the rest sweep
+    /// afterwards. `wait` is invoked exactly once on every path, including
+    /// empty-owned ranks — it carries the exchange's collective tag
+    /// discipline.
+    InFlight {
+        xg: &'a mut [f64],
+        boundary_elem: &'a [bool],
+        wait: W,
+    },
+}
+
+impl<W> Input<'_, W> {
+    fn values(&self) -> &[f64] {
+        match self {
+            Input::Complete(x) => x,
+            Input::InFlight { xg, .. } => xg,
         }
     }
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
 }
 
-/// Fork-join matvec: subtree tasks are partitioned SFC-contiguously across
-/// up to `ws.threads()` scoped workers, each building its kernel from
-/// `make_kernel`. Deferred ancestor writes replay in SFC order at join, so
-/// the output is **bitwise identical for any thread count** (and equal to
-/// the sequential variants).
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_par<const DIM: usize, K, F>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    make_kernel: &F,
-) where
-    K: LeafKernel<DIM>,
-    F: Fn() -> K + Sync,
-{
-    assert_eq!(x.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
-        return;
+/// Contiguous chunk size and worker count for `n_tasks` under `budget`.
+fn chunking(n_tasks: usize, budget: usize) -> (usize, usize) {
+    let workers = par::worker_count(n_tasks, budget);
+    let chunk = n_tasks.div_ceil(workers).max(1);
+    (chunk, n_tasks.div_ceil(chunk).max(1))
+}
+
+fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    match h.join() {
+        Ok(v) => v,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
-    let _obs = carve_obs::scope("matvec");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
+}
+
+/// Runs the tasks of `plan` selected by `pick` (task index → run it?) and
+/// returns the worker count used. `run(kernel, spine, tasks, scratch)` walks
+/// one worker's SFC-contiguous share with its kernel. A held kernel runs the
+/// share inline; a factory forks up to `ws.threads()` scoped workers, each
+/// building its own kernel and recording obs detached (re-absorbed under
+/// the caller's open scope). Either way `meanwhile` runs exactly once on
+/// the calling thread — while the workers are busy, when there are any.
+fn sweep<const DIM: usize, K, F, R>(
+    plan: &mut SpinePlan<DIM>,
+    pick: impl Fn(usize) -> bool,
+    ws: &mut TraversalWorkspace<DIM>,
+    kernels: &mut Kernels<'_, K, F>,
+    run: &R,
+    meanwhile: impl FnOnce(),
+) -> usize
+where
+    F: Fn() -> K + Sync,
+    R: Fn(&mut K, &[SpineNode<DIM>], &mut [&mut Task<DIM>], &mut WorkerScratch<DIM>) + Sync,
+{
+    let SpinePlan { interior, tasks } = plan;
+    let interior: &[SpineNode<DIM>] = interior;
+    let mut picked: Vec<&mut Task<DIM>> = tasks
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| pick(*i))
+        .map(|(_, t)| t)
+        .collect();
+    let budget = match kernels {
+        Kernels::Held(_) => 1,
+        Kernels::Make(_) => ws.threads,
     };
-    let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, x), ws);
-    let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        if n_workers <= 1 {
-            let scr = &mut ws.scratch[0];
-            let mut kernel = make_kernel();
-            let mut vis = MatvecVisitor::new(&mut kernel, npe);
-            for t in tasks.iter_mut() {
-                run_task(&env, t, interior, scr, &mut vis);
-            }
-        } else {
-            let env = &env;
+    let (chunk, workers) = chunking(picked.len(), budget);
+    ws.ensure_scratch(workers);
+    match kernels {
+        Kernels::Make(make) if workers > 1 => {
+            let make: &F = make;
             let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = tasks
+                let handles: Vec<_> = picked
                     .chunks_mut(chunk)
                     .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
+                    .map(|(share, scr)| {
                         s.spawn(move || {
                             carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, npe);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
+                            run(&mut make(), interior, share, scr);
                             carve_obs::thread_snapshot()
                         })
                     })
                     .collect();
+                // The communicator is single-threaded by design, so a ghost
+                // wait stays on the spawning thread while the workers chew
+                // on their subtrees: this is the overlap window.
+                meanwhile();
                 handles.into_iter().map(join_worker).collect()
             });
             for snap in &snaps {
                 carve_obs::absorb_rebased(snap);
             }
         }
+        _ => {
+            if !picked.is_empty() {
+                let scr = &mut ws.scratch[0];
+                match kernels {
+                    Kernels::Held(kernel) => run(kernel, interior, &mut picked, scr),
+                    Kernels::Make(make) => run(&mut make(), interior, &mut picked, scr),
+                }
+            }
+            meanwhile();
+        }
     }
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
+    workers
 }
+
+// --- MATVEC -----------------------------------------------------------------
 
 /// True iff any *owned* element in the task's range touches a ghost node
 /// (per the caller's element classification): such a task must not run
@@ -1653,277 +1666,9 @@ fn refresh_vin<const DIM: usize>(plan: &mut SpinePlan<DIM>, xg: &[f64], flags: &
     }
 }
 
-/// Sequential overlapped-exchange matvec (§3.5). The caller has already
-/// *posted* the nonblocking ghost-read of `xg`'s owned entries; this
-/// traversal runs every interior task (owned elements whose stencil closure
-/// is rank-local) against the stale vector, then calls `wait` — under a
-/// `ghost_wait` sub-phase — to complete the exchange into `xg`, re-seeds
-/// the spine and boundary-task `vin`s (`refresh_vin`), and only then
-/// runs the boundary tasks. The ordered join is unchanged, so the result
-/// is bitwise identical to [`traversal_matvec_ws`] on the post-exchange
-/// vector.
-///
-/// `wait` is invoked exactly once on every path, including empty-owned
-/// ranks — it carries the exchange's collective tag discipline.
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_overlap_ws<const DIM: usize, K, W>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    xg: &mut [f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    boundary_elem: &[bool],
-    wait: W,
-    kernel: &mut K,
-) where
-    K: LeafKernel<DIM>,
-    W: FnOnce(&mut [f64]),
-{
-    assert_eq!(xg.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    assert_eq!(boundary_elem.len(), elems.len());
-    let _obs = carve_obs::scope("matvec");
-    if elems.is_empty() || owned.is_empty() {
-        let _w = carve_obs::scope("ghost_wait");
-        wait(xg);
-        return;
-    }
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
-    let mut flags = std::mem::take(&mut ws.task_flags);
-    flags.clear();
-    flags.extend(
-        plan.tasks
-            .iter()
-            .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
-    );
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
-        for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| !**b) {
-            run_task(&env, t, interior, scr, &mut vis);
-        }
-    }
-    {
-        let _w = carve_obs::scope("ghost_wait");
-        wait(xg);
-    }
-    refresh_vin(&mut plan, xg, &flags);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let scr = &mut ws.scratch[0];
-        let mut vis = MatvecVisitor::new(kernel, nodes_per_elem::<DIM>(env.p));
-        for (t, _) in tasks.iter_mut().zip(&flags).filter(|(_, b)| **b) {
-            run_task(&env, t, interior, scr, &mut vis);
-        }
-    }
-    ws.task_flags = flags;
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Fork-join overlapped-exchange matvec: like
-/// [`traversal_matvec_overlap_ws`], but the interior tasks run on scoped
-/// workers *while the main thread blocks on the ghost exchange* (the
-/// communicator is single-threaded by design, so the wait stays on the
-/// spawning thread — which is exactly what gives the overlap), and the
-/// boundary tasks fork again after the refresh. Bitwise identical to every
-/// other matvec variant at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn traversal_matvec_overlap_par<const DIM: usize, K, F, W>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    xg: &mut [f64],
-    y: &mut [f64],
-    ws: &mut TraversalWorkspace<DIM>,
-    boundary_elem: &[bool],
-    wait: W,
-    make_kernel: &F,
-) where
-    K: LeafKernel<DIM>,
-    F: Fn() -> K + Sync,
-    W: FnOnce(&mut [f64]),
-{
-    assert_eq!(xg.len(), nodes.len());
-    assert_eq!(y.len(), nodes.len());
-    assert_eq!(boundary_elem.len(), elems.len());
-    let _obs = carve_obs::scope("matvec");
-    if elems.is_empty() || owned.is_empty() {
-        let _w = carve_obs::scope("ghost_wait");
-        wait(xg);
-        return;
-    }
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
-    };
-    let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(&env, ws.split_depth, matvec_root(ws, nodes, xg), ws);
-    let mut flags = std::mem::take(&mut ws.task_flags);
-    flags.clear();
-    flags.extend(
-        plan.tasks
-            .iter()
-            .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
-    );
-    let n_interior = flags.iter().filter(|&&b| !b).count();
-    let n_boundary = flags.len() - n_interior;
-    let n_workers = chunking(n_interior.max(1), ws.threads)
-        .1
-        .max(chunking(n_boundary.max(1), ws.threads).1);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let mut intr: Vec<&mut Task<DIM>> = tasks
-            .iter_mut()
-            .zip(&flags)
-            .filter(|(_, b)| !**b)
-            .map(|(t, _)| t)
-            .collect();
-        let (chunk, nw) = chunking(intr.len(), ws.threads);
-        if intr.is_empty() || nw <= 1 {
-            if !intr.is_empty() {
-                let scr = &mut ws.scratch[0];
-                let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, npe);
-                for t in intr.iter_mut() {
-                    run_task(&env, t, interior, scr, &mut vis);
-                }
-            }
-            let _w = carve_obs::scope("ghost_wait");
-            wait(xg);
-        } else {
-            let env = &env;
-            let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = intr
-                    .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
-                        s.spawn(move || {
-                            carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis = MatvecVisitor::new(&mut kernel, npe);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
-                            carve_obs::thread_snapshot()
-                        })
-                    })
-                    .collect();
-                // The workers chew on interior subtrees while this thread
-                // blocks on the ghost payloads: this is the overlap window.
-                {
-                    let _w = carve_obs::scope("ghost_wait");
-                    wait(xg);
-                }
-                handles.into_iter().map(join_worker).collect()
-            });
-            for snap in &snaps {
-                carve_obs::absorb_rebased(snap);
-            }
-        }
-    }
-    refresh_vin(&mut plan, xg, &flags);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        let mut bnd: Vec<&mut Task<DIM>> = tasks
-            .iter_mut()
-            .zip(&flags)
-            .filter(|(_, b)| **b)
-            .map(|(t, _)| t)
-            .collect();
-        let (chunk, nw) = chunking(bnd.len(), ws.threads);
-        if !bnd.is_empty() {
-            if nw <= 1 {
-                let scr = &mut ws.scratch[0];
-                let mut kernel = make_kernel();
-                let mut vis = MatvecVisitor::new(&mut kernel, npe);
-                for t in bnd.iter_mut() {
-                    run_task(&env, t, interior, scr, &mut vis);
-                }
-            } else {
-                let env = &env;
-                let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                    let handles: Vec<_> = bnd
-                        .chunks_mut(chunk)
-                        .zip(ws.scratch.iter_mut())
-                        .map(|(tchunk, scr)| {
-                            s.spawn(move || {
-                                carve_obs::detach_thread();
-                                let mut kernel = make_kernel();
-                                let mut vis = MatvecVisitor::new(&mut kernel, npe);
-                                for t in tchunk.iter_mut() {
-                                    run_task(env, t, interior, scr, &mut vis);
-                                }
-                                carve_obs::thread_snapshot()
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(join_worker).collect()
-                });
-                for snap in &snaps {
-                    carve_obs::absorb_rebased(snap);
-                }
-            }
-        }
-    }
-    ws.task_flags = flags;
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Seeds the root bucket (full node set + input vector) from the arena.
-fn matvec_root<const DIM: usize>(
-    ws: &mut TraversalWorkspace<DIM>,
-    nodes: &NodeSet<DIM>,
-    x: &[f64],
-) -> Bucket<DIM> {
-    let mut root = ws.acquire_bucket();
-    root.coords.extend_from_slice(&nodes.coords);
-    root.vin.extend_from_slice(x);
-    root.vout.resize(nodes.len(), 0.0);
-    root
-}
-
-/// Contiguous chunk size and worker count for `n_tasks` under `budget`.
-fn chunking(n_tasks: usize, budget: usize) -> (usize, usize) {
-    let workers = par::worker_count(n_tasks, budget);
-    let chunk = n_tasks.div_ceil(workers).max(1);
-    (chunk, n_tasks.div_ceil(chunk).max(1))
-}
-
-fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match h.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
+fn ghost_wait<W: FnOnce(&mut [f64])>(wait: W, xg: &mut [f64]) {
+    let _obs = carve_obs::scope("ghost_wait");
+    wait(xg);
 }
 
 fn finish_matvec<const DIM: usize>(plan: &mut SpinePlan<DIM>, y: &mut [f64]) {
@@ -1938,43 +1683,202 @@ fn finish_matvec<const DIM: usize>(plan: &mut SpinePlan<DIM>, y: &mut [f64]) {
     }
 }
 
-// --- Public entry points: assembly ----------------------------------------
-
-/// Assembles the global sparse matrix via octree traversal (§3.6): node
-/// *ids* are bucketed instead of values; at each leaf the elemental matrix
-/// entries are emitted with global indices (duplicates merge by addition in
-/// the builder, the PETSc `ADD_VALUES` contract). No bottom-up phase.
-///
-/// Convenience wrapper over [`traversal_assemble_ws`].
-pub fn traversal_assemble<const DIM: usize, K>(
-    elems: &[Octant<DIM>],
-    owned: Range<usize>,
-    curve: Curve,
-    nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-    coo: &mut CooBuilder,
-    kernel: &mut K,
+/// `y += A x` by one traversal: bucket the input down the spine, sweep the
+/// tasks, join in SFC order. With an [`Input::InFlight`] vector the sweep
+/// splits in two around the exchange — interior tasks against the stale
+/// vector while `wait` blocks under a `ghost_wait` sub-phase, then
+/// [`refresh_vin`], then the boundary tasks. The ordered join is the same,
+/// so the result is bitwise identical to a plain sweep over the
+/// post-exchange vector, for either kernel source and any thread count.
+pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
+    tree: Tree<'_, DIM>,
+    input: Input<'_, W>,
+    y: &mut [f64],
+    ws: &mut TraversalWorkspace<DIM>,
+    mut kernels: Kernels<'_, K, F>,
 ) where
-    K: AssemblyKernel<DIM>,
+    K: LeafKernel<DIM>,
+    F: Fn() -> K + Sync,
+    W: FnOnce(&mut [f64]),
 {
-    let mut ws = TraversalWorkspace::with_threads(1);
-    traversal_assemble_ws(elems, owned, curve, nodes, global_ids, coo, &mut ws, kernel);
+    let Tree {
+        elems,
+        owned,
+        curve,
+        nodes,
+    } = tree;
+    assert_eq!(input.values().len(), nodes.len());
+    assert_eq!(y.len(), nodes.len());
+    if let Input::InFlight { boundary_elem, .. } = &input {
+        assert_eq!(boundary_elem.len(), elems.len());
+    }
+    if elems.is_empty() || owned.is_empty() {
+        if let Input::InFlight { xg, wait, .. } = input {
+            let _obs = carve_obs::scope("matvec");
+            ghost_wait(wait, xg);
+        }
+        return;
+    }
+    let _obs = carve_obs::scope("matvec");
+    let env = Env {
+        elems,
+        owned,
+        curve,
+        p: nodes.order,
+        carry_values: true,
+        carry_ids: false,
+        batch: ws.batch_width,
+    };
+    let npe = nodes_per_elem::<DIM>(env.p);
+    let mut root = ws.acquire_bucket();
+    root.coords.extend_from_slice(&nodes.coords);
+    root.vin.extend_from_slice(input.values());
+    root.vout.resize(nodes.len(), 0.0);
+    let mut plan = build_spine(&env, ws.split_depth, root, ws);
+    let run = |kernel: &mut K,
+               interior: &[SpineNode<DIM>],
+               tasks: &mut [&mut Task<DIM>],
+               scr: &mut WorkerScratch<DIM>| {
+        let mut vis = MatvecVisitor::new(kernel, npe);
+        for t in tasks.iter_mut() {
+            run_task(&env, t, interior, scr, &mut vis);
+        }
+    };
+    let workers = match input {
+        Input::Complete(_) => sweep(&mut plan, |_| true, ws, &mut kernels, &run, || ()),
+        Input::InFlight {
+            xg,
+            boundary_elem,
+            wait,
+        } => {
+            let mut flags = std::mem::take(&mut ws.task_flags);
+            flags.clear();
+            flags.extend(
+                plan.tasks
+                    .iter()
+                    .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
+            );
+            let interior = sweep(
+                &mut plan,
+                |i| !flags[i],
+                ws,
+                &mut kernels,
+                &run,
+                || ghost_wait(wait, xg),
+            );
+            refresh_vin(&mut plan, xg, &flags);
+            let boundary = sweep(&mut plan, |i| flags[i], ws, &mut kernels, &run, || ());
+            ws.task_flags = flags;
+            interior.max(boundary)
+        }
+    };
+    carve_obs::counter("par_workers", workers as u64);
+    finish_matvec(&mut plan, y);
+    ws.release_plan(plan);
+    ws.emit_arena_counters();
 }
 
-/// Sequential assembly reusing `ws`'s arena.
+/// Applies the global operator `y += A x` matrix-free via octree traversal,
+/// sequentially, with the caller's `kernel` and `ws`'s bucket arena (hold
+/// the workspace across Krylov iterations: warm applies allocate nothing).
+///
+/// * `elems` — SFC-sorted leaf elements (owned + ghost in the distributed
+///   case); `owned` restricts which leaves apply their elemental kernel.
+/// * `kernel` — the elemental operator (`v_e = K_e u_e`).
+///
+/// Output is bitwise identical to [`traversal_matvec_par`] at any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
-pub fn traversal_assemble_ws<const DIM: usize, K>(
+pub fn traversal_matvec_ws<const DIM: usize, K>(
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
     nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-    coo: &mut CooBuilder,
+    x: &[f64],
+    y: &mut [f64],
     ws: &mut TraversalWorkspace<DIM>,
     kernel: &mut K,
 ) where
-    K: AssemblyKernel<DIM>,
+    K: LeafKernel<DIM>,
 {
+    matvec_driver(
+        Tree {
+            elems,
+            owned,
+            curve,
+            nodes,
+        },
+        Input::<fn(&mut [f64])>::Complete(x),
+        y,
+        ws,
+        Kernels::<K, fn() -> K>::Held(kernel),
+    );
+}
+
+/// Fork-join matvec: subtree tasks are partitioned SFC-contiguously across
+/// up to `ws.threads()` scoped workers, each building its kernel from
+/// `make_kernel`. Deferred ancestor writes replay in SFC order at join, so
+/// the output is **bitwise identical for any thread count** (and equal to
+/// [`traversal_matvec_ws`]).
+#[allow(clippy::too_many_arguments)]
+pub fn traversal_matvec_par<const DIM: usize, K, F>(
+    elems: &[Octant<DIM>],
+    owned: Range<usize>,
+    curve: Curve,
+    nodes: &NodeSet<DIM>,
+    x: &[f64],
+    y: &mut [f64],
+    ws: &mut TraversalWorkspace<DIM>,
+    make_kernel: &F,
+) where
+    K: LeafKernel<DIM>,
+    F: Fn() -> K + Sync,
+{
+    matvec_driver(
+        Tree {
+            elems,
+            owned,
+            curve,
+            nodes,
+        },
+        Input::<fn(&mut [f64])>::Complete(x),
+        y,
+        ws,
+        Kernels::Make(make_kernel),
+    );
+}
+
+// --- Assembly ---------------------------------------------------------------
+
+/// Moves one task's triplet buffer into the builder.
+fn drain_log(log: &mut OutLog, coo: &mut CooBuilder) {
+    for &(ri, cj, v) in log.iter() {
+        coo.add(ri as usize, cj as usize, v);
+    }
+    log.clear();
+}
+
+/// Sparse assembly by the same traversal carrying node *ids* instead of
+/// values: the sweep leaves each task's `(row, col, val)` triplets in its
+/// log, and the logs drain into `coo` in SFC task order — so the emitted
+/// triplet sequence, and hence the built CSR, is identical for either
+/// kernel source and any thread count. No bottom-up phase.
+fn assemble_driver<const DIM: usize, K, F>(
+    tree: Tree<'_, DIM>,
+    global_ids: &[u32],
+    coo: &mut CooBuilder,
+    ws: &mut TraversalWorkspace<DIM>,
+    mut kernels: Kernels<'_, K, F>,
+) where
+    K: AssemblyKernel<DIM>,
+    F: Fn() -> K + Sync,
+{
+    let Tree {
+        elems,
+        owned,
+        curve,
+        nodes,
+    } = tree;
     assert_eq!(global_ids.len(), nodes.len());
     if elems.is_empty() || owned.is_empty() {
         return;
@@ -1990,31 +1894,66 @@ pub fn traversal_assemble_ws<const DIM: usize, K>(
         batch: ws.batch_width,
     };
     let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(
-        &env,
-        ws.split_depth,
-        assemble_root(ws, nodes, global_ids),
-        ws,
-    );
-    carve_obs::counter("par_workers", 1);
-    ws.ensure_scratch(1);
-    reserve_triplets(&env, npe, coo);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let scr = &mut ws.scratch[0];
+    let mut root = ws.acquire_bucket();
+    root.coords.extend_from_slice(&nodes.coords);
+    root.ids.extend_from_slice(global_ids);
+    let mut plan = build_spine(&env, ws.split_depth, root, ws);
+    // Capacity hint for the triplet stream: `owned leaves × npe²`.
+    let owned_leaves = (env.owned.end.min(elems.len())).saturating_sub(env.owned.start);
+    coo.reserve(owned_leaves * npe * npe);
+    let run = |kernel: &mut K,
+               interior: &[SpineNode<DIM>],
+               tasks: &mut [&mut Task<DIM>],
+               scr: &mut WorkerScratch<DIM>| {
         let mut vis = AssemblyVisitor::new(kernel, npe);
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
-            drain_log(&mut t.out_log, coo);
         }
+    };
+    let workers = sweep(&mut plan, |_| true, ws, &mut kernels, &run, || ());
+    carve_obs::counter("par_workers", workers as u64);
+    for t in plan.tasks.iter_mut() {
+        drain_log(&mut t.out_log, coo);
     }
     ws.release_plan(plan);
     ws.emit_arena_counters();
 }
 
-/// Fork-join assembly; per-task triplet buffers are concatenated in SFC
-/// task order, so the emitted triplet sequence — and hence the built CSR —
-/// is identical for any thread count.
+/// Assembles the global sparse matrix via octree traversal (§3.6),
+/// sequentially, with the caller's `kernel`: node *ids* are bucketed
+/// instead of values; at each leaf the elemental matrix entries are emitted
+/// with global indices (duplicates merge by addition in the builder, the
+/// PETSc `ADD_VALUES` contract).
+#[allow(clippy::too_many_arguments)]
+pub fn traversal_assemble_ws<const DIM: usize, K>(
+    elems: &[Octant<DIM>],
+    owned: Range<usize>,
+    curve: Curve,
+    nodes: &NodeSet<DIM>,
+    global_ids: &[u32],
+    coo: &mut CooBuilder,
+    ws: &mut TraversalWorkspace<DIM>,
+    kernel: &mut K,
+) where
+    K: AssemblyKernel<DIM>,
+{
+    assemble_driver(
+        Tree {
+            elems,
+            owned,
+            curve,
+            nodes,
+        },
+        global_ids,
+        coo,
+        ws,
+        Kernels::<K, fn() -> K>::Held(kernel),
+    );
+}
+
+/// Fork-join assembly on up to `ws.threads()` workers, each building its
+/// kernel from `make_kernel`; the built CSR is identical for any thread
+/// count and to [`traversal_assemble_ws`].
 #[allow(clippy::too_many_arguments)]
 pub fn traversal_assemble_par<const DIM: usize, K, F>(
     elems: &[Octant<DIM>],
@@ -2029,105 +1968,18 @@ pub fn traversal_assemble_par<const DIM: usize, K, F>(
     K: AssemblyKernel<DIM>,
     F: Fn() -> K + Sync,
 {
-    assert_eq!(global_ids.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
-        return;
-    }
-    let _obs = carve_obs::scope("assemble");
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: false,
-        carry_ids: true,
-        batch: ws.batch_width,
-    };
-    let npe = nodes_per_elem::<DIM>(env.p);
-    let mut plan = build_spine(
-        &env,
-        ws.split_depth,
-        assemble_root(ws, nodes, global_ids),
+    assemble_driver(
+        Tree {
+            elems,
+            owned,
+            curve,
+            nodes,
+        },
+        global_ids,
+        coo,
         ws,
+        Kernels::Make(make_kernel),
     );
-    let (chunk, n_workers) = chunking(plan.tasks.len(), ws.threads);
-    carve_obs::counter("par_workers", n_workers as u64);
-    ws.ensure_scratch(n_workers);
-    reserve_triplets(&env, npe, coo);
-    {
-        let SpinePlan { interior, tasks } = &mut plan;
-        let interior: &[SpineNode<DIM>] = interior;
-        if n_workers <= 1 {
-            let scr = &mut ws.scratch[0];
-            let mut kernel = make_kernel();
-            let mut vis = AssemblyVisitor::new(&mut kernel, npe);
-            for t in tasks.iter_mut() {
-                run_task(&env, t, interior, scr, &mut vis);
-                drain_log(&mut t.out_log, coo);
-            }
-        } else {
-            let env = &env;
-            let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
-                let handles: Vec<_> = tasks
-                    .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
-                    .map(|(tchunk, scr)| {
-                        s.spawn(move || {
-                            carve_obs::detach_thread();
-                            let mut kernel = make_kernel();
-                            let mut vis = AssemblyVisitor::new(&mut kernel, npe);
-                            for t in tchunk.iter_mut() {
-                                run_task(env, t, interior, scr, &mut vis);
-                            }
-                            carve_obs::thread_snapshot()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(join_worker).collect()
-            });
-            for snap in &snaps {
-                carve_obs::absorb_rebased(snap);
-            }
-            for t in tasks.iter_mut() {
-                drain_log(&mut t.out_log, coo);
-            }
-        }
-    }
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
-}
-
-/// Seeds the root bucket (full node set + global ids) from the arena.
-fn assemble_root<const DIM: usize>(
-    ws: &mut TraversalWorkspace<DIM>,
-    nodes: &NodeSet<DIM>,
-    global_ids: &[u32],
-) -> Bucket<DIM> {
-    let mut root = ws.acquire_bucket();
-    root.coords.extend_from_slice(&nodes.coords);
-    root.ids.extend_from_slice(global_ids);
-    root
-}
-
-/// Capacity hint for the assembled triplet stream: `owned leaves × npe²`.
-fn reserve_triplets<const DIM: usize>(env: &Env<'_, DIM>, npe: usize, coo: &mut CooBuilder) {
-    let owned_leaves = env
-        .owned
-        .end
-        .min(env.elems.len())
-        .saturating_sub(env.owned.start);
-    coo.reserve(owned_leaves * npe * npe);
-}
-
-/// Moves one task's triplet buffer into the builder. Sequential paths call
-/// this right after the task runs, while its log is still cache-hot; the
-/// threaded path drains all logs afterwards in SFC task order. Either way
-/// the builder sees the identical triplet sequence.
-fn drain_log(log: &mut OutLog, coo: &mut CooBuilder) {
-    for &(ri, cj, v) in log.iter() {
-        coo.add(ri as usize, cj as usize, v);
-    }
-    log.clear();
 }
 
 #[cfg(test)]
@@ -2180,13 +2032,15 @@ mod tests {
         assert!(n > 0);
         let ids: Vec<u32> = (0..n as u32).collect();
         let mut coo = CooBuilder::new(n);
-        traversal_assemble(
+        let mut ws = TraversalWorkspace::with_threads(1);
+        traversal_assemble_ws(
             elems,
             0..elems.len(),
             curve,
             &nodes,
             &ids,
             &mut coo,
+            &mut ws,
             &mut toy_matrix::<DIM>(p),
         );
         let a = coo.build();
@@ -2194,13 +2048,14 @@ mod tests {
         for _ in 0..3 {
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut y_mf = vec![0.0; n];
-            traversal_matvec(
+            traversal_matvec_ws(
                 elems,
                 0..elems.len(),
                 curve,
                 &nodes,
                 &x,
                 &mut y_mf,
+                &mut ws,
                 &mut toy_kernel::<DIM>(p),
             );
             let mut y_as = vec![0.0; n];
@@ -2267,13 +2122,15 @@ mod tests {
             }
             v.copy_from_slice(u);
         };
-        traversal_matvec(
+        let mut ws = TraversalWorkspace::with_threads(1);
+        traversal_matvec_ws(
             &elems,
             0..elems.len(),
             Curve::Morton,
             &nodes,
             &ones,
             &mut y,
+            &mut ws,
             &mut probe,
         );
     }
@@ -2291,25 +2148,28 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut y_full = vec![0.0; n];
-        traversal_matvec(
+        let mut ws = TraversalWorkspace::with_threads(1);
+        traversal_matvec_ws(
             &elems,
             0..elems.len(),
             Curve::Hilbert,
             &nodes,
             &x,
             &mut y_full,
+            &mut ws,
             &mut toy_kernel::<2>(2),
         );
         let mid = elems.len() / 3;
         let mut y_parts = vec![0.0; n];
         for range in [0..mid, mid..elems.len()] {
-            traversal_matvec(
+            traversal_matvec_ws(
                 &elems,
                 range,
                 Curve::Hilbert,
                 &nodes,
                 &x,
                 &mut y_parts,
+                &mut ws,
                 &mut toy_kernel::<2>(2),
             );
         }
@@ -2326,14 +2186,16 @@ mod tests {
         let n = nodes.len();
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
+        let mut ws = TraversalWorkspace::with_threads(1);
         let before = carve_obs::thread_snapshot();
-        traversal_matvec(
+        traversal_matvec_ws(
             &elems,
             0..elems.len(),
             Curve::Morton,
             &nodes,
             &x,
             &mut y,
+            &mut ws,
             &mut toy_kernel::<2>(1),
         );
         let d = carve_obs::thread_snapshot().diff(&before);
@@ -2351,10 +2213,10 @@ mod tests {
 
     #[test]
     fn matvec_bitwise_identical_across_thread_counts() {
-        // The ISSUE's determinism property: an adaptive carved 3D mesh,
-        // p ∈ {1, 2}, CARVE_PAR_THREADS ∈ {1, 2, 8} — outputs must agree
-        // bit for bit, with each other AND with the legacy sequential
-        // entry point, including on workspace reuse.
+        // The determinism property: an adaptive carved 3D mesh, p ∈ {1, 2},
+        // threads ∈ {1, 2, 8}, spine split depth ∈ {1, 2, 3} — outputs must
+        // agree bit for bit, with each other AND with the sequential entry
+        // point at depth 1, including on workspace reuse.
         let domain = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
@@ -2364,17 +2226,26 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17 + p);
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut y_ref = vec![0.0; n];
-            traversal_matvec(
+            traversal_matvec_ws(
                 &elems,
                 0..elems.len(),
                 Curve::Hilbert,
                 &nodes,
                 &x,
                 &mut y_ref,
+                &mut TraversalWorkspace::with_threads(1),
                 &mut toy_kernel::<3>(p),
             );
-            for threads in [1usize, 2, 8] {
-                let mut ws = TraversalWorkspace::with_threads(threads);
+            for (threads, depth) in [
+                (1usize, 1u8),
+                (2, 1),
+                (8, 1),
+                (1, 2),
+                (8, 2),
+                (2, 3),
+                (8, 3),
+            ] {
+                let mut ws = TraversalWorkspace::with_threads(threads).with_split_depth(depth);
                 for round in 0..2 {
                     let mut y = vec![0.0; n];
                     traversal_matvec_par(
@@ -2391,7 +2262,8 @@ mod tests {
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
-                            "threads={threads} p={p} round={round} node {i}: {a} vs {b}"
+                            "threads={threads} depth={depth} p={p} round={round} node {i}: \
+                             {a} vs {b}"
                         );
                     }
                 }
@@ -2408,8 +2280,8 @@ mod tests {
         let nodes = enumerate_nodes(&domain, &elems, p);
         let n = nodes.len();
         let ids: Vec<u32> = (0..n as u32).collect();
-        let build = |threads: usize| {
-            let mut ws = TraversalWorkspace::with_threads(threads);
+        let build = |threads: usize, depth: u8| {
+            let mut ws = TraversalWorkspace::with_threads(threads).with_split_depth(depth);
             let mut coo = CooBuilder::new(n);
             traversal_assemble_par(
                 &elems,
@@ -2423,14 +2295,15 @@ mod tests {
             );
             coo.build()
         };
-        let a1 = build(1);
-        for threads in [2usize, 8] {
-            let at = build(threads);
-            assert_eq!(a1.row_ptr, at.row_ptr, "threads={threads}");
-            assert_eq!(a1.cols, at.cols, "threads={threads}");
+        let a1 = build(1, 1);
+        for (threads, depth) in [(2usize, 1u8), (8, 1), (1, 2), (8, 2), (2, 3), (8, 3)] {
+            let at = build(threads, depth);
+            let tag = format!("threads={threads} depth={depth}");
+            assert_eq!(a1.row_ptr, at.row_ptr, "{tag}");
+            assert_eq!(a1.cols, at.cols, "{tag}");
             assert_eq!(a1.vals.len(), at.vals.len());
             for (i, (v1, vt)) in a1.vals.iter().zip(&at.vals).enumerate() {
-                assert_eq!(v1.to_bits(), vt.to_bits(), "threads={threads} nz {i}");
+                assert_eq!(v1.to_bits(), vt.to_bits(), "{tag} nz {i}");
             }
         }
     }
@@ -2518,13 +2391,14 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed + p);
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut y_ref = vec![0.0; n];
-            traversal_matvec(
+            traversal_matvec_ws(
                 &elems,
                 0..elems.len(),
                 Curve::Hilbert,
                 &nodes,
                 &x,
                 &mut y_ref,
+                &mut TraversalWorkspace::with_threads(1),
                 &mut toy_kernel::<DIM>(p),
             );
             for threads in [1usize, 2, 8] {
@@ -2578,13 +2452,14 @@ mod tests {
             let n = nodes.len();
             let ids: Vec<u32> = (0..n as u32).collect();
             let mut coo = CooBuilder::new(n);
-            traversal_assemble(
+            traversal_assemble_ws(
                 &elems,
                 0..elems.len(),
                 Curve::Hilbert,
                 &nodes,
                 &ids,
                 &mut coo,
+                &mut TraversalWorkspace::with_threads(1),
                 &mut toy_matrix::<2>(p),
             );
             let a_ref = coo.build();

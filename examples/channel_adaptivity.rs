@@ -8,7 +8,7 @@
 //! ```
 
 use carve::comm::run_spmd;
-use carve::core::{DistMesh, Mesh};
+use carve::core::{DistMesh, GhostState, Mesh, TraversalWorkspace};
 use carve::geom::RetainBox;
 use carve::sfc::{Curve, Octant};
 
@@ -39,11 +39,14 @@ fn main() {
         let mut cache = carve::fem::ElementCache::<3>::new(1);
         let x = vec![1.0; dm.nodes.len()];
         let mut y = vec![0.0; dm.nodes.len()];
+        let mut ws = TraversalWorkspace::new();
         let before = carve::obs::thread_snapshot();
-        dm.matvec(
+        dm.matvec_ws(
             comm,
             &x,
             &mut y,
+            &mut ws,
+            GhostState::Ghosted,
             &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
                 cache.apply_stiffness_tensor(e.bounds_unit().1 * 16.0, u, v);
             },

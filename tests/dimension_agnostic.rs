@@ -5,7 +5,7 @@
 
 use carve::core::{
     check_2to1, construct_balanced, construct_boundary_refined, enumerate_nodes,
-    traversal_assemble, traversal_matvec,
+    traversal_assemble_ws, traversal_matvec_ws, TraversalWorkspace,
 };
 use carve::geom::{CarvedSolids, FullDomain, Sphere};
 use carve::la::{CooBuilder, DenseMatrix};
@@ -85,13 +85,15 @@ fn traversal_matvec_matches_assembly_in_4d() {
     let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut y1 = vec![0.0; n];
     let mut k1 = kernel;
-    traversal_matvec(
+    let mut ws = TraversalWorkspace::with_threads(1);
+    traversal_matvec_ws(
         &elems,
         0..elems.len(),
         Curve::Hilbert,
         &nodes,
         &x,
         &mut y1,
+        &mut ws,
         &mut k1,
     );
     let mut coo = CooBuilder::new(n);
@@ -106,13 +108,14 @@ fn traversal_matvec_matches_assembly_in_4d() {
         }
         m
     };
-    traversal_assemble(
+    traversal_assemble_ws(
         &elems,
         0..elems.len(),
         Curve::Hilbert,
         &nodes,
         &ids,
         &mut coo,
+        &mut ws,
         &mut mk,
     );
     let a = coo.build();

@@ -2,7 +2,7 @@
 //! incomplete octree → nodes → FEM solve → error, plus the distributed
 //! pipeline and the application layer.
 
-use carve::core::{DistMesh, Mesh};
+use carve::core::{DistMesh, GhostState, Mesh, TraversalWorkspace};
 use carve::fem::{l2_linf_error, solve_poisson, BcMode, PoissonProblem, SbmParams};
 use carve::geom::{CarvedSolids, RetainBox, RetainSolid, Solid, Sphere};
 use carve::ns::{FlowSolver, NodeBc, TransportSolver, VmsParams};
@@ -72,13 +72,14 @@ fn distributed_poisson_matvec_equals_sequential() {
     let x: Vec<f64> = (0..n).map(|i| key(&seq_mesh.nodes.coords[i])).collect();
     let mut y_seq = vec![0.0; n];
     let cache = carve::fem::ElementCache::<2>::new(1);
-    carve::core::traversal_matvec(
+    carve::core::traversal_matvec_ws(
         &seq_mesh.elems,
         0..seq_mesh.elems.len(),
         Curve::Hilbert,
         &seq_mesh.nodes,
         &x,
         &mut y_seq,
+        &mut TraversalWorkspace::with_threads(1),
         &mut |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
             cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
         },
@@ -91,10 +92,12 @@ fn distributed_poisson_matvec_equals_sequential() {
             .collect();
         let mut y = vec![0.0; dm.nodes.len()];
         let cache = carve::fem::ElementCache::<2>::new(1);
-        dm.matvec(
+        dm.matvec_ws(
             comm,
             &x_local,
             &mut y,
+            &mut TraversalWorkspace::with_threads(1),
+            GhostState::Ghosted,
             &mut |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
                 cache.apply_stiffness_dense(e.bounds_unit().1, u, v);
             },
@@ -115,6 +118,86 @@ fn distributed_poisson_matvec_equals_sequential() {
             );
             seen += 1;
         }
+    }
+    assert_eq!(seen, n);
+}
+
+#[test]
+fn distributed_matvec_is_one_sweep_for_any_kernel_source_threads_and_width() {
+    // The traversal driver behind `DistMesh::matvec_ws` (held kernel) and
+    // `matvec_par` (kernel factory): on 2 ranks, every threads × batch-width
+    // setting must give the same owned bits on a p = 2 carved sphere with
+    // hanging nodes, and they must match the 1-rank sequential apply of the
+    // same global field.
+    use carve::fem::StiffnessKernel;
+    let sphere = || CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
+    let key = |c: &[u64; 3]| {
+        let h = (c[0].wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(c[1]))
+            .wrapping_mul(0xC2B2AE3D27D4EB4F)
+            .wrapping_add(c[2]);
+        ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+    };
+    let seq = Mesh::build(&sphere(), Curve::Hilbert, 2, 4, 2);
+    let n = seq.num_dofs();
+    assert!(seq.elems.iter().any(|e| e.level == 3) && seq.elems.iter().any(|e| e.level == 4));
+    let x: Vec<f64> = seq.nodes.coords.iter().map(key).collect();
+    let mut y_seq = vec![0.0; n];
+    carve::core::traversal_matvec_ws(
+        &seq.elems,
+        0..seq.elems.len(),
+        Curve::Hilbert,
+        &seq.nodes,
+        &x,
+        &mut y_seq,
+        &mut TraversalWorkspace::with_threads(1),
+        &mut StiffnessKernel::<3>::new(2, 1.0),
+    );
+    let y_max = y_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+
+    let results = carve::comm::run_spmd(2, |comm| {
+        let dm = DistMesh::<3>::build(comm, &sphere(), Curve::Hilbert, 2, 4, 2);
+        let x_local: Vec<f64> = dm.nodes.coords.iter().map(key).collect();
+        let owned: Vec<usize> = (0..dm.nodes.len())
+            .filter(|&i| dm.owner[i] as usize == comm.rank())
+            .collect();
+        let make_kernel = || StiffnessKernel::<3>::new(2, 1.0);
+        let mut reference: Option<Vec<u64>> = None;
+        let mut y = vec![0.0; x_local.len()];
+        for threads in [1usize, 4] {
+            for width in [1usize, 8] {
+                let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
+                for held in [true, false] {
+                    let ghost = GhostState::OwnedOnly;
+                    if held {
+                        dm.matvec_ws(comm, &x_local, &mut y, &mut ws, ghost, &mut make_kernel());
+                    } else {
+                        dm.matvec_par(comm, &x_local, &mut y, &mut ws, ghost, &make_kernel);
+                    }
+                    let bits: Vec<u64> = owned.iter().map(|&i| y[i].to_bits()).collect();
+                    let reference = reference.get_or_insert_with(|| bits.clone());
+                    assert_eq!(
+                        *reference,
+                        bits,
+                        "rank {} threads={threads} width={width} held={held}",
+                        comm.rank()
+                    );
+                }
+            }
+        }
+        owned
+            .iter()
+            .map(|&i| (dm.nodes.coords[i], y[i]))
+            .collect::<Vec<_>>()
+    });
+    let mut seen = 0;
+    for (coord, val) in results.into_iter().flatten() {
+        let i = seq.nodes.find(&coord).expect("node exists");
+        assert!(
+            (val - y_seq[i]).abs() <= 1e-12 * y_max,
+            "coord {coord:?}: {val} vs {}",
+            y_seq[i]
+        );
+        seen += 1;
     }
     assert_eq!(seen, n);
 }

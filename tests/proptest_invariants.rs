@@ -5,7 +5,7 @@
 use carve::baseline::ImmersedMesh;
 use carve::core::{
     check_2to1, check_tree_invariants, construct_balanced, construct_boundary_refined,
-    traversal_assemble, traversal_matvec, Mesh,
+    traversal_assemble_ws, traversal_matvec_ws, Mesh, TraversalWorkspace,
 };
 use carve::geom::{AxisBox, CarvedSolids, Solid, Sphere, Subdomain};
 use carve::la::CooBuilder;
@@ -127,7 +127,8 @@ proptest! {
         // 1: traversal.
         let mut y1 = vec![0.0; n];
         let mut k1 = kernel_fn;
-        traversal_matvec(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &x, &mut y1, &mut k1);
+        let mut ws = TraversalWorkspace::with_threads(1);
+        traversal_matvec_ws(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &x, &mut y1, &mut ws, &mut k1);
         // 2: assembled.
         let npe = carve::core::nodes::nodes_per_elem::<2>(order);
         let mut coo = CooBuilder::new(n);
@@ -142,7 +143,7 @@ proptest! {
             }
             m
         };
-        traversal_assemble(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &ids, &mut coo, &mut mk);
+        traversal_assemble_ws(&mesh.elems, 0..mesh.elems.len(), curve, &mesh.nodes, &ids, &mut coo, &mut ws, &mut mk);
         let a = coo.build();
         let mut y2 = vec![0.0; n];
         a.matvec(&x, &mut y2);
