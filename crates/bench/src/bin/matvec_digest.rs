@@ -1,7 +1,7 @@
 //! Emits FNV-1a digests of the traversal engine's output bits for the CI
 //! leaf-kernel-determinism stage: carved-sphere meshes (2-D and 3-D, with
-//! hanging nodes from boundary refinement) at orders 1 and 2, driven through
-//! the three uses of the one traversal sweep —
+//! hanging nodes from boundary refinement) at orders 1 and 2, plus 2-D at
+//! order 3, driven through the three uses of the one traversal sweep —
 //!
 //! * `matvec`   — the 1-rank fork-join `traversal_matvec_par` apply,
 //! * `dist`     — a 2-rank `DistMesh::matvec_par(.., GhostState::Ghosted, ..)`
@@ -9,6 +9,15 @@
 //!   boundary sweep), one digest per rank over the ghosted output,
 //! * `assemble` — `traversal_assemble_par`, digesting the built CSR's
 //!   `row_ptr` / `cols` / value bits.
+//!
+//! A last `chain` row digests the matvec and the assembled CSR of a 2-D
+//! p = 2 mesh refined at the boundary and *not* 2:1-balanced, where the
+//! interpolation source of a hanging slot is itself hanging one level up
+//! (the leaf stage's cold recursive fallback, DESIGN.md §6d).
+//!
+//! The stage also byte-compares the document against the committed
+//! `results/matvec_digest.txt`: a change of summation order is an explicit
+//! re-record, never a silent pass.
 //!
 //! Traversal threads come from `CARVE_PAR_THREADS` and the leaf-panel width
 //! from `CARVE_BATCH_WIDTH`, so the stage reruns this binary across a
@@ -19,7 +28,8 @@
 
 use carve_comm::run_spmd;
 use carve_core::{
-    traversal_assemble_par, traversal_matvec_par, DistMesh, GhostState, Mesh, TraversalWorkspace,
+    construct_boundary_refined, traversal_assemble_par, traversal_matvec_par, DistMesh, GhostState,
+    Mesh, TraversalWorkspace,
 };
 use carve_fem::{StiffnessKernel, StiffnessMatrixKernel};
 use carve_geom::{CarvedSolids, Sphere};
@@ -129,11 +139,19 @@ fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, out: &mut String) 
 fn main() {
     let d2 = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
     let d3 = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.28))]);
-    let mut out = String::from("carve-matvec-digest-v2\n");
+    let mut out = String::from("carve-matvec-digest-v3\n");
     for p in [1u64, 2] {
         rows(&d2, p, &mut out);
         rows(&d3, p, &mut out);
     }
+    rows(&d2, 3, &mut out);
+    let unbalanced = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
+    let chain = Mesh::from_balanced_elems(&d2, Curve::Hilbert, unbalanced, 2);
+    out.push_str(&format!(
+        "chain dim=2 p=2 matvec={:016x} assemble={:016x}\n",
+        matvec_digest(&chain),
+        assemble_digest(&chain)
+    ));
     match std::env::args().nth(1) {
         Some(path) => std::fs::write(&path, out).expect("write matvec digest"),
         None => print!("{out}"),

@@ -11,7 +11,7 @@
 //! DOFs of the continuous-Galerkin grid.
 //!
 //! Nodal coordinates live on the integer lattice `[0, p·2^MAX_LEVEL]^DIM`
-//! (element anchor × p + offset × side), which is exact for `p ≤ 2` and
+//! (element anchor × p + offset × side), which is exact for `p ≤ 3` and
 //! `level ≤ MAX_LEVEL - 1`.
 
 use carve_geom::Subdomain;
@@ -45,7 +45,7 @@ impl NodeFlags {
 /// The unique, non-hanging nodes of a (local or global) element list.
 #[derive(Clone, Debug)]
 pub struct NodeSet<const DIM: usize> {
-    /// Element order `p` (1 = linear, 2 = quadratic).
+    /// Element order `p` (1 = linear, 2 = quadratic, 3 = cubic).
     pub order: u64,
     /// Node lattice coordinates, sorted by point-Morton order.
     pub coords: Vec<[u64; DIM]>,
@@ -129,7 +129,7 @@ pub fn enumerate_nodes<const DIM: usize>(
     elems: &[Octant<DIM>],
     p: u64,
 ) -> NodeSet<DIM> {
-    assert!(p == 1 || p == 2, "orders 1 and 2 supported");
+    assert!((1..=3).contains(&p), "orders 1 to 3 supported");
     let _obs = carve_obs::scope("nodes");
     let npe = nodes_per_elem::<DIM>(p);
     // (coord, is_cancellation)

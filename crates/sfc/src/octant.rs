@@ -4,7 +4,7 @@
 ///
 /// The root occupies the integer lattice `[0, 2^MAX_LEVEL)^DIM`; an octant at
 /// level `l` has integer side `2^(MAX_LEVEL - l)`. The paper's experiments use
-/// levels up to 14; 21 leaves headroom while `anchor * p` for order `p <= 2`
+/// levels up to 14; 21 leaves headroom while `anchor * p` for order `p <= 3`
 /// node lattices still fits comfortably in `u64`.
 pub const MAX_LEVEL: u8 = 21;
 

@@ -17,10 +17,13 @@
 #                      {clean, lossy chaos} (DESIGN.md §7)
 #   leaf-kernel-determinism
 #                      matvec_digest (1-rank matvec, 2-rank overlapped
-#                      matvec, assembled CSR) byte-compared over batch
-#                      widths {1,8} x threads {1,4}: the batched SoA leaf
-#                      path must be bitwise identical to the scalar path
-#                      in every use of the traversal sweep (DESIGN.md §6h)
+#                      matvec, assembled CSR, hanging-chain mesh)
+#                      byte-compared over batch widths {1,8} x threads
+#                      {1,4} and against the committed
+#                      results/matvec_digest.txt: every panel width is
+#                      bitwise identical in every use of the traversal
+#                      sweep, and a changed summation order is an explicit
+#                      re-record (DESIGN.md §6h)
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
 #   bench-gate         scripts/bench_gate.sh perf regression gate
@@ -95,7 +98,9 @@ run_stage() {
     # bitwise identical to the scalar path (width 1) at any thread budget:
     # digest the output bits of all three uses of the traversal sweep
     # (1-rank matvec, 2-rank overlapped matvec, assembly) over the width x
-    # threads matrix and byte-compare the documents.
+    # threads matrix and byte-compare the documents — with each other and
+    # with the committed reference, so a change of accumulation order has to
+    # re-record results/matvec_digest.txt on purpose.
     leaf-kernel-determinism)
       cargo build --release -q -p carve-bench --bin matvec_digest
       local tmp
@@ -111,7 +116,9 @@ run_stage() {
         cmp "$tmp/w1-t1.txt" "$tmp/$f.txt" \
           || { echo "ci: matvec digest w1-t1 vs $f differs" >&2; return 1; }
       done
-      echo "ci: matvec digest bitwise-identical over widths {1,8} x threads {1,4}"
+      cmp results/matvec_digest.txt "$tmp/w1-t1.txt" \
+        || { echo "ci: matvec digest differs from results/matvec_digest.txt" >&2; return 1; }
+      echo "ci: matvec digest bitwise-identical over widths {1,8} x threads {1,4}, equal to results/matvec_digest.txt"
       ;;
     # carve-comm additionally denies unwrap/expect crate-wide (lib.rs).
     clippy)
