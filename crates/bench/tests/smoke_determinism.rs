@@ -78,6 +78,15 @@ fn smoke_report_is_deterministic_modulo_secs() {
         }
         assert!(counter(&a, w, "matvec/leaf", "leaves") > 0.0);
         assert!(counter(&a, w, "matvec/top_down", "node_copies") > 0.0);
+        // The leaf stage (DESIGN.md §6d): every leaf is in a run of width 1
+        // or wider, each sibling group's parent bucket is swept once, and
+        // on these 2:1-balanced meshes no hanging source hangs itself.
+        assert_eq!(
+            counter_sum(&a, w, "batched_leaves") + counter_sum(&a, w, "scalar_leaves"),
+            counter_sum(&a, w, "leaves")
+        );
+        assert!(counter(&a, w, "matvec/leaf", "slot_sweep_hits") > 0.0);
+        assert_eq!(counter_sum(&a, w, "hanging_chain"), 0.0);
         // Overlapped exchange: the post happens under `ghost_read` (bytes and
         // per-neighbor messages counted at send time), while the payloads
         // land inside the traversal's `matvec/ghost_wait` sub-phase.
@@ -98,6 +107,12 @@ fn smoke_report_is_deterministic_modulo_secs() {
         for p in ["construct", "balance", "nodes", "treesort", "ownership"] {
             assert!(calls(&a, w, p) > 0.0, "{w}/{p} has zero calls");
         }
+    }
+
+    // Boundary refinement leaves hanging slots on the sphere, in the matvec
+    // and in the assembly traversal alike.
+    for p in ["matvec/leaf", "assemble/leaf"] {
+        assert!(counter(&a, "carved_sphere", p, "hanging_slots") > 0.0);
     }
 
     // Recovery workload: a lossy-chaos solve with one injected rank kill.

@@ -2,13 +2,14 @@
 //!
 //! No element-to-node map exists anywhere. Instead, top-down traversal of
 //! the (incomplete) octree buckets nodal data into child subtrees — a node
-//! incident on several children is *duplicated* — until each leaf holds its
-//! elemental nodes contiguously; the elemental operator is applied there;
-//! the bottom-up phase accumulates duplicated contributions back to single
-//! values. Hanging lattice slots are interpolated from ancestor buckets on
-//! the way down and transposed (scattered with the same weights) on the way
-//! up, so the operator equals the assembled constrained matrix to machine
-//! precision.
+//! incident on several children is *duplicated* — down to the parents of
+//! the leaves; each leaf reads its elemental nodes out of its parent's
+//! bucket, the elemental operator is applied, and the results go straight
+//! back into that bucket; the bottom-up phase accumulates duplicated
+//! contributions back to single values. Hanging lattice slots are
+//! interpolated from the parent bucket on the way in and transposed
+//! (scattered with the same weights) on the way out, so the operator equals
+//! the assembled constrained matrix to machine precision.
 //!
 //! The traversal only descends into subtrees containing *owned* elements, so
 //! incomplete trees and distributed ownership need no special treatment —
@@ -41,45 +42,56 @@
 //! runs tasks either inline or fork-joined across scoped worker threads
 //! (`CARVE_PAR_THREADS` / `available_parallelism` via
 //! [`crate::par::thread_budget`]). A task owns its subtree's bucket stack;
-//! writes that would land in a shared ancestor bucket (hanging-node
-//! scatters) are appended to a per-task **scatter log** and replayed on the
-//! main thread at join time, in SFC task order, interleaved with the
-//! bottom-up bucket merges exactly where the sequential traversal would
-//! have performed them. Every floating-point accumulation therefore happens
-//! in the *same order for any thread count* (and any split depth): results
-//! are bitwise identical across all six entry points by construction.
+//! writes that would land in a shared ancestor bucket (a spine-level leaf's
+//! results, hanging-node scatters) are appended to a per-task **scatter
+//! log** and replayed on the main thread at join time, in SFC task order,
+//! interleaved with the bottom-up bucket merges exactly where the
+//! sequential traversal would have performed them. Every floating-point
+//! accumulation therefore happens in the *same order for any thread count*
+//! (and any split depth): results are bitwise identical across all six
+//! entry points by construction.
 //!
 //! All bucket vectors come from a [`TraversalWorkspace`] arena that pools
 //! them across recursion levels *and* across repeated calls (Krylov
-//! iterations), and leaves resolve their lattice slots with one merge-sweep
-//! over the (Morton-sorted) bucket instead of `npe` binary searches.
-//! Observability: `par_workers`, `arena_alloc`, `arena_reuse`, and
-//! `slot_sweep_hits` counters join the existing `leaves` / `node_copies`.
+//! iterations). Observability: `par_workers`, `arena_alloc`, `arena_reuse`
+//! join `node_copies` (interior buckets only) and the leaf-stage counters
+//! below.
 //!
-//! # Batched leaf panels (DESIGN.md §6h)
+//! # The leaf stage (DESIGN.md §6d, §6h)
 //!
-//! Inside a task, maximal runs of SFC-consecutive same-level sibling leaves
-//! are processed as one structure-of-arrays panel (`npe × batch`, element
-//! lane innermost) when the elemental kernel opts in via
-//! [`LeafKernel::supports_panels`]: each leaf of the run gets its own
-//! merge-sweep slot map, the gathers are hoisted ahead of the batched apply
-//! (they only read `vin`, which the traversal never writes), the kernel
-//! runs once over the whole panel, and the per-leaf scatters + bottom-up
-//! merges then replay in exact SFC element order — scatter of leaf `b+1`
-//! can hit the same parent slots as the merge of leaf `b` through hanging
-//! sources on shared faces, so the two stay interleaved per element exactly
-//! like the scalar path. The result is therefore bitwise identical to the
-//! scalar engine for any batch width (`CARVE_BATCH_WIDTH`), thread count,
-//! and chaos schedule. Counters: `batched_leaves`, `batch_count`,
-//! `scalar_leaves`.
+//! Leaves get no bucket of their own. The first leaf child met under a
+//! parent sweeps the parent's (Morton-sorted) bucket **once** onto the
+//! parent's half-spacing lattice — `(2p+1)^DIM` slots holding every child's
+//! `p`-lattice — after which each leaf's `npe` slots are table look-ups
+//! into the parent bucket. A slot with no node behind it hangs: its value
+//! is interpolated from the parent's own lattice points (the even slots)
+//! with weights tabulated once per order (`nodes::Prolongation`);
+//! only a source that is itself hanging one level up takes the recursive
+//! coordinate path (`eval_coord` / `scatter_coord` / `stencil_coord`).
+//!
+//! Runs of SFC-consecutive sibling leaves are processed as one
+//! structure-of-arrays panel (`npe × width`, element lane innermost), up to
+//! `CARVE_BATCH_WIDTH` wide when the kernel opts in via
+//! [`LeafKernel::supports_panels`] and of width 1 otherwise: gathers first
+//! (they only read `vin`, which the traversal never writes), one kernel
+//! call, then per leaf in SFC order its hanging contributions in lattice
+//! order followed by its direct slots, all added straight into the parent
+//! bucket. That is the order in which a per-leaf bucket would have been
+//! scattered into and then merged upward, so the result is bitwise
+//! identical for any width, thread count and chaos schedule. Counters:
+//! `leaves` = `batched_leaves` + `scalar_leaves`, `batch_count`,
+//! `slot_sweep_hits` (per sibling group), `hanging_slots`, `hanging_chain`.
 
-use crate::nodes::{elem_node_coord, lattice_index, lattice_linear, nodes_per_elem, NodeSet};
+use crate::nodes::{
+    half_lattice_coord, half_lattice_linear, hanging_sources, nodes_per_elem, NodeSet, Prolongation,
+};
 use crate::par;
 use carve_la::CooBuilder;
 use carve_la::DenseMatrix;
 use carve_sfc::morton::point_cmp_morton;
 use carve_sfc::{Curve, Octant, SfcState};
 use std::ops::Range;
+use std::sync::Arc;
 
 // Phase taxonomy (see DESIGN.md §"Observability"): the traversal engine
 // reports through `carve-obs` under its caller's root scope — `"matvec"`
@@ -126,24 +138,38 @@ impl<const DIM: usize> Bucket<DIM> {
 // --- Workspace arena ------------------------------------------------------
 
 /// Per-worker scratch: a bucket free-list for the task-local recursion, the
-/// hanging-source arena stack, and the depth stack container itself. Lives
-/// in the workspace so repeated matvecs (Krylov iterations) allocate
-/// nothing after warm-up.
+/// depth stack container itself, and the leaf stage's buffers. Lives in the
+/// workspace so repeated matvecs (Krylov iterations) allocate nothing after
+/// warm-up.
 #[derive(Default)]
 struct WorkerScratch<const DIM: usize> {
     buckets: Vec<Bucket<DIM>>,
     own_stack: Vec<Bucket<DIM>>,
-    /// Per-sibling buckets of the leaf run currently processed as a panel.
-    panel_stack: Vec<Bucket<DIM>>,
-    /// SoA panel values (`npe × batch`, element lane innermost) and the
-    /// per-leaf slot maps of the run — pooled here so steady-state batched
-    /// applies allocate nothing.
-    panel_in: Vec<f64>,
-    panel_out: Vec<f64>,
-    panel_slots: Vec<u32>,
-    srcs: Vec<([u64; DIM], f64)>,
+    leaf: LeafScratch<DIM>,
     alloc: u64,
     reuse: u64,
+}
+
+/// Buffers of the leaf stage.
+#[derive(Default)]
+struct LeafScratch<const DIM: usize> {
+    /// Half-lattice maps (half-lattice slot → parent-bucket index), one
+    /// `(2p+1)^DIM` frame per sibling group open along the recursion path.
+    lattice: Vec<u32>,
+    /// Parent-bucket index of every lattice slot of the current run
+    /// (`npe` per leaf).
+    slots: Vec<u32>,
+    bufs: PanelBufs<DIM>,
+}
+
+/// What a visitor may write while it walks a run: the SoA panel values
+/// (`npe × width`, element lane innermost) and the source stack of the
+/// hanging-chain fallback.
+#[derive(Default)]
+struct PanelBufs<const DIM: usize> {
+    vin: Vec<f64>,
+    vout: Vec<f64>,
+    srcs: Vec<([u64; DIM], f64)>,
 }
 
 /// Default panel width: one full sibling group in 3D (`2^3`), the natural
@@ -171,6 +197,8 @@ pub struct TraversalWorkspace<const DIM: usize> {
     ghost_scratch: Vec<f64>,
     /// Pooled per-task interior/boundary flags for the overlapped matvec.
     task_flags: Vec<bool>,
+    /// Hanging-node prolongation table of the order last traversed.
+    prolongation: Option<Arc<Prolongation>>,
     alloc: u64,
     reuse: u64,
 }
@@ -229,6 +257,7 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
             scratch: Vec::new(),
             ghost_scratch: Vec::new(),
             task_flags: Vec::new(),
+            prolongation: None,
             alloc: 0,
             reuse: 0,
         }
@@ -250,6 +279,19 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// The intra-rank thread budget this workspace will fork up to.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The order-`p` prolongation table, built on first use and kept for
+    /// the following applies.
+    fn prolongation(&mut self, p: u64) -> Arc<Prolongation> {
+        match &self.prolongation {
+            Some(t) if t.order() == p => Arc::clone(t),
+            _ => {
+                let t = Arc::new(Prolongation::new::<DIM>(p));
+                self.prolongation = Some(Arc::clone(&t));
+                t
+            }
+        }
     }
 
     fn acquire_bucket(&mut self) -> Bucket<DIM> {
@@ -326,12 +368,6 @@ struct Ctx<'a, const DIM: usize> {
     own: Vec<Bucket<DIM>>,
     log: &'a mut OutLog,
     free: &'a mut Vec<Bucket<DIM>>,
-    /// Buckets of the sibling run currently processed as a leaf panel.
-    panel: &'a mut Vec<Bucket<DIM>>,
-    /// SoA panel value buffers and per-leaf slot maps (workspace arena).
-    panel_in: &'a mut Vec<f64>,
-    panel_out: &'a mut Vec<f64>,
-    panel_slots: &'a mut Vec<u32>,
     alloc: &'a mut u64,
     reuse: &'a mut u64,
 }
@@ -389,60 +425,12 @@ impl<const DIM: usize> Ctx<'_, DIM> {
     }
 }
 
-// --- Hanging-node resolution ----------------------------------------------
-
-/// Pushes the one-level-up interpolation sources for a hanging coordinate
-/// onto the arena stack `srcs`: `coord` belongs to the p-lattice of `oct`
-/// but is not a real node; the sources live on the minimal face of
-/// `parent(oct)` containing it, with tensor-Lagrange weights. Callers
-/// record `srcs.len()` before the call and truncate back after consuming
-/// their segment, so recursive chains share one allocation.
-fn push_hanging_sources<const DIM: usize>(
-    oct: &Octant<DIM>,
-    coord: &[u64; DIM],
-    p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-) {
-    assert!(
-        oct.level > 0,
-        "hanging coordinate at the root: invalid mesh"
-    );
-    let parent = oct.parent();
-    let pside = parent.side() as u64;
-    let mut fixed = [false; DIM];
-    let mut t = [0.0f64; DIM];
-    for k in 0..DIM {
-        let off = coord[k] - parent.anchor[k] as u64 * p;
-        if off == 0 || off == p * pside {
-            fixed[k] = true;
-        }
-        t[k] = off as f64 / pside as f64;
-    }
-    debug_assert!(fixed.iter().any(|&f| f));
-    let mut free_axes = [0usize; DIM];
-    let mut n_free = 0;
-    for (k, &fx) in fixed.iter().enumerate() {
-        if !fx {
-            free_axes[n_free] = k;
-            n_free += 1;
-        }
-    }
-    let combos = (p + 1).pow(n_free as u32);
-    for combo in 0..combos {
-        let mut rem = combo;
-        let mut w = 1.0;
-        let mut src = *coord;
-        for &k in &free_axes[..n_free] {
-            let j = rem % (p + 1);
-            rem /= p + 1;
-            w *= crate::nodes::lagrange_1d(p, j, t[k]);
-            src[k] = parent.anchor[k] as u64 * p + j * pside;
-        }
-        if w != 0.0 {
-            srcs.push((src, w));
-        }
-    }
-}
+// --- Hanging-chain fallback -------------------------------------------------
+//
+// The leaf stage resolves a hanging slot from the prolongation table. These
+// three walk the bucket stack by coordinate instead, and are reached only
+// when a tabulated source is itself hanging at the parent's level (possible
+// on unbalanced or incomplete trees; absent from balanced meshes).
 
 /// Evaluates the FE value at `coord` (p-lattice of the level-`depth`
 /// ancestor of `leaf`) from the bucket stack, resolving hanging chains.
@@ -460,7 +448,7 @@ fn eval_coord<const DIM: usize>(
     }
     let oct = leaf.ancestor_at(depth as u8);
     let base = srcs.len();
-    push_hanging_sources(&oct, coord, p, srcs);
+    hanging_sources(&oct, coord, p, srcs);
     let end = srcs.len();
     let mut v = 0.0;
     for k in base..end {
@@ -487,7 +475,7 @@ fn scatter_coord<const DIM: usize>(
     }
     let oct = leaf.ancestor_at(depth as u8);
     let base = srcs.len();
-    push_hanging_sources(&oct, coord, p, srcs);
+    hanging_sources(&oct, coord, p, srcs);
     let end = srcs.len();
     for k in base..end {
         let (src, w) = srcs[k];
@@ -515,7 +503,7 @@ fn stencil_coord<const DIM: usize>(
     }
     let oct = leaf.ancestor_at(depth as u8);
     let base = srcs.len();
-    push_hanging_sources(&oct, coord, p, srcs);
+    hanging_sources(&oct, coord, p, srcs);
     let end = srcs.len();
     for k in base..end {
         let (src, w) = srcs[k];
@@ -538,6 +526,7 @@ struct Env<'a, const DIM: usize> {
     /// width is additionally capped by the visitor's [`LeafVisitor::
     /// panel_width`] and the natural sibling-run length.
     batch: usize,
+    table: &'a Prolongation,
 }
 
 /// A spine node: a bucket on the serial prefix of the tree, shared
@@ -649,19 +638,21 @@ fn grow<const DIM: usize>(
         let m = st.sfc_to_morton(env.curve, DIM, r);
         let child_oct = subtree.child(m);
         let child_st = st.child(env.curve, DIM, r);
-        let obs_td = carve_obs::scope("top_down");
-        let mut b = ws.acquire_bucket();
-        fill_child_bucket(
-            &plan.interior[node as usize].bucket,
-            &child_oct,
-            env.p,
-            env.carry_values,
-            env.carry_ids,
-            &mut b,
-        );
-        carve_obs::counter("node_copies", b.coords.len() as u64);
-        drop(obs_td);
         let single_leaf = hi - lo == 1 && env.elems[lo] == child_oct;
+        let mut b = ws.acquire_bucket();
+        // A leaf reads its parent's bucket and gets none of its own.
+        if !single_leaf {
+            let _obs_td = carve_obs::scope("top_down");
+            fill_child_bucket(
+                &plan.interior[node as usize].bucket,
+                &child_oct,
+                env.p,
+                env.carry_values,
+                env.carry_ids,
+                &mut b,
+            );
+            carve_obs::counter("node_copies", b.coords.len() as u64);
+        }
         if single_leaf || child_level >= split_depth {
             let ti = plan.tasks.len() as u32;
             plan.tasks.push(Task {
@@ -814,58 +805,153 @@ where
 
 // --- Task execution -------------------------------------------------------
 
-/// What to do at each owned leaf. Visitors that can consume sibling runs as
-/// panels report a `panel_width() > 1` and implement the three-phase panel
-/// protocol (`gather×B → apply → scatter per leaf in SFC order`).
+/// Sentinel for "no node at this lattice slot" (a hanging slot).
+const NO_SLOT: u32 = u32::MAX;
+
+/// A sibling group: the parent octant whose bucket its leaf children read,
+/// where that bucket sits in the stack, and where the group's half-lattice
+/// map starts in [`LeafScratch::lattice`] once its first run has `swept`
+/// the bucket onto it.
+#[derive(Clone, Copy)]
+struct Group<const DIM: usize> {
+    parent: Octant<DIM>,
+    depth: usize,
+    lattice_at: usize,
+    swept: bool,
+}
+
+impl<const DIM: usize> Group<DIM> {
+    /// Which block of the prolongation table `leaf` reads: its Morton
+    /// corner in the parent, or `1 << DIM` for a root-only tree's leaf,
+    /// which is its own parent.
+    fn corner(&self, leaf: &Octant<DIM>) -> usize {
+        if *leaf == self.parent {
+            1 << DIM
+        } else {
+            leaf.child_number()
+        }
+    }
+}
+
+/// One run of SFC-consecutive sibling leaves as a visitor sees it: every
+/// lattice slot already resolved to a parent-bucket index or [`NO_SLOT`].
+struct LeafRun<'a, const DIM: usize> {
+    group: Group<DIM>,
+    leaves: &'a [Octant<DIM>],
+    /// The group's half-lattice map (slot → parent-bucket index).
+    lattice: &'a [u32],
+    /// `npe` parent-bucket indices per leaf.
+    slots: &'a [u32],
+    /// Number of [`NO_SLOT`] entries in `slots`.
+    hanging: usize,
+    table: &'a Prolongation,
+}
+
+impl<const DIM: usize> LeafRun<'_, DIM> {
+    /// One-level sources of hanging slot `lin` of `leaf`, each as (parent
+    /// bucket index or [`NO_SLOT`], half-lattice slot, weight).
+    fn sources<'s>(
+        &'s self,
+        leaf: &Octant<DIM>,
+        lin: usize,
+    ) -> impl Iterator<Item = (u32, u32, f64)> + 's {
+        let srcs = self.table.sources(self.group.corner(leaf), lin);
+        assert!(!srcs.is_empty(), "hanging slot off the parent's boundary");
+        srcs.iter().map(|&(h, w)| (self.lattice[h as usize], h, w))
+    }
+
+    /// Coordinate of half-lattice slot `h` (the chain fallback works by
+    /// coordinate).
+    fn coord(&self, h: u32) -> [u64; DIM] {
+        half_lattice_coord(&self.group.parent, self.table.order(), h as usize)
+    }
+}
+
+/// What to do with a run of sibling leaves: read what the kernel needs out
+/// of the parent bucket, apply it, and write the results back (matvec) or
+/// log them (assembly).
 trait LeafVisitor<const DIM: usize> {
-    fn leaf(
+    /// Maximum run width this visitor takes as one panel (1 = a kernel
+    /// without panel support).
+    fn panel_width(&self) -> usize;
+
+    /// Returns how many hanging sources took the chain fallback.
+    fn run(
         &mut self,
-        leaf: &Octant<DIM>,
+        run: &LeafRun<'_, DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    );
+        bufs: &mut PanelBufs<DIM>,
+    ) -> u64;
+}
 
-    /// Maximum sibling-run width this visitor consumes as one panel
-    /// (1 = scalar only).
-    fn panel_width(&self) -> usize {
-        1
+/// Maps `bucket` onto the half-spacing lattice of `parent`, pushing one
+/// frame onto `lattice`; returns the number of nodes that landed on it.
+fn sweep_half_lattice<const DIM: usize>(
+    parent: &Octant<DIM>,
+    p: u64,
+    bucket: &Bucket<DIM>,
+    lattice: &mut Vec<u32>,
+) -> u64 {
+    let base = lattice.len();
+    lattice.resize(base + ((2 * p + 1) as usize).pow(DIM as u32), NO_SLOT);
+    let mut hits = 0;
+    for (i, c) in bucket.coords.iter().enumerate() {
+        if let Some(h) = half_lattice_linear(parent, p, c) {
+            lattice[base + h] = i as u32;
+            hits += 1;
+        }
     }
+    hits
+}
 
-    /// Reads element `b` of a `batch`-wide panel into the visitor's panel
-    /// buffers (must not write any traversal state).
-    fn panel_gather(
-        &mut self,
-        b: usize,
-        batch: usize,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let _ = (b, batch, leaf, ctx, srcs, p);
-        unreachable!("panel_gather requires panel_width() > 1")
+/// The leaf stage: runs the sibling leaves `env.elems[run]` of `group`
+/// against the parent bucket, sweeping it onto the half lattice first if
+/// no earlier run of the group has.
+fn leaf_run<const DIM: usize, V: LeafVisitor<DIM>>(
+    env: &Env<'_, DIM>,
+    group: &mut Group<DIM>,
+    run: Range<usize>,
+    ctx: &mut Ctx<'_, DIM>,
+    scr: &mut LeafScratch<DIM>,
+    visitor: &mut V,
+) {
+    let _obs = carve_obs::scope("leaf");
+    if !group.swept {
+        let bucket = ctx.bucket(group.depth);
+        let hits = sweep_half_lattice(&group.parent, env.p, bucket, &mut scr.lattice);
+        carve_obs::counter("slot_sweep_hits", hits);
+        group.swept = true;
     }
-
-    /// Applies the batched operator to the gathered panel.
-    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>, p: u64) {
-        let _ = (leaves, ctx, p);
-        unreachable!("panel_apply requires panel_width() > 1")
+    let leaves = &env.elems[run];
+    let width = leaves.len() as u64;
+    carve_obs::counter("leaves", width);
+    if width > 1 {
+        carve_obs::counter("batched_leaves", width);
+        carve_obs::counter("batch_count", 1);
+    } else {
+        carve_obs::counter("scalar_leaves", 1);
     }
-
-    /// Writes element `b`'s results back; called once per element in SFC
-    /// order, interleaved with the bottom-up merges.
-    fn panel_scatter(
-        &mut self,
-        b: usize,
-        batch: usize,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let _ = (b, batch, leaf, ctx, srcs, p);
-        unreachable!("panel_scatter requires panel_width() > 1")
+    let lattice = &scr.lattice[group.lattice_at..];
+    scr.slots.clear();
+    for leaf in leaves {
+        let half_slots = env.table.half_slots(group.corner(leaf));
+        scr.slots
+            .extend(half_slots.iter().map(|&h| lattice[h as usize]));
+    }
+    let view = LeafRun {
+        group: *group,
+        leaves,
+        lattice,
+        slots: &scr.slots,
+        hanging: scr.slots.iter().filter(|&&s| s == NO_SLOT).count(),
+        table: env.table,
+    };
+    let chained = visitor.run(&view, ctx, &mut scr.bufs);
+    if view.hanging > 0 {
+        carve_obs::counter("hanging_slots", view.hanging as u64);
+    }
+    if chained > 0 {
+        carve_obs::counter("hanging_chain", chained);
     }
 }
 
@@ -885,11 +971,7 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
     let WorkerScratch {
         buckets,
         own_stack,
-        panel_stack,
-        panel_in,
-        panel_out,
-        panel_slots,
-        srcs,
+        leaf,
         alloc,
         reuse,
     } = scr;
@@ -899,19 +981,22 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         own: std::mem::take(own_stack),
         log: &mut task.out_log,
         free: buckets,
-        panel: panel_stack,
-        panel_in,
-        panel_out,
-        panel_slots,
         alloc,
         reuse,
     };
     if task.is_leaf {
         if env.owned.contains(&task.range.start) {
-            let _obs = carve_obs::scope("leaf");
-            carve_obs::counter("leaves", 1);
-            carve_obs::counter("scalar_leaves", 1);
-            visitor.leaf(&task.oct, &mut ctx, srcs, env.p);
+            // A spine-level leaf reads the last spine bucket; a root-only
+            // tree's single leaf is its own parent and reads the root's.
+            let mut group = Group {
+                parent: task.oct.ancestor_at(task.oct.level.saturating_sub(1)),
+                depth: prefix.len().saturating_sub(1),
+                lattice_at: leaf.lattice.len(),
+                swept: false,
+            };
+            let run = task.range.clone();
+            leaf_run(env, &mut group, run, &mut ctx, leaf, visitor);
+            leaf.lattice.truncate(group.lattice_at);
         }
     } else {
         rec(
@@ -920,7 +1005,7 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
             task.st,
             task.range.clone(),
             &mut ctx,
-            srcs,
+            leaf,
             visitor,
         );
     }
@@ -928,30 +1013,28 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
     *own_stack = ctx.own;
 }
 
-/// The recursive top-down / bottom-up sweep inside one task.
+/// The recursive top-down / bottom-up sweep inside one task; `subtree` is
+/// never a leaf itself.
 fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     env: &Env<'_, DIM>,
     subtree: Octant<DIM>,
     st: SfcState,
     range: Range<usize>,
     ctx: &mut Ctx<'_, DIM>,
-    srcs: &mut Vec<([u64; DIM], f64)>,
+    scr: &mut LeafScratch<DIM>,
     visitor: &mut V,
 ) {
     debug_assert!(!range.is_empty());
-    if range.len() == 1 && env.elems[range.start] == subtree {
-        if env.owned.contains(&range.start) {
-            let _obs = carve_obs::scope("leaf");
-            carve_obs::counter("leaves", 1);
-            carve_obs::counter("scalar_leaves", 1);
-            visitor.leaf(&subtree, ctx, srcs, env.p);
-        }
-        return;
-    }
     // Partition the (SFC-sorted) element range by SFC child rank; the
     // runs are contiguous and in rank order.
     let child_level = subtree.level + 1;
     let bw = env.batch.min(visitor.panel_width());
+    let mut group = Group {
+        parent: subtree,
+        depth: ctx.top_depth(),
+        lattice_at: scr.lattice.len(),
+        swept: false,
+    };
     let mut lo = range.start;
     for r in 0..(1usize << DIM) {
         let mut hi = lo;
@@ -967,13 +1050,12 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
             lo = hi;
             continue;
         }
-        // Batched leaf panels: an element at exactly `child_level` IS one
-        // whole child of this subtree, so a run of consecutive such owned
-        // elements is a run of sibling leaves (distinct, ascending SFC
-        // ranks). Consume it as one SoA panel; the for-loop then naturally
-        // skips the ranks the panel covered, because runs are re-scanned
-        // from the advanced `lo`.
-        if bw >= 2 && hi - lo == 1 && env.elems[lo].level == child_level {
+        // An element at exactly `child_level` IS one whole child of this
+        // subtree: a leaf. Take it with the owned sibling leaves that
+        // follow it (distinct, ascending SFC ranks) as one run of up to
+        // `bw`; the for-loop then naturally skips the ranks the run
+        // covered, because runs are re-scanned from the advanced `lo`.
+        if env.elems[lo].level == child_level {
             let mut q = lo + 1;
             while q - lo < bw
                 && q < range.end
@@ -982,11 +1064,9 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
             {
                 q += 1;
             }
-            if q - lo >= 2 {
-                panel_run(env, lo, q - lo, ctx, srcs, visitor);
-                lo = q;
-                continue;
-            }
+            leaf_run(env, &mut group, lo..q, ctx, scr, visitor);
+            lo = q;
+            continue;
         }
         let m = st.sfc_to_morton(env.curve, DIM, r);
         let child_oct = subtree.child(m);
@@ -1005,7 +1085,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         carve_obs::counter("node_copies", child.coords.len() as u64);
         drop(obs_td);
         ctx.own.push(child);
-        rec(env, child_oct, child_st, lo..hi, ctx, srcs, visitor);
+        rec(env, child_oct, child_st, lo..hi, ctx, scr, visitor);
         // Bottom-up: accumulate duplicated node contributions.
         let _obs_bu = carve_obs::scope("bottom_up");
         let child = ctx.own.pop().expect("child bucket");
@@ -1019,83 +1099,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         lo = hi;
     }
     debug_assert_eq!(lo, range.end, "elements not fully bucketed");
-}
-
-/// Processes `batch` consecutive sibling leaves (`env.elems[lo..lo+batch]`)
-/// as one SoA panel: per-leaf bucket fills, hoisted gathers, one batched
-/// kernel apply, then per-leaf scatter + bottom-up merge in SFC order.
-///
-/// Bitwise identity with the scalar path: the hoisted phases (bucket fill,
-/// merge-sweep, gather) only *read* traversal state (`vin`, coords), which
-/// no leaf ever writes, so moving them ahead of sibling scatters changes no
-/// input value. The write phases — scatter of leaf `b` followed by its
-/// bottom-up merge — stay interleaved per element in SFC order, because
-/// scatter of leaf `b+1` can accumulate into the same parent slots as the
-/// merge of leaf `b` (hanging sources on shared sibling faces recurse into
-/// the parent bucket). Every floating-point accumulation therefore happens
-/// in exactly the scalar order.
-fn panel_run<const DIM: usize, V: LeafVisitor<DIM>>(
-    env: &Env<'_, DIM>,
-    lo: usize,
-    batch: usize,
-    ctx: &mut Ctx<'_, DIM>,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-    visitor: &mut V,
-) {
-    debug_assert!(ctx.panel.is_empty());
-    let pd = ctx.top_depth();
-    // Top-down: fill every sibling's bucket from the shared parent.
-    for b in 0..batch {
-        let obs_td = carve_obs::scope("top_down");
-        let mut bkt = ctx.acquire();
-        fill_child_bucket(
-            ctx.top_bucket(),
-            &env.elems[lo + b],
-            env.p,
-            env.carry_values,
-            env.carry_ids,
-            &mut bkt,
-        );
-        carve_obs::counter("node_copies", bkt.coords.len() as u64);
-        drop(obs_td);
-        ctx.panel.push(bkt);
-    }
-    {
-        let _obs = carve_obs::scope("leaf");
-        carve_obs::counter("leaves", batch as u64);
-        carve_obs::counter("batched_leaves", batch as u64);
-        carve_obs::counter("batch_count", 1);
-        for b in 0..batch {
-            // Temporarily put sibling `b`'s bucket on the own-stack so the
-            // visitor sees the same depth-indexed view as the scalar path.
-            let bkt = std::mem::take(&mut ctx.panel[b]);
-            ctx.own.push(bkt);
-            visitor.panel_gather(b, batch, &env.elems[lo + b], ctx, srcs, env.p);
-            let bkt = ctx.own.pop().expect("panel bucket");
-            ctx.panel[b] = bkt;
-        }
-        visitor.panel_apply(&env.elems[lo..lo + batch], ctx, env.p);
-    }
-    // Scatter + merge per leaf, in SFC order (see the ordering argument in
-    // the doc comment above).
-    for b in 0..batch {
-        let leaf = env.elems[lo + b];
-        let bkt = {
-            let _obs = carve_obs::scope("leaf");
-            let bkt = std::mem::take(&mut ctx.panel[b]);
-            ctx.own.push(bkt);
-            visitor.panel_scatter(b, batch, &leaf, ctx, srcs, env.p);
-            ctx.own.pop().expect("panel bucket")
-        };
-        if env.carry_values {
-            let _obs = carve_obs::scope("bottom_up");
-            for (i, &ps) in bkt.parent_slot.iter().enumerate() {
-                ctx.vout_add(pd, ps as usize, bkt.vout[i]);
-            }
-        }
-        ctx.free.push(bkt);
-    }
-    ctx.panel.clear();
+    scr.lattice.truncate(group.lattice_at);
 }
 
 // --- Join (ordered merge) -------------------------------------------------
@@ -1145,80 +1149,14 @@ fn join_rec<const DIM: usize>(plan: &mut SpinePlan<DIM>, node: u32) {
 
 // --- Leaf visitors --------------------------------------------------------
 
-struct MatvecVisitor<'k, const DIM: usize, K> {
+struct MatvecVisitor<'k, K> {
     kernel: &'k mut K,
-    in_vals: Vec<f64>,
-    out_vals: Vec<f64>,
-    slots: Vec<u32>,
 }
 
-impl<'k, const DIM: usize, K> MatvecVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, npe: usize) -> Self {
-        Self {
-            kernel,
-            in_vals: Vec::with_capacity(npe),
-            out_vals: Vec::with_capacity(npe),
-            slots: Vec::with_capacity(npe),
-        }
-    }
-}
-
-/// Sentinel for "lattice slot not in the leaf bucket" (hanging node).
-const NO_SLOT: u32 = u32::MAX;
-
-impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, DIM, K>
+impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, K>
 where
     K: LeafKernel<DIM>,
 {
-    fn leaf(
-        &mut self,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        let depth = leaf.level as usize;
-        debug_assert_eq!(ctx.top_depth(), depth);
-        self.slots.clear();
-        self.slots.resize(npe, NO_SLOT);
-        self.in_vals.resize(npe, 0.0);
-        self.out_vals.resize(npe, 0.0);
-        // Merge-sweep: one pass over the (Morton-sorted) leaf bucket maps
-        // every on-lattice node to its slot; the map is injective, so this
-        // replaces npe binary searches with bucket_len divisibility checks.
-        let mut hits = 0u64;
-        for (i, c) in ctx.bucket(depth).coords.iter().enumerate() {
-            if let Some(lin) = lattice_linear(leaf, p, c) {
-                self.slots[lin] = i as u32;
-                hits += 1;
-            }
-        }
-        carve_obs::counter("slot_sweep_hits", hits);
-        for lin in 0..npe {
-            let s = self.slots[lin];
-            self.in_vals[lin] = if s != NO_SLOT {
-                ctx.bucket(depth).vin[s as usize]
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                eval_coord(ctx, leaf, depth, &c, p, srcs)
-            };
-            self.out_vals[lin] = 0.0;
-        }
-        self.kernel.apply(leaf, &self.in_vals, &mut self.out_vals);
-        for lin in 0..npe {
-            let s = self.slots[lin];
-            if s != NO_SLOT {
-                ctx.vout_add(depth, s as usize, self.out_vals[lin]);
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                scatter_coord(ctx, leaf, depth, &c, self.out_vals[lin], p, srcs);
-            }
-        }
-    }
-
     fn panel_width(&self) -> usize {
         if self.kernel.supports_panels() {
             usize::MAX
@@ -1227,111 +1165,81 @@ where
         }
     }
 
-    fn panel_gather(
+    fn run(
         &mut self,
-        b: usize,
-        batch: usize,
-        leaf: &Octant<DIM>,
+        run: &LeafRun<'_, DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        let depth = leaf.level as usize;
-        debug_assert_eq!(ctx.top_depth(), depth);
-        // The panel buffers live in the workspace arena; take them out so
-        // the bucket reads below don't conflict with the writes.
-        let mut slots = std::mem::take(ctx.panel_slots);
-        let mut pin = std::mem::take(ctx.panel_in);
-        let mut pout = std::mem::take(ctx.panel_out);
-        if b == 0 {
-            slots.clear();
-            slots.resize(npe * batch, NO_SLOT);
-            pin.clear();
-            pin.resize(npe * batch, 0.0);
-            pout.clear();
-            pout.resize(npe * batch, 0.0);
-        }
-        let my_slots = &mut slots[b * npe..(b + 1) * npe];
-        let mut hits = 0u64;
-        for (i, c) in ctx.bucket(depth).coords.iter().enumerate() {
-            if let Some(lin) = lattice_linear(leaf, p, c) {
-                my_slots[lin] = i as u32;
-                hits += 1;
+        bufs: &mut PanelBufs<DIM>,
+    ) -> u64 {
+        let PanelBufs { vin, vout, srcs } = bufs;
+        let (depth, p, width) = (run.group.depth, run.table.order(), run.leaves.len());
+        let npe = run.slots.len() / width;
+        vin.clear();
+        vin.resize(npe * width, 0.0);
+        vout.clear();
+        vout.resize(npe * width, 0.0);
+        let mut chained = 0;
+        // Gather — SoA: node `lin` of leaf `b` at `lin * width + b`.
+        let parent = ctx.bucket(depth);
+        for (b, leaf) in run.leaves.iter().enumerate() {
+            for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
+                vin[lin * width + b] = if s != NO_SLOT {
+                    parent.vin[s as usize]
+                } else {
+                    let mut v = 0.0;
+                    for (s, h, w) in run.sources(leaf, lin) {
+                        v += w * if s != NO_SLOT {
+                            parent.vin[s as usize]
+                        } else {
+                            chained += 1;
+                            eval_coord(ctx, leaf, depth, &run.coord(h), p, srcs)
+                        };
+                    }
+                    v
+                };
             }
         }
-        carve_obs::counter("slot_sweep_hits", hits);
-        for (lin, &s) in my_slots.iter().enumerate() {
-            // SoA: node `lin` of element `b` at `lin * batch + b`.
-            pin[lin * batch + b] = if s != NO_SLOT {
-                ctx.bucket(depth).vin[s as usize]
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                eval_coord(ctx, leaf, depth, &c, p, srcs)
-            };
+        match run.leaves {
+            [leaf] => self.kernel.apply(leaf, vin, vout),
+            leaves => self.kernel.apply_panel(leaves, vin, vout),
         }
-        *ctx.panel_slots = slots;
-        *ctx.panel_in = pin;
-        *ctx.panel_out = pout;
-    }
-
-    fn panel_apply(&mut self, leaves: &[Octant<DIM>], ctx: &mut Ctx<'_, DIM>, p: u64) {
-        let n = nodes_per_elem::<DIM>(p) * leaves.len();
-        self.kernel
-            .apply_panel(leaves, &ctx.panel_in[..n], &mut ctx.panel_out[..n]);
-    }
-
-    fn panel_scatter(
-        &mut self,
-        b: usize,
-        batch: usize,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        let depth = leaf.level as usize;
-        debug_assert_eq!(ctx.top_depth(), depth);
-        let slots = std::mem::take(ctx.panel_slots);
-        let pout = std::mem::take(ctx.panel_out);
-        for lin in 0..npe {
-            let s = slots[b * npe + lin];
-            let val = pout[lin * batch + b];
-            if s != NO_SLOT {
-                ctx.vout_add(depth, s as usize, val);
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                scatter_coord(ctx, leaf, depth, &c, val, p, srcs);
+        // Scatter per leaf in SFC order, hanging slots before direct ones:
+        // the order of "scatter into a leaf bucket (hanging slots bypass
+        // it), then merge that bucket upward".
+        for (b, leaf) in run.leaves.iter().enumerate() {
+            let slots = &run.slots[b * npe..(b + 1) * npe];
+            if run.hanging > 0 {
+                for (lin, _) in slots.iter().enumerate().filter(|(_, &s)| s == NO_SLOT) {
+                    let val = vout[lin * width + b];
+                    for (s, h, w) in run.sources(leaf, lin) {
+                        if s != NO_SLOT {
+                            ctx.vout_add(depth, s as usize, w * val);
+                        } else {
+                            scatter_coord(ctx, leaf, depth, &run.coord(h), w * val, p, srcs);
+                        }
+                    }
+                }
+            }
+            for (lin, &s) in slots.iter().enumerate() {
+                if s != NO_SLOT {
+                    ctx.vout_add(depth, s as usize, vout[lin * width + b]);
+                }
             }
         }
-        *ctx.panel_slots = slots;
-        *ctx.panel_out = pout;
+        chained
     }
 }
 
-struct AssemblyVisitor<'k, const DIM: usize, K> {
+struct AssemblyVisitor<'k, K> {
     kernel: &'k mut K,
+    /// `(global id, weight)` stencil of each lattice slot of one leaf.
     stencils: Vec<Vec<(u32, f64)>>,
-    slots: Vec<u32>,
-}
-
-impl<'k, const DIM: usize, K> AssemblyVisitor<'k, DIM, K> {
-    fn new(kernel: &'k mut K, npe: usize) -> Self {
-        Self {
-            kernel,
-            stencils: (0..npe).map(|_| Vec::with_capacity(4)).collect(),
-            slots: Vec::with_capacity(npe),
-        }
-    }
 }
 
 /// Emits `W^T K_e W` into the triplet log: every (row stencil) × (col
-/// stencil) product, skipping structural zeros. Shared by the scalar and
-/// panel assembly paths, so the triplet sequence is identical.
-fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, npe: usize, log: &mut OutLog) {
+/// stencil) product, skipping structural zeros.
+fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, log: &mut OutLog) {
+    let npe = stencils.len();
     debug_assert_eq!(ke.rows, npe);
     debug_assert_eq!(ke.cols, npe);
     for i in 0..npe {
@@ -1349,87 +1257,10 @@ fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, npe: usize, log
     }
 }
 
-impl<const DIM: usize, K> AssemblyVisitor<'_, DIM, K>
+impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, K>
 where
     K: AssemblyKernel<DIM>,
 {
-    /// Resolves the `npe` lattice stencils of `leaf` into
-    /// `self.stencils[base..base + npe]` (reads only traversal state).
-    fn gather_stencils(
-        &mut self,
-        base: usize,
-        leaf: &Octant<DIM>,
-        ctx: &Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        let depth = leaf.level as usize;
-        if self.stencils.len() < base + npe {
-            self.stencils.resize_with(base + npe, Vec::new);
-        }
-        self.slots.clear();
-        self.slots.resize(npe, NO_SLOT);
-        let mut hits = 0u64;
-        for (i, c) in ctx.bucket(depth).coords.iter().enumerate() {
-            if let Some(lin) = lattice_linear(leaf, p, c) {
-                self.slots[lin] = i as u32;
-                hits += 1;
-            }
-        }
-        carve_obs::counter("slot_sweep_hits", hits);
-        for lin in 0..npe {
-            self.stencils[base + lin].clear();
-            let s = self.slots[lin];
-            if s != NO_SLOT {
-                let b = ctx.bucket(depth);
-                self.stencils[base + lin].push((b.ids[s as usize], 1.0));
-            } else {
-                let idx = lattice_index::<DIM>(lin, p);
-                let c = elem_node_coord(leaf, p, &idx);
-                stencil_coord(
-                    ctx,
-                    leaf,
-                    depth,
-                    &c,
-                    1.0,
-                    p,
-                    srcs,
-                    &mut self.stencils[base + lin],
-                );
-            }
-        }
-    }
-
-    /// Fetches `K_e` (borrowed from caching kernels, built otherwise) and
-    /// emits the stencil products for the element at `base`.
-    fn emit_elem(&mut self, base: usize, leaf: &Octant<DIM>, log: &mut OutLog, npe: usize) {
-        let stencils = &self.stencils[base..base + npe];
-        if let Some(ke) = self.kernel.matrix_ref(leaf) {
-            emit_triplets(stencils, ke, npe, log);
-        } else {
-            let ke = self.kernel.matrix(leaf);
-            emit_triplets(stencils, &ke, npe, log);
-        }
-    }
-}
-
-impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, DIM, K>
-where
-    K: AssemblyKernel<DIM>,
-{
-    fn leaf(
-        &mut self,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.gather_stencils(0, leaf, ctx, srcs, p);
-        self.emit_elem(0, leaf, ctx.log, npe);
-    }
-
     fn panel_width(&self) -> usize {
         if self.kernel.supports_panels() {
             usize::MAX
@@ -1438,36 +1269,42 @@ where
         }
     }
 
-    fn panel_gather(
+    fn run(
         &mut self,
-        b: usize,
-        _batch: usize,
-        leaf: &Octant<DIM>,
+        run: &LeafRun<'_, DIM>,
         ctx: &mut Ctx<'_, DIM>,
-        srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.gather_stencils(b * npe, leaf, ctx, srcs, p);
-    }
-
-    fn panel_apply(&mut self, _leaves: &[Octant<DIM>], _ctx: &mut Ctx<'_, DIM>, _p: u64) {
-        // Nothing to batch here: the elemental matrices are emitted
-        // per-leaf at scatter time (caching kernels make the fetch O(1)
-        // within a same-level run).
-    }
-
-    fn panel_scatter(
-        &mut self,
-        b: usize,
-        _batch: usize,
-        leaf: &Octant<DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        _srcs: &mut Vec<([u64; DIM], f64)>,
-        p: u64,
-    ) {
-        let npe = nodes_per_elem::<DIM>(p);
-        self.emit_elem(b * npe, leaf, ctx.log, npe);
+        bufs: &mut PanelBufs<DIM>,
+    ) -> u64 {
+        let (depth, p) = (run.group.depth, run.table.order());
+        let npe = self.stencils.len();
+        let mut chained = 0;
+        for (b, leaf) in run.leaves.iter().enumerate() {
+            let parent = ctx.bucket(depth);
+            for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
+                let stencil = &mut self.stencils[lin];
+                stencil.clear();
+                if s != NO_SLOT {
+                    stencil.push((parent.ids[s as usize], 1.0));
+                    continue;
+                }
+                for (s, h, w) in run.sources(leaf, lin) {
+                    if s != NO_SLOT {
+                        stencil.push((parent.ids[s as usize], w));
+                    } else {
+                        chained += 1;
+                        let c = run.coord(h);
+                        stencil_coord(ctx, leaf, depth, &c, w, p, &mut bufs.srcs, stencil);
+                    }
+                }
+            }
+            // `K_e` is borrowed from caching kernels, built otherwise.
+            if let Some(ke) = self.kernel.matrix_ref(leaf) {
+                emit_triplets(&self.stencils, ke, ctx.log);
+            } else {
+                emit_triplets(&self.stencils, &self.kernel.matrix(leaf), ctx.log);
+            }
+        }
+        chained
     }
 }
 
@@ -1720,6 +1557,7 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
         return;
     }
     let _obs = carve_obs::scope("matvec");
+    let table = ws.prolongation(nodes.order);
     let env = Env {
         elems,
         owned,
@@ -1728,8 +1566,8 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
         carry_values: true,
         carry_ids: false,
         batch: ws.batch_width,
+        table: &table,
     };
-    let npe = nodes_per_elem::<DIM>(env.p);
     let mut root = ws.acquire_bucket();
     root.coords.extend_from_slice(&nodes.coords);
     root.vin.extend_from_slice(input.values());
@@ -1739,7 +1577,7 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
                interior: &[SpineNode<DIM>],
                tasks: &mut [&mut Task<DIM>],
                scr: &mut WorkerScratch<DIM>| {
-        let mut vis = MatvecVisitor::new(kernel, npe);
+        let mut vis = MatvecVisitor { kernel };
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
         }
@@ -1884,6 +1722,7 @@ fn assemble_driver<const DIM: usize, K, F>(
         return;
     }
     let _obs = carve_obs::scope("assemble");
+    let table = ws.prolongation(nodes.order);
     let env = Env {
         elems,
         owned,
@@ -1892,6 +1731,7 @@ fn assemble_driver<const DIM: usize, K, F>(
         carry_values: false,
         carry_ids: true,
         batch: ws.batch_width,
+        table: &table,
     };
     let npe = nodes_per_elem::<DIM>(env.p);
     let mut root = ws.acquire_bucket();
@@ -1905,7 +1745,10 @@ fn assemble_driver<const DIM: usize, K, F>(
                interior: &[SpineNode<DIM>],
                tasks: &mut [&mut Task<DIM>],
                scr: &mut WorkerScratch<DIM>| {
-        let mut vis = AssemblyVisitor::new(kernel, npe);
+        let mut vis = AssemblyVisitor {
+            kernel,
+            stencils: vec![Vec::new(); npe],
+        };
         for t in tasks.iter_mut() {
             run_task(&env, t, interior, scr, &mut vis);
         }
@@ -2199,12 +2042,21 @@ mod tests {
             &mut toy_kernel::<2>(1),
         );
         let d = carve_obs::thread_snapshot().diff(&before);
+        // A closure kernel takes no panels: one `leaf` call per element.
         let leaf = &d.phases["matvec/leaf"];
         assert_eq!(leaf.calls, elems.len() as u64);
         assert_eq!(leaf.counters["leaves"], elems.len() as u64);
-        assert!(leaf.counters["slot_sweep_hits"] > 0);
+        assert_eq!(leaf.counters["scalar_leaves"], elems.len() as u64);
+        // One half-lattice sweep per sibling group: 4^3 level-3 parents,
+        // each with the 3 × 3 nodes of its closed region in its bucket.
+        assert_eq!(leaf.counters["slot_sweep_hits"], 64 * 9);
+        // A uniform mesh has no hanging slot, let alone a chain.
+        assert!(!leaf.counters.contains_key("hanging_slots"), "{leaf:?}");
+        assert!(!leaf.counters.contains_key("hanging_chain"), "{leaf:?}");
+        // `node_copies` counts interior buckets only (levels 1 to 3 here):
+        // the leaves read their parent's bucket and copy nothing.
         let td = &d.phases["matvec/top_down"];
-        assert!(td.counters["node_copies"] > 0);
+        assert_eq!(td.counters["node_copies"], 4 * 81 + 16 * 25 + 64 * 9);
         assert_eq!(d.phases["matvec"].calls, 1);
         assert_eq!(d.phases["matvec"].counters["par_workers"], 1);
         assert!(d.phases["matvec"].counters["arena_alloc"] > 0);
@@ -2213,14 +2065,15 @@ mod tests {
 
     #[test]
     fn matvec_bitwise_identical_across_thread_counts() {
-        // The determinism property: an adaptive carved 3D mesh, p ∈ {1, 2},
-        // threads ∈ {1, 2, 8}, spine split depth ∈ {1, 2, 3} — outputs must
-        // agree bit for bit, with each other AND with the sequential entry
-        // point at depth 1, including on workspace reuse.
+        // The determinism property: an adaptive carved 3D mesh, p ∈ {1, 2, 3},
+        // threads ∈ {1, 2, 8}, spine split depth ∈ {1, 2, 3}, panel widths
+        // {1, 3, 8} — outputs must agree bit for bit, with each other AND
+        // with the sequential closure-kernel entry point at depth 1,
+        // including on workspace reuse.
         let domain = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
-        for p in [1u64, 2] {
+        for p in [1u64, 2, 3] {
             let nodes = enumerate_nodes(&domain, &elems, p);
             let n = nodes.len();
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17 + p);
@@ -2236,16 +2089,18 @@ mod tests {
                 &mut TraversalWorkspace::with_threads(1),
                 &mut toy_kernel::<3>(p),
             );
-            for (threads, depth) in [
-                (1usize, 1u8),
-                (2, 1),
-                (8, 1),
-                (1, 2),
-                (8, 2),
-                (2, 3),
-                (8, 3),
+            for (threads, depth, width) in [
+                (1usize, 1u8, 1usize),
+                (2, 1, 3),
+                (8, 1, 8),
+                (1, 2, 8),
+                (8, 2, 1),
+                (2, 3, 3),
+                (8, 3, 8),
             ] {
-                let mut ws = TraversalWorkspace::with_threads(threads).with_split_depth(depth);
+                let mut ws = TraversalWorkspace::with_threads(threads)
+                    .with_split_depth(depth)
+                    .with_batch_width(width);
                 for round in 0..2 {
                     let mut y = vec![0.0; n];
                     traversal_matvec_par(
@@ -2256,14 +2111,14 @@ mod tests {
                         &x,
                         &mut y,
                         &mut ws,
-                        &|| toy_kernel::<3>(p),
+                        &|| ToyBatchKernel::<3>,
                     );
                     for (i, (a, b)) in y_ref.iter().zip(&y).enumerate() {
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
-                            "threads={threads} depth={depth} p={p} round={round} node {i}: \
-                             {a} vs {b}"
+                            "threads={threads} depth={depth} width={width} p={p} \
+                             round={round} node {i}: {a} vs {b}"
                         );
                     }
                 }
@@ -2276,34 +2131,44 @@ mod tests {
         let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
-        let p = 2u64;
-        let nodes = enumerate_nodes(&domain, &elems, p);
-        let n = nodes.len();
-        let ids: Vec<u32> = (0..n as u32).collect();
-        let build = |threads: usize, depth: u8| {
-            let mut ws = TraversalWorkspace::with_threads(threads).with_split_depth(depth);
-            let mut coo = CooBuilder::new(n);
-            traversal_assemble_par(
-                &elems,
-                0..elems.len(),
-                Curve::Hilbert,
-                &nodes,
-                &ids,
-                &mut coo,
-                &mut ws,
-                &|| toy_matrix::<2>(p),
-            );
-            coo.build()
-        };
-        let a1 = build(1, 1);
-        for (threads, depth) in [(2usize, 1u8), (8, 1), (1, 2), (8, 2), (2, 3), (8, 3)] {
-            let at = build(threads, depth);
-            let tag = format!("threads={threads} depth={depth}");
-            assert_eq!(a1.row_ptr, at.row_ptr, "{tag}");
-            assert_eq!(a1.cols, at.cols, "{tag}");
-            assert_eq!(a1.vals.len(), at.vals.len());
-            for (i, (v1, vt)) in a1.vals.iter().zip(&at.vals).enumerate() {
-                assert_eq!(v1.to_bits(), vt.to_bits(), "{tag} nz {i}");
+        for p in [2u64, 3] {
+            let nodes = enumerate_nodes(&domain, &elems, p);
+            let n = nodes.len();
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let build = |threads: usize, depth: u8, width: usize| {
+                let mut ws = TraversalWorkspace::with_threads(threads)
+                    .with_split_depth(depth)
+                    .with_batch_width(width);
+                let mut coo = CooBuilder::new(n);
+                traversal_assemble_par(
+                    &elems,
+                    0..elems.len(),
+                    Curve::Hilbert,
+                    &nodes,
+                    &ids,
+                    &mut coo,
+                    &mut ws,
+                    &|| ToyBatchMatrix::<2>::new(p),
+                );
+                coo.build()
+            };
+            let a1 = build(1, 1, 1);
+            for (threads, depth, width) in [
+                (2usize, 1u8, 3usize),
+                (8, 1, 8),
+                (1, 2, 8),
+                (8, 2, 1),
+                (2, 3, 3),
+                (8, 3, 8),
+            ] {
+                let at = build(threads, depth, width);
+                let tag = format!("p={p} threads={threads} depth={depth} width={width}");
+                assert_eq!(a1.row_ptr, at.row_ptr, "{tag}");
+                assert_eq!(a1.cols, at.cols, "{tag}");
+                assert_eq!(a1.vals.len(), at.vals.len());
+                for (i, (v1, vt)) in a1.vals.iter().zip(&at.vals).enumerate() {
+                    assert_eq!(v1.to_bits(), vt.to_bits(), "{tag} nz {i}");
+                }
             }
         }
     }
@@ -2383,9 +2248,7 @@ mod tests {
     fn check_batched_matvec_matrix<const DIM: usize>(domain: &dyn Subdomain<DIM>, seed: u64) {
         let t = construct_boundary_refined(domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(domain, Curve::Hilbert, &t);
-        // Node enumeration supports orders 1 and 2; p = 3 panel coverage
-        // lives in carve-fem's batched-apply tests.
-        for p in [1u64, 2] {
+        for p in [1u64, 2, 3] {
             let nodes = enumerate_nodes(domain, &elems, p);
             let n = nodes.len();
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed + p);
@@ -2447,7 +2310,7 @@ mod tests {
         let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
         let elems = construct_balanced(&domain, Curve::Hilbert, &t);
-        for p in [1u64, 2] {
+        for p in [1u64, 2, 3] {
             let nodes = enumerate_nodes(&domain, &elems, p);
             let n = nodes.len();
             let ids: Vec<u32> = (0..n as u32).collect();
@@ -2464,7 +2327,7 @@ mod tests {
             );
             let a_ref = coo.build();
             for threads in [1usize, 2, 8] {
-                for width in [1usize, 4, 8] {
+                for width in [1usize, 3, 8] {
                     let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
                     let mut coo = CooBuilder::new(n);
                     traversal_assemble_par(
@@ -2531,6 +2394,136 @@ mod tests {
         let leaf1 = &d1.phases["matvec/leaf"].counters;
         assert!(!leaf1.contains_key("batched_leaves"), "{leaf1:?}");
         assert_eq!(leaf1["scalar_leaves"], leaf1["leaves"]);
+        assert_eq!(leaf1["leaves"], leaf["leaves"]);
+        // The half-lattice sweep runs once per sibling group, however the
+        // group's leaves are cut into runs.
+        assert_eq!(leaf1["slot_sweep_hits"], leaf["slot_sweep_hits"]);
+    }
+
+    /// Leaf-stage counters of one matvec and one assembly of `elems`.
+    fn leaf_counters<const DIM: usize>(
+        domain: &dyn Subdomain<DIM>,
+        elems: &[Octant<DIM>],
+        p: u64,
+    ) -> [std::collections::BTreeMap<String, u64>; 2] {
+        let _e = carve_obs::force_enabled();
+        let nodes = enumerate_nodes(domain, elems, p);
+        let n = nodes.len();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let mut ws = TraversalWorkspace::with_threads(1);
+        let before = carve_obs::thread_snapshot();
+        traversal_matvec_ws(
+            elems,
+            0..elems.len(),
+            Curve::Hilbert,
+            &nodes,
+            &vec![1.0; n],
+            &mut vec![0.0; n],
+            &mut ws,
+            &mut ToyBatchKernel::<DIM>,
+        );
+        traversal_assemble_ws(
+            elems,
+            0..elems.len(),
+            Curve::Hilbert,
+            &nodes,
+            &ids,
+            &mut CooBuilder::new(n),
+            &mut ws,
+            &mut ToyBatchMatrix::<DIM>::new(p),
+        );
+        let d = carve_obs::thread_snapshot().diff(&before);
+        ["matvec/leaf", "assemble/leaf"].map(|ph| d.phases[ph].counters.clone())
+    }
+
+    #[test]
+    fn hanging_counters_tell_table_lookups_from_chains() {
+        let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        let raw = construct_boundary_refined(&domain, Curve::Hilbert, 2, 5);
+        let balanced = construct_balanced(&domain, Curve::Hilbert, &raw);
+        for p in [1u64, 2, 3] {
+            // 2:1-balanced: hanging slots, every source a node of the
+            // parent bucket.
+            for c in leaf_counters(&domain, &balanced, p) {
+                assert_eq!(c["leaves"], balanced.len() as u64);
+                assert_eq!(c["batched_leaves"] + c["scalar_leaves"], c["leaves"]);
+                assert!(c["hanging_slots"] > 0, "p={p} {c:?}");
+                assert!(!c.contains_key("hanging_chain"), "p={p} {c:?}");
+            }
+            // Not balanced: some sources hang one level up themselves, and
+            // both visitors count the same slots and chains.
+            let [mv, asm] = leaf_counters(&domain, &raw, p);
+            assert!(mv["hanging_chain"] > 0, "p={p} {mv:?}");
+            assert_eq!(mv["hanging_chain"], asm["hanging_chain"]);
+            assert_eq!(mv["hanging_slots"], asm["hanging_slots"]);
+            // The chain fallback is the same operator: matvec ≡ assembly.
+            matvec_equals_assembled(&domain, &raw, p, Curve::Hilbert, 5 + p);
+        }
+    }
+
+    #[test]
+    fn spine_level_leaves_and_root_only_tree_use_the_leaf_stage() {
+        // Trees so small that leaves sit directly under the spine (or ARE
+        // the tree): a root-only tree, four level-1 leaves, and the classic
+        // 2:1 pattern whose level-2 leaves hang on level-1 spine leaves.
+        let root = Octant::<2>::ROOT;
+        let mut graded: Vec<Octant<2>> = (0..4).map(|m| root.child(0).child(m)).collect();
+        graded.extend((1..4).map(|m| root.child(m)));
+        carve_sfc::treesort(&mut graded, Curve::Morton);
+        let four: Vec<Octant<2>> = (0..4).map(|m| root.child(m)).collect();
+        for (elems, hangs) in [(vec![root], false), (four, false), (graded, true)] {
+            for p in [1u64, 2, 3] {
+                matvec_equals_assembled(&FullDomain, &elems, p, Curve::Morton, 3);
+                let nodes = enumerate_nodes(&FullDomain, &elems, p);
+                let n = nodes.len();
+                let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+                let mut y_ref = vec![0.0; n];
+                let mut outs = Vec::new();
+                for (depth, width) in [(1u8, 1usize), (1, 8), (2, 8), (3, 3)] {
+                    let _e = carve_obs::force_enabled();
+                    let before = carve_obs::thread_snapshot();
+                    let mut y = vec![0.0; n];
+                    traversal_matvec_ws(
+                        &elems,
+                        0..elems.len(),
+                        Curve::Morton,
+                        &nodes,
+                        &x,
+                        &mut y,
+                        &mut TraversalWorkspace::with_threads(1)
+                            .with_split_depth(depth)
+                            .with_batch_width(width),
+                        &mut ToyBatchKernel::<2>,
+                    );
+                    let d = carve_obs::thread_snapshot().diff(&before);
+                    let leaf = &d.phases["matvec/leaf"].counters;
+                    assert_eq!(leaf["leaves"], elems.len() as u64, "depth={depth}");
+                    assert_eq!(leaf.contains_key("hanging_slots"), hangs, "{leaf:?}");
+                    // No leaf was given a bucket on the way: the only one
+                    // ever filled is the graded tree's refined quadrant.
+                    let fills = d.phases.get("matvec/top_down").map_or(0, |td| td.calls);
+                    assert_eq!(fills, u64::from(hangs), "depth={depth}");
+                    outs.push(y);
+                }
+                traversal_matvec_ws(
+                    &elems,
+                    0..elems.len(),
+                    Curve::Morton,
+                    &nodes,
+                    &x,
+                    &mut y_ref,
+                    &mut TraversalWorkspace::with_threads(1),
+                    &mut toy_kernel::<2>(p),
+                );
+                for y in &outs {
+                    let same = y
+                        .iter()
+                        .zip(&y_ref)
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "p={p} elems={}", elems.len());
+                }
+            }
+        }
     }
 
     #[test]

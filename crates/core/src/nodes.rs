@@ -71,33 +71,44 @@ pub fn nodes_per_elem<const DIM: usize>(p: u64) -> usize {
     ((p + 1) as usize).pow(DIM as u32)
 }
 
-/// Inverse of [`lattice_index`] ∘ [`elem_node_coord`]: maps a nodal
-/// coordinate back to the linear lattice slot of element `e`, or `None`
-/// when the coordinate is not on `e`'s `p`-lattice (a hanging node owned
-/// by a finer neighbor). One divisibility check per axis — the merge-sweep
-/// leaf resolution uses this instead of per-slot binary searches.
+/// Linear slot of `coord` on the half-spacing `(2p+1)^DIM` lattice of
+/// `parent` (x-fastest, origin at the parent's anchor), or `None` when the
+/// coordinate is not on it. That lattice holds the `p`-lattice of every
+/// child of `parent` and, at its even positions, the parent's own; the
+/// traversal's leaf stage maps a whole parent bucket onto it in one sweep.
 #[inline]
-pub fn lattice_linear<const DIM: usize>(
-    e: &Octant<DIM>,
+pub(crate) fn half_lattice_linear<const DIM: usize>(
+    parent: &Octant<DIM>,
     p: u64,
     coord: &[u64; DIM],
 ) -> Option<usize> {
-    let side = e.side() as u64;
+    // Spacing `side / 2` is a power of two: divide by shifting.
+    let shift = u32::from(MAX_LEVEL - parent.level - 1);
+    let n1d = 2 * p + 1;
     let mut lin = 0usize;
     let mut stride = 1usize;
-    for (&ck, &ak) in coord.iter().zip(&e.anchor) {
+    for (&ck, &ak) in coord.iter().zip(&parent.anchor) {
         let off = ck.checked_sub(ak as u64 * p)?;
-        if off % side != 0 {
-            return None;
-        }
-        let j = off / side;
-        if j > p {
+        let j = off >> shift;
+        if j << shift != off || j >= n1d {
             return None;
         }
         lin += j as usize * stride;
-        stride *= (p + 1) as usize;
+        stride *= n1d as usize;
     }
     Some(lin)
+}
+
+/// Inverse of [`half_lattice_linear`]: the coordinate of half-lattice slot
+/// `h` of `parent`.
+pub(crate) fn half_lattice_coord<const DIM: usize>(
+    parent: &Octant<DIM>,
+    p: u64,
+    h: usize,
+) -> [u64; DIM] {
+    let half = (parent.side() / 2) as u64;
+    let idx = lattice_index::<DIM>(h, 2 * p);
+    std::array::from_fn(|k| parent.anchor[k] as u64 * p + idx[k] * half)
 }
 
 /// Coordinate of lattice point `idx` (each component `0..=p`) of element `e`.
@@ -274,7 +285,7 @@ pub fn resolve_slot<const DIM: usize>(
         return SlotRef::Direct(i);
     }
     let mut acc: Vec<(usize, f64)> = Vec::new();
-    accumulate_hanging(nodes, elem, coord, 1.0, &mut acc);
+    accumulate_hanging(nodes, elem, coord, 1.0, &mut Vec::new(), &mut acc);
     // Merge duplicate node indices.
     acc.sort_unstable_by_key(|e| e.0);
     let mut merged: Vec<(usize, f64)> = Vec::with_capacity(acc.len());
@@ -295,55 +306,162 @@ fn accumulate_hanging<const DIM: usize>(
     oct: &Octant<DIM>,
     coord: &[u64; DIM],
     weight: f64,
+    srcs: &mut Vec<([u64; DIM], f64)>,
     acc: &mut Vec<(usize, f64)>,
 ) {
     if let Some(i) = nodes.find(coord) {
         acc.push((i, weight));
         return;
     }
+    let base = srcs.len();
+    hanging_sources(oct, coord, nodes.order, srcs);
+    let parent = oct.parent();
+    for k in base..srcs.len() {
+        let (src, w) = srcs[k];
+        accumulate_hanging(nodes, &parent, &src, weight * w, srcs, acc);
+    }
+    srcs.truncate(base);
+}
+
+/// The hanging-face rule, one level up: `coord` is on the `p`-lattice of
+/// `oct` but is not a node, so its value is interpolated on the minimal
+/// face of `parent(oct)` containing it. Pushes that face's lattice points
+/// with their tensor-Lagrange weights onto `srcs` (zero weights skipped,
+/// first free axis fastest). An axis is fixed where the coordinate lies on
+/// the parent's boundary and free otherwise. Callers note `srcs.len()`
+/// before the call and truncate back after using their segment, so chains
+/// of hanging sources share one allocation.
+///
+/// This is the only copy of the rule: [`resolve_slot`] recurses over it,
+/// [`Prolongation`] tabulates it, and the traversal falls back to it for a
+/// source that is itself hanging.
+pub(crate) fn hanging_sources<const DIM: usize>(
+    oct: &Octant<DIM>,
+    coord: &[u64; DIM],
+    p: u64,
+    srcs: &mut Vec<([u64; DIM], f64)>,
+) {
     assert!(
         oct.level > 0,
         "hanging coordinate {coord:?} unresolved at the root"
     );
-    let p = nodes.order;
     let parent = oct.parent();
     let pside = parent.side() as u64;
-    // Axis role: fixed if the coordinate lies on a parent lattice plane at
-    // the parent's face (offset 0 or p·side); free otherwise.
     // Parametric position t_k in [0, p] on the parent lattice.
-    let mut fixed = [false; DIM];
     let mut t = [0.0f64; DIM];
+    let mut free_axes = [0usize; DIM];
+    let mut n_free = 0;
     for k in 0..DIM {
         let off = coord[k] - parent.anchor[k] as u64 * p;
         debug_assert!(off <= p * pside);
-        if off == 0 || off == p * pside {
-            fixed[k] = true;
+        if off != 0 && off != p * pside {
+            free_axes[n_free] = k;
+            n_free += 1;
         }
-        t[k] = off as f64 / pside as f64; // in [0, p]
+        t[k] = off as f64 / pside as f64;
     }
     debug_assert!(
-        fixed.iter().any(|&f| f),
+        n_free < DIM,
         "hanging coordinate must lie on the parent boundary"
     );
-    // Tensor-product Lagrange weights over free axes at the p-lattice of the
-    // parent restricted to the minimal face.
-    let free_axes: Vec<usize> = (0..DIM).filter(|&k| !fixed[k]).collect();
-    let nfree = free_axes.len();
-    let combos = (p + 1).pow(nfree as u32);
-    for combo in 0..combos {
+    for combo in 0..(p + 1).pow(n_free as u32) {
         let mut rem = combo;
-        let mut w = weight;
+        let mut w = 1.0;
         let mut src = *coord;
-        for &k in &free_axes {
+        for &k in &free_axes[..n_free] {
             let j = rem % (p + 1);
             rem /= p + 1;
             w *= lagrange_1d(p, j, t[k]);
             src[k] = parent.anchor[k] as u64 * p + j * pside;
         }
-        if w.abs() < 1e-300 {
-            continue;
+        if w != 0.0 {
+            srcs.push((src, w));
         }
-        accumulate_hanging(nodes, &parent, &src, w, acc);
+    }
+}
+
+/// The hanging-face rule tabulated for one order `p`: it depends on nothing
+/// but `(p, child corner, lattice slot)`, so the traversal's leaf stage
+/// looks hanging slots up instead of re-deriving them per element. All
+/// slots are linear indices on a parent's half-spacing lattice
+/// ([`half_lattice_linear`]).
+///
+/// Built by running [`hanging_sources`] on the children of the root. The
+/// weights are products of `lagrange_1d` at half-integer `t`, which do not
+/// depend on the level, so they equal the on-the-fly ones bit for bit.
+pub(crate) struct Prolongation {
+    order: u64,
+    npe: usize,
+    /// `corner * npe + lin` → half-lattice slot of lattice point `lin` of
+    /// the child at Morton corner `corner`; block `1 << DIM` is the
+    /// parent's own lattice.
+    half_slot: Vec<u32>,
+    /// CSR over `corner * npe + lin` into `sources`.
+    offsets: Vec<u32>,
+    /// `(half-lattice slot of a parent lattice point, weight)`, in rule
+    /// order. Empty for slots interior to the parent, which never hang.
+    sources: Vec<(u32, f64)>,
+}
+
+impl Prolongation {
+    pub(crate) fn new<const DIM: usize>(p: u64) -> Self {
+        let root = Octant::<DIM>::ROOT;
+        let npe = nodes_per_elem::<DIM>(p);
+        let corners = 1usize << DIM;
+        let slot = |c: &[u64; DIM]| {
+            half_lattice_linear(&root, p, c).expect("child lattices lie on the half lattice") as u32
+        };
+        let mut table = Self {
+            order: p,
+            npe,
+            half_slot: Vec::with_capacity((corners + 1) * npe),
+            offsets: vec![0],
+            sources: Vec::new(),
+        };
+        let far = p * root.side() as u64;
+        let mut srcs = Vec::new();
+        for corner in 0..corners {
+            let child = root.child(corner);
+            for lin in 0..npe {
+                let coord = elem_node_coord(&child, p, &lattice_index::<DIM>(lin, p));
+                table.half_slot.push(slot(&coord));
+                if coord.iter().any(|&c| c == 0 || c == far) {
+                    srcs.clear();
+                    hanging_sources(&child, &coord, p, &mut srcs);
+                    table
+                        .sources
+                        .extend(srcs.iter().map(|(c, w)| (slot(c), *w)));
+                }
+                table.offsets.push(table.sources.len() as u32);
+            }
+        }
+        // The parent's own lattice (a root-only tree's single leaf): the
+        // even half-lattice positions, none of which can hang.
+        for lin in 0..npe {
+            let coord = elem_node_coord(&root, p, &lattice_index::<DIM>(lin, p));
+            table.half_slot.push(slot(&coord));
+            table.offsets.push(table.sources.len() as u32);
+        }
+        table
+    }
+
+    pub(crate) fn order(&self) -> u64 {
+        self.order
+    }
+
+    /// Half-lattice slots of the `npe` lattice points of the child at
+    /// `corner` (`1 << DIM`: of the parent itself).
+    #[inline]
+    pub(crate) fn half_slots(&self, corner: usize) -> &[u32] {
+        &self.half_slot[corner * self.npe..(corner + 1) * self.npe]
+    }
+
+    /// One-level interpolation sources of lattice point `lin` of the child
+    /// at `corner`, should it hang.
+    #[inline]
+    pub(crate) fn sources(&self, corner: usize, lin: usize) -> &[(u32, f64)] {
+        let i = corner * self.npe + lin;
+        &self.sources[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
@@ -368,27 +486,193 @@ mod tests {
     use carve_sfc::Curve;
 
     #[test]
-    fn lattice_linear_inverts_lattice_index() {
-        let e = Octant::<3>::ROOT.child(5).child(2);
-        for p in [1u64, 2] {
+    fn half_lattice_holds_every_child_lattice() {
+        let parent = Octant::<3>::ROOT.child(5).child(2);
+        let half = (parent.side() / 2) as u64;
+        for p in [1u64, 2, 3] {
+            // The parent's own lattice sits at the even positions ...
             for lin in 0..nodes_per_elem::<3>(p) {
                 let idx = lattice_index::<3>(lin, p);
-                let c = elem_node_coord(&e, p, &idx);
-                assert_eq!(lattice_linear(&e, p, &c), Some(lin), "p={p} lin={lin}");
+                let c = elem_node_coord(&parent, p, &idx);
+                let h = half_lattice_linear(&parent, p, &c).expect("on the lattice");
+                assert_eq!(lattice_index::<3>(h, 2 * p), idx.map(|i| 2 * i), "p={p}");
             }
-            // Off-lattice coordinates (half-spacing offsets from a finer
-            // neighbor, or outside the closed region) must map to None.
-            let side = e.side() as u64;
-            let mut c = elem_node_coord(&e, p, &[0; 3]);
-            c[0] += side / 2;
-            assert_eq!(lattice_linear(&e, p, &c), None);
-            let mut below = elem_node_coord(&e, p, &[0; 3]);
-            below[1] -= side;
-            assert_eq!(lattice_linear(&e, p, &below), None);
-            let mut beyond = elem_node_coord(&e, p, &[p; 3]);
-            beyond[2] += side;
-            assert_eq!(lattice_linear(&e, p, &beyond), None);
+            // ... and child `m`'s lattice is shifted by `p` along m's axes.
+            for m in 0..8 {
+                let child = parent.child(m);
+                for lin in 0..nodes_per_elem::<3>(p) {
+                    let idx = lattice_index::<3>(lin, p);
+                    let c = elem_node_coord(&child, p, &idx);
+                    let h = half_lattice_linear(&parent, p, &c).expect("on the lattice");
+                    let want: [u64; 3] =
+                        std::array::from_fn(|k| idx[k] + p * ((m >> k) & 1) as u64);
+                    assert_eq!(lattice_index::<3>(h, 2 * p), want, "p={p} m={m} lin={lin}");
+                }
+            }
+            // Quarter positions (a grandchild's nodes) and points outside
+            // the closed region are off the lattice.
+            let mut c = elem_node_coord(&parent, p, &[0; 3]);
+            c[0] += half / 2;
+            assert_eq!(half_lattice_linear(&parent, p, &c), None);
+            let mut below = elem_node_coord(&parent, p, &[0; 3]);
+            below[1] -= half;
+            assert_eq!(half_lattice_linear(&parent, p, &below), None);
+            let mut beyond = elem_node_coord(&parent, p, &[p; 3]);
+            beyond[2] += half;
+            assert_eq!(half_lattice_linear(&parent, p, &beyond), None);
         }
+    }
+
+    /// Every table entry against the rule run on a deep, off-origin parent:
+    /// same sources in the same order, weights equal bit for bit.
+    fn check_table_equals_rule<const DIM: usize>(parent: Octant<DIM>) {
+        let half = (parent.side() / 2) as u64;
+        for p in [1u64, 2, 3] {
+            let table = Prolongation::new::<DIM>(p);
+            let coord_of = |h: u32| half_lattice_coord(&parent, p, h as usize);
+            let mut srcs = Vec::new();
+            for corner in 0..(1usize << DIM) {
+                let child = parent.child(corner);
+                let half_slots = table.half_slots(corner);
+                for (lin, &half_slot) in half_slots.iter().enumerate() {
+                    let c = elem_node_coord(&child, p, &lattice_index::<DIM>(lin, p));
+                    assert_eq!(coord_of(half_slot), c, "p={p} corner={corner} lin={lin}");
+                    let on_boundary = (0..DIM).any(|k| {
+                        let off = c[k] - parent.anchor[k] as u64 * p;
+                        off == 0 || off == 2 * p * half
+                    });
+                    let got = table.sources(corner, lin);
+                    if !on_boundary {
+                        assert!(got.is_empty(), "interior slot has sources");
+                        continue;
+                    }
+                    srcs.clear();
+                    hanging_sources(&child, &c, p, &mut srcs);
+                    assert_eq!(got.len(), srcs.len(), "p={p} corner={corner} lin={lin}");
+                    for (&(h, w), &(sc, sw)) in got.iter().zip(&srcs) {
+                        assert_eq!(coord_of(h), sc, "p={p} corner={corner} lin={lin}");
+                        assert_eq!(w.to_bits(), sw.to_bits(), "p={p} corner={corner} lin={lin}");
+                    }
+                }
+            }
+            // The parent's own block: even slots, no sources.
+            for (lin, &h) in table.half_slots(1 << DIM).iter().enumerate() {
+                let c = elem_node_coord(&parent, p, &lattice_index::<DIM>(lin, p));
+                assert_eq!(coord_of(h), c);
+                assert!(table.sources(1 << DIM, lin).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn prolongation_table_equals_the_rule_bitwise() {
+        check_table_equals_rule(Octant::<2>::ROOT.child(3).child(1).child(2));
+        check_table_equals_rule(Octant::<3>::ROOT.child(6).child(0).child(5).child(3));
+        check_table_equals_rule(Octant::<4>::ROOT.child(9).child(14));
+    }
+
+    /// The recursion `resolve_slot` used before it shared the rule with the
+    /// traversal: own copy of the face stencil, cumulative weights, a
+    /// `1e-300` cut-off. Kept as the oracle for the test below.
+    fn reference_accumulate<const DIM: usize>(
+        nodes: &NodeSet<DIM>,
+        oct: &Octant<DIM>,
+        coord: &[u64; DIM],
+        weight: f64,
+        acc: &mut Vec<(usize, f64)>,
+    ) {
+        if let Some(i) = nodes.find(coord) {
+            acc.push((i, weight));
+            return;
+        }
+        let p = nodes.order;
+        let parent = oct.parent();
+        let pside = parent.side() as u64;
+        let mut t = [0.0f64; DIM];
+        let mut free_axes = Vec::new();
+        for k in 0..DIM {
+            let off = coord[k] - parent.anchor[k] as u64 * p;
+            if off != 0 && off != p * pside {
+                free_axes.push(k);
+            }
+            t[k] = off as f64 / pside as f64;
+        }
+        for combo in 0..(p + 1).pow(free_axes.len() as u32) {
+            let mut rem = combo;
+            let mut w = weight;
+            let mut src = *coord;
+            for &k in &free_axes {
+                let j = rem % (p + 1);
+                rem /= p + 1;
+                w *= lagrange_1d(p, j, t[k]);
+                src[k] = parent.anchor[k] as u64 * p + j * pside;
+            }
+            if w.abs() < 1e-300 {
+                continue;
+            }
+            reference_accumulate(nodes, &parent, &src, w, acc);
+        }
+    }
+
+    fn check_resolve_slot_unchanged<const DIM: usize>(
+        domain: &dyn carve_geom::Subdomain<DIM>,
+        elems: &[Octant<DIM>],
+        tag: &str,
+    ) -> usize {
+        let mut hanging = 0;
+        for p in [1u64, 2, 3] {
+            let nodes = enumerate_nodes(domain, elems, p);
+            for e in elems {
+                for lin in 0..nodes_per_elem::<DIM>(p) {
+                    let c = elem_node_coord(e, p, &lattice_index::<DIM>(lin, p));
+                    let SlotRef::Hanging(got) = resolve_slot(&nodes, e, &c) else {
+                        continue;
+                    };
+                    hanging += 1;
+                    let mut want = Vec::new();
+                    reference_accumulate(&nodes, e, &c, 1.0, &mut want);
+                    want.sort_unstable_by_key(|s| s.0);
+                    want.dedup_by(|later, first| {
+                        let same = later.0 == first.0;
+                        if same {
+                            first.1 += later.1;
+                        }
+                        same
+                    });
+                    assert_eq!(got.len(), want.len(), "{tag} p={p} {e:?} lin={lin}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.0, w.0, "{tag} p={p} {e:?} lin={lin}");
+                        assert_eq!(g.1.to_bits(), w.1.to_bits(), "{tag} p={p} {e:?} lin={lin}");
+                    }
+                }
+            }
+        }
+        hanging
+    }
+
+    #[test]
+    fn resolve_slot_is_bitwise_unchanged_by_the_shared_rule() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
+        let mut hanging = 0;
+        for round in 0..4 {
+            let c2 = [rng.gen_range(0.3..0.7), rng.gen_range(0.3..0.7)];
+            let d2 =
+                CarvedSolids::<2>::new(vec![Box::new(Sphere::new(c2, rng.gen_range(0.1..0.3)))]);
+            let t = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
+            // Unbalanced first (hanging chains), then balanced.
+            hanging += check_resolve_slot_unchanged(&d2, &t, &format!("2d raw {round}"));
+            let b = construct_balanced(&d2, Curve::Hilbert, &t);
+            hanging += check_resolve_slot_unchanged(&d2, &b, &format!("2d {round}"));
+            let c3 = [rng.gen_range(0.4..0.6), rng.gen_range(0.4..0.6), 0.5];
+            let d3 =
+                CarvedSolids::<3>::new(vec![Box::new(Sphere::new(c3, rng.gen_range(0.15..0.3)))]);
+            let t = construct_boundary_refined(&d3, Curve::Morton, 1, 3);
+            hanging += check_resolve_slot_unchanged(&d3, &t, &format!("3d raw {round}"));
+            let b = construct_balanced(&d3, Curve::Morton, &t);
+            hanging += check_resolve_slot_unchanged(&d3, &b, &format!("3d {round}"));
+        }
+        assert!(hanging > 1000, "only {hanging} hanging slots compared");
     }
 
     #[test]

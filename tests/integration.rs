@@ -126,9 +126,9 @@ fn distributed_poisson_matvec_equals_sequential() {
 fn distributed_matvec_is_one_sweep_for_any_kernel_source_threads_and_width() {
     // The traversal driver behind `DistMesh::matvec_ws` (held kernel) and
     // `matvec_par` (kernel factory): on 2 ranks, every threads × batch-width
-    // setting must give the same owned bits on a p = 2 carved sphere with
-    // hanging nodes, and they must match the 1-rank sequential apply of the
-    // same global field.
+    // setting must give the same owned bits on a p ∈ {2, 3} carved sphere
+    // with hanging nodes, and they must match the 1-rank sequential apply of
+    // the same global field.
     use carve::fem::StiffnessKernel;
     let sphere = || CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
     let key = |c: &[u64; 3]| {
@@ -137,69 +137,159 @@ fn distributed_matvec_is_one_sweep_for_any_kernel_source_threads_and_width() {
             .wrapping_add(c[2]);
         ((h >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
     };
-    let seq = Mesh::build(&sphere(), Curve::Hilbert, 2, 4, 2);
-    let n = seq.num_dofs();
-    assert!(seq.elems.iter().any(|e| e.level == 3) && seq.elems.iter().any(|e| e.level == 4));
-    let x: Vec<f64> = seq.nodes.coords.iter().map(key).collect();
-    let mut y_seq = vec![0.0; n];
-    carve::core::traversal_matvec_ws(
-        &seq.elems,
-        0..seq.elems.len(),
-        Curve::Hilbert,
-        &seq.nodes,
-        &x,
-        &mut y_seq,
-        &mut TraversalWorkspace::with_threads(1),
-        &mut StiffnessKernel::<3>::new(2, 1.0),
-    );
-    let y_max = y_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    for p in [2u64, 3] {
+        let seq = Mesh::build(&sphere(), Curve::Hilbert, 2, 4, p);
+        let n = seq.num_dofs();
+        assert!(seq.elems.iter().any(|e| e.level == 3) && seq.elems.iter().any(|e| e.level == 4));
+        let x: Vec<f64> = seq.nodes.coords.iter().map(key).collect();
+        let mut y_seq = vec![0.0; n];
+        carve::core::traversal_matvec_ws(
+            &seq.elems,
+            0..seq.elems.len(),
+            Curve::Hilbert,
+            &seq.nodes,
+            &x,
+            &mut y_seq,
+            &mut TraversalWorkspace::with_threads(1),
+            &mut StiffnessKernel::<3>::new(p as usize, 1.0),
+        );
+        let y_max = y_seq.iter().fold(0.0f64, |m, v| m.max(v.abs()));
 
-    let results = carve::comm::run_spmd(2, |comm| {
-        let dm = DistMesh::<3>::build(comm, &sphere(), Curve::Hilbert, 2, 4, 2);
-        let x_local: Vec<f64> = dm.nodes.coords.iter().map(key).collect();
-        let owned: Vec<usize> = (0..dm.nodes.len())
-            .filter(|&i| dm.owner[i] as usize == comm.rank())
-            .collect();
-        let make_kernel = || StiffnessKernel::<3>::new(2, 1.0);
-        let mut reference: Option<Vec<u64>> = None;
-        let mut y = vec![0.0; x_local.len()];
-        for threads in [1usize, 4] {
-            for width in [1usize, 8] {
-                let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
-                for held in [true, false] {
-                    let ghost = GhostState::OwnedOnly;
-                    if held {
-                        dm.matvec_ws(comm, &x_local, &mut y, &mut ws, ghost, &mut make_kernel());
-                    } else {
-                        dm.matvec_par(comm, &x_local, &mut y, &mut ws, ghost, &make_kernel);
+        let results = carve::comm::run_spmd(2, |comm| {
+            let dm = DistMesh::<3>::build(comm, &sphere(), Curve::Hilbert, 2, 4, p);
+            let x_local: Vec<f64> = dm.nodes.coords.iter().map(key).collect();
+            let owned: Vec<usize> = (0..dm.nodes.len())
+                .filter(|&i| dm.owner[i] as usize == comm.rank())
+                .collect();
+            let make_kernel = || StiffnessKernel::<3>::new(p as usize, 1.0);
+            let mut reference: Option<Vec<u64>> = None;
+            let mut y = vec![0.0; x_local.len()];
+            for threads in [1usize, 4] {
+                for width in [1usize, 3, 8] {
+                    let mut ws = TraversalWorkspace::with_threads(threads).with_batch_width(width);
+                    for held in [true, false] {
+                        let ghost = GhostState::OwnedOnly;
+                        if held {
+                            let mut kernel = make_kernel();
+                            dm.matvec_ws(comm, &x_local, &mut y, &mut ws, ghost, &mut kernel);
+                        } else {
+                            dm.matvec_par(comm, &x_local, &mut y, &mut ws, ghost, &make_kernel);
+                        }
+                        let bits: Vec<u64> = owned.iter().map(|&i| y[i].to_bits()).collect();
+                        let reference = reference.get_or_insert_with(|| bits.clone());
+                        assert_eq!(
+                            *reference,
+                            bits,
+                            "p={p} rank {} threads={threads} width={width} held={held}",
+                            comm.rank()
+                        );
                     }
-                    let bits: Vec<u64> = owned.iter().map(|&i| y[i].to_bits()).collect();
-                    let reference = reference.get_or_insert_with(|| bits.clone());
-                    assert_eq!(
-                        *reference,
-                        bits,
-                        "rank {} threads={threads} width={width} held={held}",
-                        comm.rank()
-                    );
                 }
             }
+            owned
+                .iter()
+                .map(|&i| (dm.nodes.coords[i], y[i]))
+                .collect::<Vec<_>>()
+        });
+        let mut seen = 0;
+        for (coord, val) in results.into_iter().flatten() {
+            let i = seq.nodes.find(&coord).expect("node exists");
+            assert!(
+                (val - y_seq[i]).abs() <= 1e-12 * y_max,
+                "p={p} coord {coord:?}: {val} vs {}",
+                y_seq[i]
+            );
+            seen += 1;
         }
-        owned
-            .iter()
-            .map(|&i| (dm.nodes.coords[i], y[i]))
-            .collect::<Vec<_>>()
-    });
-    let mut seen = 0;
-    for (coord, val) in results.into_iter().flatten() {
-        let i = seq.nodes.find(&coord).expect("node exists");
-        assert!(
-            (val - y_seq[i]).abs() <= 1e-12 * y_max,
-            "coord {coord:?}: {val} vs {}",
-            y_seq[i]
-        );
-        seen += 1;
+        assert_eq!(seen, n);
     }
-    assert_eq!(seen, n);
+}
+
+#[test]
+fn hanging_chain_matvec_equals_assembled_csr_and_e2n_baseline() {
+    // A boundary-refined tree that skips the 2:1 balance pass: coarse
+    // leaves meet leaves two and three levels finer, so the interpolation
+    // source of a hanging slot can itself hang one level up — the leaf
+    // stage's cold recursive fallback (`hanging_chain` counts its uses).
+    // The traversal matvec, the CSR assembled by the same traversal, and
+    // the element-to-node-map baseline (which resolves every slot through
+    // `resolve_slot`, no traversal at all) must be the same operator.
+    // `enumerate_nodes` takes the unbalanced tree as it is.
+    use carve::baseline::ImmersedMesh;
+    use carve::core::{construct_boundary_refined, traversal_assemble_ws, traversal_matvec_ws};
+    use carve::fem::{ElementCache, StiffnessKernel, StiffnessMatrixKernel};
+    let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+    let raw = construct_boundary_refined(&domain, Curve::Hilbert, 2, 5);
+    assert!(carve::core::check_2to1(&raw).is_err(), "tree is balanced");
+    for p in [1u64, 2, 3] {
+        let mesh = Mesh::from_balanced_elems(&domain, Curve::Hilbert, raw.clone(), p);
+        let n = mesh.num_dofs();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut ws = TraversalWorkspace::with_threads(1);
+
+        let _on = carve::obs::force_enabled();
+        let before = carve::obs::thread_snapshot();
+        let mut y_mf = vec![0.0; n];
+        traversal_matvec_ws(
+            &mesh.elems,
+            0..mesh.elems.len(),
+            mesh.curve,
+            &mesh.nodes,
+            &x,
+            &mut y_mf,
+            &mut ws,
+            &mut StiffnessKernel::<2>::new(p as usize, 1.0),
+        );
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let mut coo = carve::la::CooBuilder::new(n);
+        traversal_assemble_ws(
+            &mesh.elems,
+            0..mesh.elems.len(),
+            mesh.curve,
+            &mesh.nodes,
+            &ids,
+            &mut coo,
+            &mut ws,
+            &mut StiffnessMatrixKernel::<2>::new(p as usize, 1.0),
+        );
+        let d = carve::obs::thread_snapshot().diff(&before);
+        for phase in ["matvec/leaf", "assemble/leaf"] {
+            let c = &d.phases[phase].counters;
+            assert!(c["hanging_chain"] > 0, "p={p} {phase}: no chain in {c:?}");
+            assert!(
+                c["hanging_slots"] >= c["hanging_chain"],
+                "p={p} {phase}: {c:?}"
+            );
+        }
+
+        let mut y_csr = vec![0.0; n];
+        coo.build().matvec(&x, &mut y_csr);
+        let immersed = ImmersedMesh::from_mesh(&domain, mesh);
+        let mut cache = ElementCache::<2>::new(p as usize);
+        let mut y_e2n = vec![0.0; n];
+        immersed.matvec(
+            &x,
+            &mut y_e2n,
+            &mut |e: &Octant<2>, u: &[f64], v: &mut [f64]| {
+                cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+            },
+        );
+        let scale = y_csr.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for i in 0..n {
+            assert!(
+                (y_mf[i] - y_csr[i]).abs() <= 1e-12 * scale,
+                "p={p} node {i}: traversal {} vs CSR {}",
+                y_mf[i],
+                y_csr[i]
+            );
+            assert!(
+                (y_mf[i] - y_e2n[i]).abs() <= 1e-12 * scale,
+                "p={p} node {i}: traversal {} vs e2n {}",
+                y_mf[i],
+                y_e2n[i]
+            );
+        }
+    }
 }
 
 #[test]
