@@ -256,10 +256,19 @@ fn assemble_poisson_system<const DIM: usize>(
 
 /// The default preconditioner ladder rung: additive Schwarz past ~2k DOFs,
 /// Jacobi below (block setup costs more than it saves on small systems).
+///
+/// Call it inside the `krylov` scope: the Schwarz set-up then reports as
+/// `krylov/asm_setup`, with the entries its block factors store
+/// (`asm_nnz`) next to what dense factors would (`asm_dense_entries`).
 fn default_precond(a: &CsrMatrix) -> Box<dyn Precond> {
     let n = a.n;
     if n > 2000 {
-        Box::new(AsmPrecond::new(a, (n / 400).max(2), 8))
+        let _obs = carve_obs::scope("asm_setup");
+        let asm = AsmPrecond::new(a, (n / 400).max(2), 8);
+        carve_obs::counter("asm_blocks", asm.num_blocks() as u64);
+        carve_obs::counter("asm_nnz", asm.stored_entries() as u64);
+        carve_obs::counter("asm_dense_entries", asm.dense_entries() as u64);
+        Box::new(asm)
     } else {
         Box::new(JacobiPrecond::from_matrix(a))
     }
@@ -604,8 +613,8 @@ pub fn solve_poisson_supervised<const DIM: usize>(
         }));
     }
     let mut u = vec![0.0; n];
-    let pre = default_precond(&a);
     let obs_krylov = carve_obs::scope("krylov");
+    let pre = default_precond(&a);
     let out = sup.solve(&a, &rhs, &mut u, pre.as_ref(), None)?;
     carve_obs::counter("iterations", out.krylov.iterations as u64);
     drop(obs_krylov);

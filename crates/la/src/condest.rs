@@ -15,21 +15,21 @@ fn inv_norm1_estimate(lu: &crate::dense::LuFactors) -> f64 {
         return 0.0;
     }
     let mut x = vec![1.0 / n as f64; n];
+    let mut y = vec![0.0; n];
+    let mut z = vec![0.0; n];
+    let mut work = vec![0.0; n];
     let mut best = 0.0f64;
     for _iter in 0..8 {
         // y = A⁻¹ x
-        let mut y = x.clone();
-        lu.solve(&mut y);
+        y.copy_from_slice(&x);
+        lu.solve_with(&mut y, &mut work);
         let ynorm: f64 = y.iter().map(|v| v.abs()).sum();
         best = best.max(ynorm);
-        // xi = sign(y)
-        let xi: Vec<f64> = y
-            .iter()
-            .map(|v| if *v >= 0.0 { 1.0 } else { -1.0 })
-            .collect();
-        // z = A⁻ᵀ xi
-        let mut z = xi;
-        lu.solve_t(&mut z);
+        // z = A⁻ᵀ sign(y)
+        for (zi, yi) in z.iter_mut().zip(&y) {
+            *zi = if *yi >= 0.0 { 1.0 } else { -1.0 };
+        }
+        lu.solve_t_with(&mut z, &mut work);
         // Find j maximizing |z_j|.
         let (jmax, zmax) = z
             .iter()
@@ -41,7 +41,7 @@ fn inv_norm1_estimate(lu: &crate::dense::LuFactors) -> f64 {
         if zmax <= ztx {
             break; // converged to a local maximum
         }
-        x = vec![0.0; n];
+        x.fill(0.0);
         x[jmax] = 1.0;
     }
     // Lower bound safeguard with the alternating-sign probe vector
@@ -56,7 +56,7 @@ fn inv_norm1_estimate(lu: &crate::dense::LuFactors) -> f64 {
             }
         })
         .collect();
-    lu.solve(&mut probe);
+    lu.solve_with(&mut probe, &mut work);
     let probe_norm: f64 = probe.iter().map(|v| v.abs()).sum::<f64>() * 2.0 / (3.0 * n as f64);
     best.max(probe_norm)
 }

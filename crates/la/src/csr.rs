@@ -1,6 +1,8 @@
 //! Compressed sparse row matrices assembled from (row, col, value) triplets.
 
+use crate::dense::DenseMatrix;
 use crate::krylov::LinOp;
+use std::ops::Range;
 
 /// Triplet accumulator: entries with identical `(row, col)` are **added**,
 /// matching PETSc's `ADD_VALUES` mode that the traversal-based assembly of
@@ -162,29 +164,38 @@ impl CsrMatrix {
         s
     }
 
-    /// Extracts the dense submatrix on `idx × idx` (used by the Additive
-    /// Schwarz preconditioner's local block solves).
-    pub fn dense_block(&self, idx: &[usize]) -> crate::dense::DenseMatrix {
-        let m = idx.len();
-        let mut pos = vec![usize::MAX; self.n];
-        for (local, &g) in idx.iter().enumerate() {
-            pos[g] = local;
-        }
-        let mut out = crate::dense::DenseMatrix::zeros(m, m);
-        for (local_i, &g) in idx.iter().enumerate() {
-            for k in self.row_ptr[g]..self.row_ptr[g + 1] {
-                let pj = pos[self.cols[k] as usize];
-                if pj != usize::MAX {
-                    out[(local_i, pj)] += self.vals[k];
-                }
-            }
-        }
+    /// Extracts the dense submatrix on `rows × rows` (the local problem of
+    /// one Additive Schwarz block).
+    pub fn dense_block(&self, rows: Range<usize>) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(0, 0);
+        self.dense_block_into(rows, &mut out);
         out
     }
 
+    /// [`CsrMatrix::dense_block`] into `out`, which is reshaped and keeps its
+    /// allocation. The cost is the stored entries of `rows` plus the block
+    /// itself, whatever the size of the matrix.
+    pub fn dense_block_into(&self, rows: Range<usize>, out: &mut DenseMatrix) {
+        assert!(rows.end <= self.n);
+        let (lo, m) = (rows.start, rows.len());
+        out.rows = m;
+        out.cols = m;
+        out.data.clear();
+        out.data.resize(m * m, 0.0);
+        for g in rows.clone() {
+            let local = &mut out.data[(g - lo) * m..(g - lo + 1) * m];
+            for k in self.row_ptr[g]..self.row_ptr[g + 1] {
+                let c = self.cols[k] as usize;
+                if rows.contains(&c) {
+                    local[c - lo] += self.vals[k];
+                }
+            }
+        }
+    }
+
     /// Dense conversion (tests and small condition-number studies only).
-    pub fn to_dense(&self) -> crate::dense::DenseMatrix {
-        let mut out = crate::dense::DenseMatrix::zeros(self.n, self.n);
+    pub fn to_dense(&self) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(self.n, self.n);
         for i in 0..self.n {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {
                 out[(i, self.cols[k] as usize)] += self.vals[k];
@@ -286,13 +297,16 @@ mod tests {
         for i in 0..4 {
             b.add(i, i, (i + 1) as f64);
         }
-        b.add(1, 3, 7.0);
+        b.add(1, 2, 7.0);
+        b.add(2, 3, 9.0); // column outside the block
+        b.add(0, 1, 5.0); // row outside the block
         let m = b.build();
-        let blk = m.dense_block(&[1, 3]);
-        assert_eq!(blk[(0, 0)], 2.0);
-        assert_eq!(blk[(1, 1)], 4.0);
-        assert_eq!(blk[(0, 1)], 7.0);
-        assert_eq!(blk[(1, 0)], 0.0);
+        let blk = m.dense_block(1..3);
+        assert_eq!(blk, DenseMatrix::from_rows(&[&[2.0, 7.0], &[0.0, 3.0]]));
+        // A larger scratch is reshaped, stale contents cleared.
+        let mut scratch = DenseMatrix::identity(3);
+        m.dense_block_into(1..3, &mut scratch);
+        assert_eq!(scratch, blk);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! -pc_type asm` configuration of the paper's Appendix B.2.
 
 use crate::csr::CsrMatrix;
-use crate::dense::LuFactors;
+use crate::dense::{DenseMatrix, SparseLu};
 use crate::vector::{axpy, dot};
+use std::ops::Range;
 
 /// An abstract linear operator `y = A x` — implemented both by assembled
 /// [`CsrMatrix`] and by the matrix-free traversal MATVEC of `carve-core`.
@@ -112,18 +113,21 @@ impl Precond for JacobiPrecond {
 
 /// Restricted overlapping Additive Schwarz: the index range is split into
 /// blocks with `overlap` shared indices; each block is solved exactly with a
-/// dense LU, and only the *owned* (non-overlap) part of each local solution
-/// is written back (restricted-ASM avoids double counting).
+/// partial-pivot LU whose factors are stored sparse, and only the *owned*
+/// (non-overlap) part of each local solution is written back
+/// (restricted-ASM avoids double counting).
 pub struct AsmPrecond {
     blocks: Vec<AsmBlock>,
     n: usize,
 }
 
+/// One block: global rows `lo..lo + factors.n()`, of which the local range
+/// `own_start..own_end` is written back.
 struct AsmBlock {
-    idx: Vec<usize>,
+    lo: usize,
     own_start: usize,
     own_end: usize,
-    lu: LuFactors,
+    factors: SparseLu,
 }
 
 impl AsmPrecond {
@@ -133,6 +137,8 @@ impl AsmPrecond {
         let n = a.n;
         let nblocks = nblocks.clamp(1, n.max(1));
         let mut blocks = Vec::with_capacity(nblocks);
+        // Every block is extracted and factored in this one dense array.
+        let mut scratch = DenseMatrix::zeros(0, 0);
         for b in 0..nblocks {
             let own_lo = b * n / nblocks;
             let own_hi = (b + 1) * n / nblocks;
@@ -141,43 +147,62 @@ impl AsmPrecond {
             }
             let lo = own_lo.saturating_sub(overlap);
             let hi = (own_hi + overlap).min(n);
-            let idx: Vec<usize> = (lo..hi).collect();
-            let dense = a.dense_block(&idx);
-            let lu = dense.lu().unwrap_or_else(|_| regularized_lu(&dense));
             blocks.push(AsmBlock {
+                lo,
                 own_start: own_lo - lo,
                 own_end: own_hi - lo,
-                idx,
-                lu,
+                factors: factor_block(a, lo..hi, &mut scratch),
             });
         }
         Self { blocks, n }
     }
+
+    pub fn num_blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Factor entries stored over all blocks (`L`, `U` and diagonals).
+    pub fn stored_entries(&self) -> usize {
+        self.blocks.iter().map(|b| b.factors.stored_entries()).sum()
+    }
+
+    /// What dense factors of the same blocks would hold: `Σ m²`.
+    pub fn dense_entries(&self) -> usize {
+        self.blocks.iter().map(|b| b.factors.n().pow(2)).sum()
+    }
 }
 
-fn regularized_lu(a: &crate::dense::DenseMatrix) -> LuFactors {
-    // Fall back to A + eps I if a block is singular (can happen with
-    // constrained rows); preconditioners only need to be invertible.
-    let mut m = a.clone();
-    let scale = a.norm1().max(1.0);
-    for i in 0..m.rows {
-        m[(i, i)] += 1e-10 * scale;
+/// Factors the block of `a` on `rows`, using `scratch` for the dense work.
+fn factor_block(a: &CsrMatrix, rows: Range<usize>, scratch: &mut DenseMatrix) -> SparseLu {
+    a.dense_block_into(rows.clone(), scratch);
+    if let Ok(factors) = SparseLu::factor(scratch) {
+        return factors;
     }
-    m.lu().expect("regularized block is nonsingular")
+    // Fall back to A + eps I if a block is singular (can happen with
+    // constrained rows); preconditioners only need to be invertible. The
+    // failed attempt overwrote the scratch, so extract again.
+    a.dense_block_into(rows, scratch);
+    let scale = scratch.norm1().max(1.0);
+    for i in 0..scratch.rows {
+        scratch[(i, i)] += 1e-10 * scale;
+    }
+    SparseLu::factor(scratch).expect("regularized block is nonsingular")
 }
 
 impl Precond for AsmPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.n);
-        z.fill(0.0);
-        let mut local = Vec::new();
+        assert_eq!(z.len(), self.n);
+        // The owned ranges tile `0..n`, so every entry of `z` is written.
+        // One work array, sized to the largest block, serves them all.
+        let largest = self.blocks.iter().map(|b| b.factors.n()).max();
+        let mut local = vec![0.0; largest.unwrap_or(0)];
         for blk in &self.blocks {
-            local.clear();
-            local.extend(blk.idx.iter().map(|&g| r[g]));
-            blk.lu.solve(&mut local);
-            for li in blk.own_start..blk.own_end {
-                z[blk.idx[li]] = local[li];
-            }
+            let local = &mut local[..blk.factors.n()];
+            blk.factors
+                .solve_into(&r[blk.lo..blk.lo + local.len()], local);
+            z[blk.lo + blk.own_start..blk.lo + blk.own_end]
+                .copy_from_slice(&local[blk.own_start..blk.own_end]);
         }
     }
 }
@@ -920,6 +945,151 @@ mod tests {
         let mut z = vec![0.0; 30];
         asm.apply(&b, &mut z);
         check_solution(&a, &z, &b, 1e-9);
+    }
+
+    /// Random sparse nonsymmetric matrix of the kinds an ASM block meets:
+    /// a band plus far couplings, identity (Dirichlet) rows, and columns
+    /// whose largest entry sits below the diagonal, so the factorization
+    /// swaps rows. With `singular`, one row and column are empty: every
+    /// block that contains that index takes the regularized path.
+    fn asm_test_matrix(n: usize, singular: bool, seed: u64) -> CsrMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let dead = n / 2 + 3;
+        let mut b = CooBuilder::new(n);
+        for i in 0..n {
+            if i % 11 == 5 {
+                b.add(i, i, 1.0);
+                continue;
+            }
+            b.add(i, i, rng.gen_range(0.5..1.5));
+            for _ in 0..5 {
+                let j = if rng.gen_bool(0.8) {
+                    (i + rng.gen_range(0..25usize))
+                        .saturating_sub(12)
+                        .min(n - 1)
+                } else {
+                    rng.gen_range(0..n)
+                };
+                b.add(i, j, rng.gen_range(-1.0..1.0));
+            }
+            if i % 7 == 3 && i >= 2 {
+                b.add(i, i - 2, 5.0);
+            }
+        }
+        let mut a = b.build();
+        if singular {
+            for i in 0..n {
+                for k in a.row_ptr[i]..a.row_ptr[i + 1] {
+                    if i == dead || a.cols[k] as usize == dead {
+                        a.vals[k] = 0.0;
+                    }
+                }
+            }
+        }
+        a
+    }
+
+    /// The block solve `AsmPrecond` replaced: dense extraction, dense
+    /// factors, `LuFactors::solve`, restricted write-back. Also returns how
+    /// many blocks were singular.
+    fn asm_reference(
+        a: &CsrMatrix,
+        nblocks: usize,
+        overlap: usize,
+        r: &[f64],
+    ) -> (Vec<f64>, usize) {
+        let n = a.n;
+        let mut z = vec![0.0; n];
+        let mut regularized = 0;
+        for b in 0..nblocks {
+            let (own_lo, own_hi) = (b * n / nblocks, (b + 1) * n / nblocks);
+            let lo = own_lo.saturating_sub(overlap);
+            let hi = (own_hi + overlap).min(n);
+            let dense = a.dense_block(lo..hi);
+            let lu = dense.lu().unwrap_or_else(|_| {
+                regularized += 1;
+                let mut m = dense.clone();
+                let scale = dense.norm1().max(1.0);
+                for i in 0..m.rows {
+                    m[(i, i)] += 1e-10 * scale;
+                }
+                m.lu().expect("regularized block is nonsingular")
+            });
+            let mut local = r[lo..hi].to_vec();
+            lu.solve(&mut local);
+            z[own_lo..own_hi].copy_from_slice(&local[own_lo - lo..own_hi - lo]);
+        }
+        (z, regularized)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn asm_apply_is_bitwise_the_dense_block_solve() {
+        use rand::{Rng, SeedableRng};
+        let n = 120;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
+        let mut r: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for i in (0..n).step_by(9) {
+            r[i] = 0.0; // homogeneous Dirichlet rows
+        }
+        for singular in [false, true] {
+            let a = asm_test_matrix(n, singular, 5);
+            for nblocks in [1, 3, 8] {
+                for overlap in [0, 4, 8] {
+                    let (want, regularized) = asm_reference(&a, nblocks, overlap, &r);
+                    assert_eq!(regularized > 0, singular);
+                    assert!(regularized < nblocks || nblocks == 1);
+                    let asm = AsmPrecond::new(&a, nblocks, overlap);
+                    let mut z = vec![f64::NAN; n];
+                    asm.apply(&r, &mut z);
+                    assert_eq!(
+                        bits(&z),
+                        bits(&want),
+                        "singular={singular} nblocks={nblocks} overlap={overlap}"
+                    );
+                    assert_eq!(asm.num_blocks(), nblocks);
+                    assert!(asm.stored_entries() < asm.dense_entries());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lu_zero_multiplier_skip_is_bitwise_the_full_loop() {
+        let n = 120;
+        let mut swapped = false;
+        for singular in [false, true] {
+            let a = asm_test_matrix(n, singular, 5);
+            for (lo, hi) in [(0, n), (0, 48), (36, 88), (97, n)] {
+                let dense = a.dense_block(lo..hi);
+                match (dense.lu(), crate::dense::lu_unskipped(&dense)) {
+                    (Ok(lu), Ok((want_lu, want_piv))) => {
+                        let (got_lu, got_piv) = lu.parts();
+                        assert_eq!(got_piv, want_piv);
+                        assert_eq!(bits(got_lu), bits(&want_lu), "block {lo}..{hi}");
+                        swapped |= got_piv.iter().enumerate().any(|(i, &p)| i != p);
+                    }
+                    (Err(_), Err(_)) => assert!(singular),
+                    _ => panic!("skip changed the singularity verdict on {lo}..{hi}"),
+                }
+            }
+        }
+        assert!(swapped, "the test matrices must force row swaps");
+    }
+
+    #[test]
+    fn asm_with_non_finite_entries_does_not_panic() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut a = asm_test_matrix(60, true, 9);
+            a.vals[a.row_ptr[20]] = bad;
+            let asm = AsmPrecond::new(&a, 3, 4);
+            let mut z = vec![0.0; 60];
+            asm.apply(&vec![1.0; 60], &mut z);
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! `-pc_type asm`, `NEWTONLS`, and Matlab's `condest` for Table 1). This
 //! crate provides the same capabilities natively:
 //!
-//! * [`DenseMatrix`] with partial-pivot LU — elemental matrices, ASM block
-//!   solves, and exact small-system work (Table 1's 1089-DOF systems).
+//! * [`DenseMatrix`] with partial-pivot LU — elemental matrices and exact
+//!   small-system work (Table 1's 1089-DOF systems). The additive-Schwarz
+//!   blocks run the same factorization and keep only the non-zeros of the
+//!   factors, as PETSc's sparse sub-solves do.
 //! * [`CsrMatrix`] built from `(row, col, val)` triplets with duplicate
 //!   *addition* — exactly the PETSc `ADD_VALUES` contract the traversal
 //!   assembly of §3.6 relies on.

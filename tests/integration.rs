@@ -388,3 +388,55 @@ fn dragon_to_mesh_to_nodes_pipeline() {
         .count();
     assert!(nb > 0);
 }
+
+/// The level-5 disk above stays under 2000 dofs and so on the Jacobi rung of
+/// the solver's preconditioner ladder; this one (3461 dofs) takes the
+/// additive-Schwarz rung. The iteration count and the FNV-1a digest of the
+/// solution were recorded while the Schwarz blocks were still solved with
+/// dense factors: any change to how a block is factored or substituted has
+/// to reproduce them bit for bit (BiCGStab plateaus on these systems, and
+/// block solves that differ only in rounding move the count by tens of
+/// percent — EXPERIMENTS.md, "`disk_sbm` budget").
+#[test]
+fn disk_poisson_sbm_schwarz_rung_is_pinned_bitwise() {
+    let disk = Sphere::<2>::new([0.5, 0.5], 0.5);
+    let domain = RetainSolid::new(disk);
+    let one = |_: &[f64; 2]| 1.0;
+    let zero = |_: &[f64; 2]| 0.0;
+    let closest = move |x: &[f64; 2]| disk.closest_boundary_point(x);
+    let exact = |x: &[f64; 2]| {
+        let r2 = (x[0] - 0.5).powi(2) + (x[1] - 0.5).powi(2);
+        0.25 * (0.25 - r2)
+    };
+    let mesh = Mesh::build(&domain, Curve::Morton, 6, 6, 1);
+    assert_eq!(mesh.num_dofs(), 3461);
+    let prob = PoissonProblem {
+        scale: 1.0,
+        f: &one,
+        dirichlet: &zero,
+        closest_boundary: Some(&closest),
+        strong_cube_bc: false,
+        bc: BcMode::Sbm(SbmParams::default()),
+    };
+    let _on = carve::obs::force_enabled();
+    let before = carve::obs::thread_snapshot();
+    let sol = solve_poisson(&mesh, &domain, &prob);
+    let setup = &carve::obs::thread_snapshot().diff(&before).phases["krylov/asm_setup"];
+    assert_eq!((setup.calls, setup.counters["asm_blocks"]), (1, 3461 / 400));
+    assert!(
+        setup.counters["asm_nnz"] * 4 < setup.counters["asm_dense_entries"],
+        "block factors stored dense: {:?}",
+        setup.counters
+    );
+    assert!(sol.krylov.converged);
+    assert_eq!(sol.krylov.iterations, 218);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for v in &sol.u {
+        for b in v.to_bits().to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(digest, 0x6005_3c43_8efd_2e8b, "digest {digest:016x}");
+    let l2 = l2_linf_error(&mesh, &domain, &sol.u, &exact, 1.0).l2;
+    assert!(l2 < 1e-4, "l2 {l2:e}");
+}
