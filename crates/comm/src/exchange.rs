@@ -187,6 +187,17 @@ impl ExchangeHandle {
         self.neighbors
     }
 
+    /// `(peer rank, local value indices)` of every non-empty send lane, in
+    /// rank order — the plan the handle was built from, for digests.
+    pub fn send_lanes(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.send.iter().map(|l| (l.rank, l.idx.as_slice()))
+    }
+
+    /// Like [`Self::send_lanes`], for the receive direction.
+    pub fn recv_lanes(&self) -> impl Iterator<Item = (usize, &[u32])> {
+        self.recv.iter().map(|l| (l.rank, l.idx.as_slice()))
+    }
+
     /// Payload bytes one ghost read sends from this rank.
     pub fn read_bytes(&self) -> u64 {
         self.send.iter().map(|l| (l.idx.len() * 8) as u64).sum()

@@ -390,6 +390,17 @@ impl<const DIM: usize> DistMesh<DIM> {
         }
     }
 
+    /// The exchange plan as `[send, recv]` lists of `(peer rank, local node
+    /// indices)`, non-empty lanes only, in rank order.
+    pub fn exchange_lanes(&self) -> [Vec<(usize, Vec<u32>)>; 2] {
+        let ex = self.exchange.borrow();
+        let own = |(q, idx): (usize, &[u32])| (q, idx.to_vec());
+        [
+            ex.send_lanes().map(own).collect(),
+            ex.recv_lanes().map(own).collect(),
+        ]
+    }
+
     /// Ghost statistics for Fig. 11.
     pub fn ghost_stats(&self) -> GhostStats {
         let ghost_nodes = self.nodes.len() - self.n_owned_nodes;

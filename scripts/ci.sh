@@ -24,6 +24,12 @@
 #                      bitwise identical in every use of the traversal
 #                      sweep, and a changed summation order is an explicit
 #                      re-record (DESIGN.md §6h)
+#   mesh-digest        dist_mesh_digest (every DistMesh::finish / adapt-patch
+#                      field, per rank, over meshes x ranks {1,2,3,4,7} x
+#                      curves x orders, plus empty ranks) byte-compared with
+#                      the committed results/dist_mesh_digest.txt: the ghost
+#                      layer, node set, ownership and plans are a pure
+#                      function of the owned leaves and the splitters
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
 #   bench-gate         scripts/bench_gate.sh perf regression gate
@@ -39,8 +45,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STAGES=(fmt build test-par1 test-par4 test-debug chaos chaos-lossy
-        adapt-determinism leaf-kernel-determinism clippy doc bench-gate
-        serve-gate scaling-gate)
+        adapt-determinism leaf-kernel-determinism mesh-digest clippy doc
+        bench-gate serve-gate scaling-gate)
 
 run_stage() {
   case "$1" in
@@ -119,6 +125,20 @@ run_stage() {
       cmp results/matvec_digest.txt "$tmp/w1-t1.txt" \
         || { echo "ci: matvec digest differs from results/matvec_digest.txt" >&2; return 1; }
       echo "ci: matvec digest bitwise-identical over widths {1,8} x threads {1,4}, equal to results/matvec_digest.txt"
+      ;;
+    # Everything the distributed finish decides, digested per rank. A change
+    # to how the ghost layer, the node set or the plans are computed must
+    # reproduce the committed file; a change to what they are re-records it
+    # on purpose.
+    mesh-digest)
+      cargo build --release -q -p carve-bench --bin dist_mesh_digest
+      local tmp
+      tmp=$(mktemp -d)
+      trap 'rm -rf "$tmp"' RETURN
+      ./target/release/dist_mesh_digest "$tmp/digest.txt"
+      cmp results/dist_mesh_digest.txt "$tmp/digest.txt" \
+        || { echo "ci: dist mesh digest differs from results/dist_mesh_digest.txt" >&2; return 1; }
+      echo "ci: dist mesh digest equal to results/dist_mesh_digest.txt"
       ;;
     # carve-comm additionally denies unwrap/expect crate-wide (lib.rs).
     clippy)
