@@ -214,13 +214,13 @@ impl<const DIM: usize> DistMesh<DIM> {
             let splitters: Vec<Option<Octant<DIM>>> = comm.all_gather(owned.first().copied());
             let (elems, owned_range) = exchange_ghost_layer(comm, curve, &owned, &splitters);
             debug_assert_2to1(&elems, "adapt patch (owned + ghost halo)");
-            let nodes = needed_node_set(domain, &elems, owned_range.clone(), self.order);
+            let (nodes, slots) = needed_node_set(domain, &elems, owned_range.clone(), self.order);
             let own = node_ownership_plans(comm, curve, &splitters, &nodes, true);
             self.exchange
                 .borrow_mut()
                 .rebuild(&own.send_plan, &own.recv_plan);
             let boundary_elem =
-                boundary_elem_flags(&elems, owned_range.clone(), &nodes, &own.owner, my);
+                boundary_elem_flags(elems.len(), owned_range.clone(), &slots, &own.owner, my);
             self.labels = elems
                 .iter()
                 .map(|e| crate::construct::classify_octant(domain, e))

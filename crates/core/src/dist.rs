@@ -19,7 +19,8 @@ use crate::balance::bottom_up_constrain_neighbors;
 use crate::construct::{construct_constrained, construct_uniform};
 use crate::matvec::{matvec_driver, Input, Kernels, LeafKernel, TraversalWorkspace, Tree};
 use crate::nodes::{
-    elem_node_coord, enumerate_nodes, lattice_index, nodes_per_elem, resolve_slot, NodeSet, SlotRef,
+    accumulate_hanging, elem_node_coord, enumerate_nodes_and_slots, lattice_index, nodes_per_elem,
+    NodeSet, HANGING,
 };
 use carve_comm::{
     dist_tree_sort, run_spmd_with, Comm, ExchangeHandle, ReduceOp, SpmdError, SpmdOptions,
@@ -27,7 +28,7 @@ use carve_comm::{
 use carve_geom::{RegionLabel, Subdomain};
 use carve_la::{Reduce, SolveCheckpoint};
 use carve_sfc::morton::{finest_cell_of_point, point_cmp_morton};
-use carve_sfc::{sfc_cmp, Curve, Octant};
+use carve_sfc::{sfc_cmp, Curve, Octant, SfcState, MAX_LEVEL};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -106,20 +107,30 @@ pub struct DistMesh<const DIM: usize> {
 }
 
 /// Bin of an octant key among rank splitters: the largest rank whose
-/// splitter is `<=` the key. Ranks without elements never win a bin.
+/// splitter is `<=` the key. Ranks without elements never win a bin, except
+/// that a key before every splitter bins to rank 0.
+///
+/// The non-empty splitters ascend with the rank, so this is a binary search
+/// over them; a probe that lands on an empty rank walks down to the nearest
+/// non-empty one.
 pub fn splitter_bin<const DIM: usize>(
     splitters: &[Option<Octant<DIM>>],
     curve: Curve,
     key: &Octant<DIM>,
 ) -> usize {
     let mut bin = 0usize;
-    for (r, s) in splitters.iter().enumerate() {
-        if let Some(s) = s {
-            if sfc_cmp(curve, s, key) != Ordering::Greater {
-                bin = r;
-            } else {
-                break;
-            }
+    let (mut lo, mut hi) = (0usize, splitters.len());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let Some((r, s)) = (lo..=mid).rev().find_map(|r| splitters[r].map(|s| (r, s))) else {
+            lo = mid + 1;
+            continue;
+        };
+        if sfc_cmp(curve, &s, key) != Ordering::Greater {
+            bin = r;
+            lo = mid + 1;
+        } else {
+            hi = r;
         }
     }
     bin
@@ -228,7 +239,7 @@ impl<const DIM: usize> DistMesh<DIM> {
         let (elems, owned) = exchange_ghost_layer(comm, curve, &owned_elems, &splitters);
 
         // --- Nodes --------------------------------------------------------
-        let nodes = needed_node_set(domain, &elems, owned.clone(), order);
+        let (nodes, slots) = needed_node_set(domain, &elems, owned.clone(), order);
 
         // --- Ownership, global ids, exchange plans -------------------------
         // The full (all-coords) broker protocol: the incremental patch path
@@ -236,7 +247,7 @@ impl<const DIM: usize> DistMesh<DIM> {
         let own = node_ownership_plans(comm, curve, &splitters, &nodes, false);
 
         // --- Interior/boundary element split ------------------------------
-        let boundary_elem = boundary_elem_flags(&elems, owned.clone(), &nodes, &own.owner, my);
+        let boundary_elem = boundary_elem_flags(elems.len(), owned.clone(), &slots, &own.owner, my);
 
         let labels = elems
             .iter()
@@ -566,120 +577,354 @@ where
     }
 }
 
+/// Position of `o`'s first cell along the curve: one `DIM`-bit digit (the
+/// SFC rank of the child) per level, most significant first, zero-padded to
+/// `MAX_LEVEL`. Integer order on the keys is [`sfc_cmp`] order, except that
+/// an octant shares its key with its first-child chain; the cells of `o` are
+/// exactly the keys in `[key, key + key_span(o.level))`.
+fn curve_key<const DIM: usize>(curve: Curve, o: &Octant<DIM>) -> u128 {
+    let mut st = SfcState::ROOT;
+    let mut key = 0u128;
+    for l in 1..=o.level {
+        let r = st.morton_to_sfc(curve, DIM, o.child_bits_at(l));
+        key = key << DIM | r as u128;
+        st = st.child(curve, DIM, r);
+    }
+    key << (DIM * usize::from(MAX_LEVEL - o.level))
+}
+
+/// Number of finest-level cells under an octant at `level`.
+fn key_span<const DIM: usize>(level: u8) -> u128 {
+    1u128 << (DIM * usize::from(MAX_LEVEL - level))
+}
+
+/// The non-empty rank splitters as curve keys: [`splitter_bin`] of a
+/// finest-level cell is one integer binary search.
+struct SplitterKeys {
+    /// Ascending keys of the non-empty splitters, and their ranks.
+    keys: Vec<u128>,
+    ranks: Vec<usize>,
+}
+
+impl SplitterKeys {
+    fn new<const DIM: usize>(curve: Curve, splitters: &[Option<Octant<DIM>>]) -> Self {
+        let (ranks, keys) = splitters
+            .iter()
+            .enumerate()
+            .filter_map(|(r, s)| s.map(|s| (r, curve_key(curve, &s))))
+            .unzip();
+        Self { keys, ranks }
+    }
+
+    /// [`splitter_bin`] of the finest-level cell with curve key `cell`: a
+    /// splitter is `<=` a finest cell exactly when its key is.
+    fn bin(&self, cell: u128) -> usize {
+        match self.keys.partition_point(|&s| s <= cell) {
+            0 => 0,
+            n => self.ranks[n - 1],
+        }
+    }
+
+    /// End of the key interval that starts at the splitter with key `lo`.
+    fn interval_end<const DIM: usize>(&self, lo: u128) -> u128 {
+        let next = self.keys.partition_point(|&s| s <= lo);
+        self.keys.get(next).copied().unwrap_or(key_span::<DIM>(0))
+    }
+
+    /// The ranks `b0..=b1` region `n` is requested from: the bins of the two
+    /// corner cells of its [`descendant_key_range`]. On the Hilbert curve
+    /// those cells are not the ends of `n`'s key range, and `b0 > b1` (no
+    /// lane at all) happens. Kept as it is: this is the routing
+    /// `results/dist_mesh_digest.txt` pins, and the overlapping rings of four
+    /// levels have so far covered for it (the distributed MATVEC equals the
+    /// sequential one on either curve).
+    fn lanes<const DIM: usize>(&self, curve: Curve, n: &Octant<DIM>) -> (usize, usize) {
+        let (first, last) = descendant_key_range(n);
+        (
+            self.bin(curve_key(curve, &first)),
+            self.bin(curve_key(curve, &last)),
+        )
+    }
+}
+
+/// One level of the ancestor path [`ghost_requests`] walks.
+#[derive(Clone, Copy)]
+struct Ring<const DIM: usize> {
+    /// The ancestor at this level whose leaves are being visited.
+    center: Octant<DIM>,
+    /// Its ring, or the ring of one of its ancestors, lies inside this
+    /// rank's key interval.
+    settled: bool,
+    /// Its ring has been looked at for requests.
+    emitted: bool,
+}
+
+/// Request regions of the ghost-layer protocol, per destination rank: the
+/// same-level 1-ring (itself and its neighbors) of every owned leaf and of
+/// its ancestors up to three levels, SFC-sorted and unique, each sent to the
+/// lanes [`SplitterKeys::lanes`] names, this rank excepted.
+///
+/// `owned_elems` is SFC-sorted, so the leaves under an ancestor are
+/// consecutive: `path` keeps the current ancestor per level, each ring is
+/// looked at once, and an ancestor whose whole ring lies inside this rank's
+/// key interval `[lo, hi)` settles every ring beneath it — all of their
+/// cells bin here, so none of their regions has a lane. What is left is the
+/// partition surface.
+fn ghost_requests<const DIM: usize>(
+    curve: Curve,
+    owned_elems: &[Octant<DIM>],
+    bins: &SplitterKeys,
+    my: usize,
+    nranks: usize,
+) -> Vec<Vec<Octant<DIM>>> {
+    let mut requests: Vec<Vec<Octant<DIM>>> = (0..nranks).map(|_| Vec::new()).collect();
+    let Some(first) = owned_elems.first() else {
+        return requests;
+    };
+    let lo = curve_key(curve, first);
+    let hi = bins.interval_end::<DIM>(lo);
+    let is_local = |n: &Octant<DIM>| {
+        let k = curve_key(curve, n);
+        lo <= k && k + key_span::<DIM>(n.level) <= hi
+    };
+    // No octant has this level, so every slot misses on first use.
+    let unvisited = Ring {
+        center: Octant {
+            anchor: [0; DIM],
+            level: u8::MAX,
+        },
+        settled: false,
+        emitted: false,
+    };
+    let mut path = [unvisited; MAX_LEVEL as usize + 1];
+    // (region, first lane, last lane)
+    let mut regions: Vec<(Octant<DIM>, usize, usize)> = Vec::new();
+    for e in owned_elems {
+        let mut settled = false;
+        for l in 0..=e.level {
+            let a = e.ancestor_at(l);
+            let ring = &mut path[usize::from(l)];
+            if ring.center != a {
+                *ring = Ring {
+                    center: a,
+                    settled: settled || (is_local(&a) && a.neighbors().iter().all(is_local)),
+                    emitted: false,
+                };
+            }
+            settled = ring.settled;
+            if l + 3 < e.level || ring.emitted {
+                continue;
+            }
+            ring.emitted = true;
+            if settled {
+                continue;
+            }
+            for n in std::iter::once(a).chain(a.neighbors()) {
+                if is_local(&n) {
+                    continue;
+                }
+                let (b0, b1) = bins.lanes(curve, &n);
+                if (b0..=b1).any(|b| b != my) {
+                    regions.push((n, b0, b1));
+                }
+            }
+        }
+    }
+    carve_sfc::treesort_by_key(&mut regions, curve, |r| r.0);
+    regions.dedup();
+    for (n, b0, b1) in regions {
+        for (b, lane) in requests.iter_mut().enumerate().take(b1 + 1).skip(b0) {
+            if b != my {
+                lane.push(n);
+            }
+        }
+    }
+    requests
+}
+
+/// Marks the owned leaves whose closed region meets the closed region of
+/// `n`: the leaves overlapping one of the 3^DIM level-`n` cells around it,
+/// found by key range in the sorted list (`owned_keys[i]` is the curve key
+/// of leaf `i`), less those in a neighbor cell that stay clear of `n`.
+/// Relies on the leaves not overlapping each other.
+fn mark_touching<const DIM: usize>(
+    curve: Curve,
+    owned_elems: &[Octant<DIM>],
+    owned_keys: &[u128],
+    n: &Octant<DIM>,
+    marks: &mut [bool],
+) {
+    for m in std::iter::once(*n).chain(n.neighbors()) {
+        let k = curve_key(curve, &m);
+        let lo = owned_keys.partition_point(|&x| x < k);
+        let hi = lo + owned_keys[lo..].partition_point(|&x| x < k + key_span::<DIM>(m.level));
+        if m == *n {
+            marks[lo..hi].fill(true);
+        } else {
+            for i in lo..hi {
+                marks[i] |= owned_elems[i].closed_regions_touch(n);
+            }
+        }
+        // A coarser leaf over `m` sorts right before `m`'s first cell.
+        if lo > 0 && owned_elems[lo - 1].is_ancestor_of(&m) {
+            marks[lo - 1] = true;
+        }
+    }
+}
+
+/// The owned leaves whose closed region meets that of one of `regions`, in
+/// owned order.
+fn ghost_reply<const DIM: usize>(
+    curve: Curve,
+    owned_elems: &[Octant<DIM>],
+    owned_keys: &[u128],
+    regions: &[Octant<DIM>],
+) -> Vec<Octant<DIM>> {
+    if regions.is_empty() {
+        return Vec::new();
+    }
+    let mut marks = vec![false; owned_elems.len()];
+    for n in regions {
+        mark_touching(curve, owned_elems, owned_keys, n, &mut marks);
+    }
+    let touched = owned_elems.iter().zip(&marks);
+    touched.filter(|(_, &m)| m).map(|(e, _)| *e).collect()
+}
+
 /// Ghost-element exchange: the region-request protocol shared by
 /// [`DistMesh::finish`], the distributed balance fixpoint, and the
 /// incremental adapt patch. Request regions are the same-level neighbors of
 /// each owned element and of its ancestors up to three levels (covers
 /// hanging-source chains); owners reply with every owned element overlapping
-/// a requested region. Returns the merged, SFC-sorted `(elems, owned)` pair
-/// with the owned elements occupying the contiguous `owned` range.
+/// or touching a requested region. Returns the merged, SFC-sorted
+/// `(elems, owned)` pair with the owned elements occupying the contiguous
+/// `owned` range.
+///
+/// Cost is proportional to the owned leaves plus the partition surface:
+/// requests are filtered before they are sorted ([`ghost_requests`]),
+/// replies are found by search ([`mark_touching`]), and the merged list is
+/// the replies in rank order around the owned leaves — the partition is
+/// SFC-contiguous per rank, so nothing is sorted again.
 pub(crate) fn exchange_ghost_layer<const DIM: usize>(
     comm: &Comm,
     curve: Curve,
     owned_elems: &[Octant<DIM>],
     splitters: &[Option<Octant<DIM>>],
 ) -> (Vec<Octant<DIM>>, Range<usize>) {
-    let p = comm.size();
     let my = comm.rank();
     let _obs = carve_obs::scope("ghost_elems");
-    let mut regions: Vec<Octant<DIM>> = Vec::new();
-    for e in owned_elems {
-        let mut a = *e;
-        for _ in 0..4 {
-            regions.push(a);
-            for n in a.neighbors() {
-                regions.push(n);
-            }
-            if a.level == 0 {
-                break;
-            }
-            a = a.parent();
-        }
+    let bins = SplitterKeys::new(curve, splitters);
+    let owned_keys: Vec<u128> = owned_elems.iter().map(|e| curve_key(curve, e)).collect();
+    // What the searches below take for granted and a sort used to paper over.
+    if !bins.keys.windows(2).all(|w| w[0] < w[1]) {
+        comm.protocol_error(format!("rank {my}: splitters do not ascend with the rank"));
     }
-    carve_sfc::treesort(&mut regions, curve);
-    regions.dedup();
-    // Route each region to the rank bins covering its descendant range.
-    let mut requests: Vec<Vec<Octant<DIM>>> = (0..p).map(|_| Vec::new()).collect();
-    for n in &regions {
-        let (first, last) = descendant_key_range(n);
-        let b0 = splitter_bin(splitters, curve, &first);
-        let b1 = splitter_bin(splitters, curve, &last);
-        for (b, lane) in requests.iter_mut().enumerate().take(b1 + 1).skip(b0) {
-            if b != my {
-                lane.push(*n);
-            }
-        }
+    if !owned_keys.windows(2).all(|w| w[0] < w[1]) {
+        comm.protocol_error(format!(
+            "rank {my}: owned leaves are not SFC-sorted or overlap each other"
+        ));
     }
+    let requests = ghost_requests(curve, owned_elems, &bins, my, comm.size());
+    carve_obs::counter(
+        "ghost_regions_routed",
+        requests.iter().map(|lane| lane.len() as u64).sum(),
+    );
     let incoming = comm.all_to_allv(requests);
-    // Reply with owned elements overlapping any requested region.
-    let mut replies: Vec<Vec<Octant<DIM>>> = (0..p).map(|_| Vec::new()).collect();
-    for (q, regs) in incoming.iter().enumerate() {
-        if regs.is_empty() {
-            continue;
-        }
-        for e in owned_elems {
-            if regs.iter().any(|n| {
-                n.is_ancestor_or_self(e) || e.is_ancestor_or_self(n) || e.closed_regions_touch(n)
-            }) {
-                replies[q].push(*e);
+    let replies: Vec<Vec<Octant<DIM>>> = incoming
+        .iter()
+        .map(|regions| ghost_reply(curve, owned_elems, &owned_keys, regions))
+        .collect();
+    carve_obs::counter(
+        "ghost_reply_elems",
+        replies.iter().map(|lane| lane.len() as u64).sum(),
+    );
+    let ghost_in = comm.all_to_allv(replies);
+    // Every rank owns one SFC interval, in rank order, and a reply lists its
+    // sender's leaves in order: lower ranks' replies, the owned leaves, then
+    // higher ranks' replies is the sorted union.
+    let below: usize = ghost_in[..my].iter().map(Vec::len).sum();
+    let owned = below..below + owned_elems.len();
+    let n_ghosts: usize = ghost_in.iter().map(Vec::len).sum();
+    let mut elems: Vec<Octant<DIM>> = Vec::with_capacity(n_ghosts + owned_elems.len());
+    for (q, reply) in ghost_in.iter().enumerate() {
+        let part = if q == my { owned_elems } else { reply };
+        if let (Some(last), Some(first)) = (elems.last(), part.first()) {
+            if sfc_cmp(curve, last, first) != Ordering::Less {
+                comm.protocol_error(format!(
+                    "rank {my}: ghost leaves {last:?} and {first:?} arrived out of SFC order \
+                     (owned leaves are not partitioned in rank order)"
+                ));
             }
         }
+        elems.extend_from_slice(part);
     }
-    let ghost_in = comm.all_to_allv(replies);
-    let mut elems = owned_elems.to_vec();
-    for v in ghost_in {
-        elems.extend(v);
-    }
-    carve_sfc::treesort(&mut elems, curve);
-    elems.dedup();
-    // Owned range within the merged list.
-    let owned_start = elems
-        .iter()
-        .position(|e| Some(e) == owned_elems.first())
-        .unwrap_or(0);
-    let owned = owned_start..owned_start + owned_elems.len();
-    debug_assert_eq!(&elems[owned.clone()], owned_elems);
     (elems, owned)
+}
+
+/// The lattice slots of the owned elements, resolved: owned element `i`
+/// reads the nodes `nodes[offsets[i]..offsets[i + 1]]` — its direct slots and
+/// the sources of its hanging ones, repeats included.
+pub(crate) struct OwnedSlots {
+    offsets: Vec<u32>,
+    nodes: Vec<u32>,
 }
 
 /// Enumerates nodes over `elems` and filters down to the *needed* set:
 /// coords referenced by owned elements directly or via hanging stencils.
+/// Every owned slot is resolved once — by the enumeration's own sort where it
+/// is a node, by the hanging rule where it is not — and the indices come
+/// back re-numbered to the needed set for [`boundary_elem_flags`].
 pub(crate) fn needed_node_set<const DIM: usize>(
     domain: &dyn Subdomain<DIM>,
     elems: &[Octant<DIM>],
     owned: Range<usize>,
     order: u64,
-) -> NodeSet<DIM> {
-    let full_nodes = enumerate_nodes(domain, elems, order);
-    let mut needed = vec![false; full_nodes.len()];
+) -> (NodeSet<DIM>, OwnedSlots) {
+    let (full_nodes, slot_node) = enumerate_nodes_and_slots(domain, elems, owned.clone(), order);
+    let _obs = carve_obs::scope("nodes");
     let npe = nodes_per_elem::<DIM>(order);
-    for e in &elems[owned] {
-        for lin in 0..npe {
-            let idx = lattice_index::<DIM>(lin, order);
-            let c = elem_node_coord(e, order, &idx);
-            match resolve_slot(&full_nodes, e, &c) {
-                SlotRef::Direct(i) => needed[i] = true,
-                SlotRef::Hanging(st) => {
-                    for (i, _) in st {
-                        needed[i] = true;
-                    }
-                }
+    let mut slots = OwnedSlots {
+        offsets: Vec::with_capacity(owned.len() + 1),
+        nodes: Vec::with_capacity(slot_node.len()),
+    };
+    slots.offsets.push(0);
+    let mut srcs = Vec::new();
+    for (e, elem_slots) in elems[owned].iter().zip(slot_node.chunks(npe)) {
+        for (lin, &node) in elem_slots.iter().enumerate() {
+            if node != HANGING {
+                slots.nodes.push(node);
+                continue;
             }
+            let c = elem_node_coord(e, order, &lattice_index::<DIM>(lin, order));
+            accumulate_hanging(&full_nodes, e, &c, 1.0, &mut srcs, &mut |i, _| {
+                slots.nodes.push(i as u32)
+            });
         }
+        slots.offsets.push(slots.nodes.len() as u32);
+    }
+    // 0 marks a needed node until the pass after numbers them in order.
+    let mut renumber = vec![u32::MAX; full_nodes.len()];
+    for &i in &slots.nodes {
+        renumber[i as usize] = 0;
     }
     let mut coords = Vec::new();
     let mut flags = Vec::new();
-    for (i, &need) in needed.iter().enumerate() {
-        if need {
+    for (i, new) in renumber.iter_mut().enumerate() {
+        if *new == 0 {
+            *new = coords.len() as u32;
             coords.push(full_nodes.coords[i]);
             flags.push(full_nodes.flags[i]);
         }
     }
-    NodeSet {
+    for i in slots.nodes.iter_mut() {
+        *i = renumber[*i as usize];
+    }
+    let nodes = NodeSet {
         order,
         coords,
         flags,
-    }
+    };
+    (nodes, slots)
 }
 
 /// Everything the broker protocol decides for a node set.
@@ -730,9 +975,7 @@ pub(crate) fn node_ownership_plans<const DIM: usize>(
         for k in 0..DIM {
             pt[k] = c[k] / order;
         }
-        adjacent_cells_of_node(&pt)
-            .iter()
-            .all(|cell| splitter_bin(splitters, curve, cell) == my)
+        adjacent_cells_of_node(pt).all(|cell| splitter_bin(splitters, curve, &cell) == my)
     };
     let surface: Vec<bool> = if fast_interior {
         let s: Vec<bool> = nodes.coords.iter().map(|c| !is_interior(c)).collect();
@@ -863,59 +1106,38 @@ pub(crate) fn node_ownership_plans<const DIM: usize>(
 /// axes. Nudges below the low edge are skipped; points on the high edge
 /// clamp inward inside `finest_cell_of_point`, so high-boundary duplicates
 /// collapse onto real cells.
-pub(crate) fn adjacent_cells_of_node<const DIM: usize>(pt: &[u64; DIM]) -> Vec<Octant<DIM>> {
-    let mut cells = Vec::with_capacity(1 << DIM);
-    'combo: for combo in 0..(1usize << DIM) {
-        let mut pt2 = *pt;
+pub(crate) fn adjacent_cells_of_node<const DIM: usize>(
+    pt: [u64; DIM],
+) -> impl Iterator<Item = Octant<DIM>> {
+    (0..1usize << DIM).filter_map(move |combo| {
+        let mut pt2 = pt;
         for (k, v) in pt2.iter_mut().enumerate() {
             if (combo >> k) & 1 == 1 {
-                if *v == 0 {
-                    continue 'combo;
-                }
-                *v -= 1;
+                *v = v.checked_sub(1)?;
             }
         }
-        cells.push(finest_cell_of_point(&pt2));
-    }
-    cells
+        Some(finest_cell_of_point(&pt2))
+    })
 }
 
 /// Flags owned elements whose stencil closure (direct or hanging) reads at
 /// least one ghost-owned node — they must wait for the ghost exchange in
 /// the overlapped matvec. Ghost elements are always `false`.
-pub(crate) fn boundary_elem_flags<const DIM: usize>(
-    elems: &[Octant<DIM>],
+pub(crate) fn boundary_elem_flags(
+    n_elems: usize,
     owned: Range<usize>,
-    nodes: &NodeSet<DIM>,
+    slots: &OwnedSlots,
     owner: &[u32],
     my: usize,
 ) -> Vec<bool> {
-    let npe = nodes_per_elem::<DIM>(nodes.order);
-    let mut boundary_elem = vec![false; elems.len()];
-    for (ei, e) in elems.iter().enumerate() {
-        if !owned.contains(&ei) {
-            continue;
-        }
-        'lattice: for lin in 0..npe {
-            let idx = lattice_index::<DIM>(lin, nodes.order);
-            let c = elem_node_coord(e, nodes.order, &idx);
-            match resolve_slot(nodes, e, &c) {
-                SlotRef::Direct(i) => {
-                    if owner[i] != my as u32 {
-                        boundary_elem[ei] = true;
-                        break 'lattice;
-                    }
-                }
-                SlotRef::Hanging(st) => {
-                    for (i, _) in st {
-                        if owner[i] != my as u32 {
-                            boundary_elem[ei] = true;
-                            break 'lattice;
-                        }
-                    }
-                }
-            }
-        }
+    let _obs = carve_obs::scope("ownership");
+    let mut boundary_elem = vec![false; n_elems];
+    for (flag, span) in boundary_elem[owned]
+        .iter_mut()
+        .zip(slots.offsets.windows(2))
+    {
+        let reads = &slots.nodes[span[0] as usize..span[1] as usize];
+        *flag = reads.iter().any(|&i| owner[i as usize] != my as u32);
     }
     boundary_elem
 }
@@ -1220,6 +1442,266 @@ mod tests {
         })
         .expect_err("killed rank must fail the build");
         assert_eq!(err.failed_ranks(), vec![1], "{err}");
+    }
+
+    /// `splitter_bin` as the linear scan it was before it searched.
+    fn splitter_bin_reference<const DIM: usize>(
+        splitters: &[Option<Octant<DIM>>],
+        curve: Curve,
+        key: &Octant<DIM>,
+    ) -> usize {
+        let mut bin = 0usize;
+        for (r, s) in splitters.iter().enumerate() {
+            if let Some(s) = s {
+                if sfc_cmp(curve, s, key) != Ordering::Greater {
+                    bin = r;
+                } else {
+                    break;
+                }
+            }
+        }
+        bin
+    }
+
+    /// The request lists as first written: every ring of every leaf and of
+    /// its three ancestors, sorted and deduplicated, then routed.
+    fn ghost_requests_reference<const DIM: usize>(
+        curve: Curve,
+        owned_elems: &[Octant<DIM>],
+        splitters: &[Option<Octant<DIM>>],
+        my: usize,
+    ) -> Vec<Vec<Octant<DIM>>> {
+        let mut regions: Vec<Octant<DIM>> = Vec::new();
+        for e in owned_elems {
+            let mut a = *e;
+            for _ in 0..4 {
+                regions.push(a);
+                regions.extend(a.neighbors());
+                if a.level == 0 {
+                    break;
+                }
+                a = a.parent();
+            }
+        }
+        carve_sfc::treesort(&mut regions, curve);
+        regions.dedup();
+        let mut requests: Vec<Vec<Octant<DIM>>> = vec![Vec::new(); splitters.len()];
+        for n in &regions {
+            let (first, last) = descendant_key_range(n);
+            let b0 = splitter_bin_reference(splitters, curve, &first);
+            let b1 = splitter_bin_reference(splitters, curve, &last);
+            for (b, lane) in requests.iter_mut().enumerate().take(b1 + 1).skip(b0) {
+                if b != my {
+                    lane.push(*n);
+                }
+            }
+        }
+        requests
+    }
+
+    /// The reply predicate as first written: one scan of the owned leaves
+    /// against every requested region.
+    fn ghost_reply_reference<const DIM: usize>(
+        owned_elems: &[Octant<DIM>],
+        regions: &[Octant<DIM>],
+    ) -> Vec<Octant<DIM>> {
+        let meets = |e: &Octant<DIM>| {
+            regions.iter().any(|n| {
+                n.is_ancestor_or_self(e) || e.is_ancestor_or_self(n) || e.closed_regions_touch(n)
+            })
+        };
+        owned_elems.iter().filter(|e| meets(e)).copied().collect()
+    }
+
+    /// Cuts `leaves` into rank slices at `cuts` and checks, for every rank,
+    /// the filtered request lists and the searched replies against the
+    /// references. Returns (regions routed, leaves replied).
+    fn check_ghost_search<const DIM: usize>(
+        curve: Curve,
+        leaves: &[Octant<DIM>],
+        cuts: &[usize],
+        tag: &str,
+    ) -> (usize, usize) {
+        let nranks = cuts.len() - 1;
+        let owned = |r: usize| &leaves[cuts[r]..cuts[r + 1]];
+        let splitters: Vec<Option<Octant<DIM>>> =
+            (0..nranks).map(|r| owned(r).first().copied()).collect();
+        let bins = SplitterKeys::new(curve, &splitters);
+        let keys: Vec<Vec<u128>> = (0..nranks)
+            .map(|r| owned(r).iter().map(|e| curve_key(curve, e)).collect())
+            .collect();
+        let (mut routed, mut replied) = (0, 0);
+        for my in 0..nranks {
+            let requests = ghost_requests(curve, owned(my), &bins, my, nranks);
+            let want = ghost_requests_reference(curve, owned(my), &splitters, my);
+            assert_eq!(requests, want, "{tag}: requests of rank {my}");
+            for (q, regions) in requests.iter().enumerate() {
+                let reply = ghost_reply(curve, owned(q), &keys[q], regions);
+                let want = ghost_reply_reference(owned(q), regions);
+                assert_eq!(reply, want, "{tag}: reply of rank {q} to rank {my}");
+                // Region by region too: in the union one region covers for
+                // what another misses.
+                for n in regions {
+                    let reply = ghost_reply(curve, owned(q), &keys[q], &[*n]);
+                    let want = ghost_reply_reference(owned(q), &[*n]);
+                    assert_eq!(reply, want, "{tag}: reply of rank {q} to {n:?}");
+                }
+                routed += regions.len();
+                replied += reply.len();
+            }
+        }
+        (routed, replied)
+    }
+
+    #[test]
+    fn ghost_layer_search_equals_the_scanned_protocol() {
+        use crate::balance::construct_balanced;
+        use crate::construct::construct_boundary_refined;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+        let (mut routed, mut replied) = (0, 0);
+        let mut check = |(a, b): (usize, usize)| {
+            routed += a;
+            replied += b;
+        };
+        for round in 0..6 {
+            for curve in [Curve::Morton, Curve::Hilbert] {
+                let nranks = rng.gen_range(2..=5usize);
+                // Random cut points: uneven slices, now and then an empty one.
+                let cuts_of = |n: usize, rng: &mut rand_chacha::ChaCha8Rng| {
+                    let mut cuts: Vec<usize> = (1..nranks).map(|_| rng.gen_range(0..=n)).collect();
+                    cuts.extend([0, n]);
+                    cuts.sort_unstable();
+                    cuts
+                };
+                let c2 = [rng.gen_range(0.3..0.7), rng.gen_range(0.3..0.7)];
+                let d2 = CarvedSolids::<2>::new(vec![Box::new(Sphere::new(
+                    c2,
+                    rng.gen_range(0.1..0.3),
+                ))]);
+                let raw = construct_boundary_refined(&d2, curve, 3, rng.gen_range(5..=7));
+                let t2 = construct_balanced(&d2, curve, &raw);
+                let tag = format!("2d {curve:?} round {round}");
+                check(check_ghost_search(
+                    curve,
+                    &t2,
+                    &cuts_of(t2.len(), &mut rng),
+                    &tag,
+                ));
+                // Not 2:1-balanced: the protocol is geometry, not grading.
+                check(check_ghost_search(
+                    curve,
+                    &raw,
+                    &cuts_of(raw.len(), &mut rng),
+                    &tag,
+                ));
+                let c3 = [rng.gen_range(0.4..0.6), rng.gen_range(0.4..0.6), 0.5];
+                let d3 = CarvedSolids::<3>::new(vec![Box::new(Sphere::new(
+                    c3,
+                    rng.gen_range(0.15..0.3),
+                ))]);
+                let raw = construct_boundary_refined(&d3, curve, 2, 4);
+                let t3 = construct_balanced(&d3, curve, &raw);
+                let tag = format!("3d {curve:?} round {round}");
+                check(check_ghost_search(
+                    curve,
+                    &t3,
+                    &cuts_of(t3.len(), &mut rng),
+                    &tag,
+                ));
+            }
+        }
+        assert!(routed > 2_000, "only {routed} regions routed");
+        assert!(replied > 20_000, "only {replied} leaves replied");
+    }
+
+    #[test]
+    fn splitter_bin_search_equals_the_scan() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            let leaves = crate::construct::construct_uniform::<2>(&FullDomain, curve, 3);
+            for _ in 0..200 {
+                // Ascending splitters with empty ranks sprinkled in, at the
+                // ends too.
+                let nranks = rng.gen_range(1..=9usize);
+                let mut picks: Vec<usize> = (0..nranks)
+                    .map(|_| rng.gen_range(0..leaves.len()))
+                    .collect();
+                picks.sort_unstable();
+                picks.dedup();
+                let mut splitters: Vec<Option<Octant<2>>> =
+                    picks.iter().map(|&i| Some(leaves[i])).collect();
+                for _ in 0..rng.gen_range(0..4) {
+                    splitters.insert(rng.gen_range(0..=splitters.len()), None);
+                }
+                let bins = SplitterKeys::new(curve, &splitters);
+                for leaf in &leaves {
+                    let cell = descendant_key_range(leaf).1;
+                    let want = splitter_bin_reference(&splitters, curve, &cell);
+                    assert_eq!(splitter_bin(&splitters, curve, &cell), want);
+                    assert_eq!(bins.bin(curve_key(curve, &cell)), want);
+                    // Coarser keys take the search only.
+                    let want = splitter_bin_reference(&splitters, curve, leaf);
+                    assert_eq!(splitter_bin(&splitters, curve, leaf), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn finish_rejects_leaves_not_partitioned_in_rank_order() {
+        // The ghost layer is found by search and merged by concatenation,
+        // which holds only for sorted leaves on SFC intervals in rank order.
+        // Anything else used to come back as a mesh with `owned` starting at
+        // 0; now it is a structured error on every rank that can see it.
+        use carve_comm::{run_spmd_with, SpmdOptions};
+        let finish = |deal: fn(usize, &[Octant<2>]) -> Vec<Octant<2>>| {
+            let opts = SpmdOptions::default().timeout(std::time::Duration::from_secs(20));
+            run_spmd_with(2, opts, move |c| {
+                let domain = sphere_domain_2d();
+                let all = Mesh::build(&domain, Curve::Hilbert, 3, 5, 1).elems;
+                let owned = deal(c.rank(), &all);
+                DistMesh::finish(c, &domain, Curve::Hilbert, owned, 1).n_global_dofs
+            })
+            .expect_err("a broken partition must fail the finish")
+        };
+        let says = |err: &SpmdError, what: &str| {
+            let roots = err.primary();
+            assert!(roots.iter().all(|f| f.to_string().contains(what)), "{err}");
+        };
+        // Halves swapped between the ranks.
+        let err = finish(|rank, all| {
+            let half = all.len() / 2;
+            if rank == 0 {
+                all[half..].to_vec()
+            } else {
+                all[..half].to_vec()
+            }
+        });
+        says(&err, "splitters do not ascend");
+        // Rank 0 also holds a leaf from the middle of rank 1's interval.
+        let err = finish(|rank, all| {
+            let half = all.len() / 2;
+            if rank == 0 {
+                let mut owned = all[..half].to_vec();
+                owned.push(all[half + 7]);
+                owned
+            } else {
+                all[half..].to_vec()
+            }
+        });
+        says(&err, "out of SFC order");
+        // Unsorted leaves.
+        let err = finish(|rank, all| {
+            let half = all.len() / 2;
+            let mut owned = if rank == 0 {
+                all[..half].to_vec()
+            } else {
+                all[half..].to_vec()
+            };
+            owned.swap(3, 4);
+            owned
+        });
+        says(&err, "not SFC-sorted");
     }
 
     #[test]

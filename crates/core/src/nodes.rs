@@ -17,7 +17,7 @@
 use carve_geom::Subdomain;
 use carve_sfc::morton::point_cmp_morton;
 use carve_sfc::{Octant, MAX_LEVEL};
-use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Per-node classification flags.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -133,6 +133,48 @@ pub fn node_unit_coords<const DIM: usize>(coord: &[u64; DIM], p: u64) -> [f64; D
     out
 }
 
+/// Morton keys of lattice points: bit `b` of axis `k` lands on bit
+/// `DIM·b + k`, so integer order on the keys is [`point_cmp_morton`] order on
+/// the points. Spreads one byte per table look-up.
+struct MortonKeys<const DIM: usize> {
+    /// `spread[v]`: the bits of byte `v`, `DIM` apart.
+    spread: [u128; 256],
+}
+
+impl<const DIM: usize> MortonKeys<DIM> {
+    fn new() -> Self {
+        let spread = std::array::from_fn(|v| {
+            (0..8).fold(0u128, |acc, b| acc | ((v as u128 >> b) & 1) << (DIM * b))
+        });
+        Self { spread }
+    }
+
+    /// Key contribution of coordinate `v` on axis `axis`.
+    #[inline]
+    fn axis(&self, v: u64, axis: usize) -> u128 {
+        let mut key = 0u128;
+        let (mut rest, mut shift) = (v, axis);
+        while rest != 0 {
+            key |= self.spread[(rest & 0xff) as usize] << shift;
+            rest >>= 8;
+            shift += 8 * DIM;
+        }
+        key
+    }
+
+    /// The point whose key is `key`, coordinates below `2^bits`.
+    fn point(key: u128, bits: u32) -> [u64; DIM] {
+        let mut c = [0u64; DIM];
+        for b in 0..bits as usize {
+            let digit = key >> (DIM * b);
+            for (k, ck) in c.iter_mut().enumerate() {
+                *ck |= ((digit >> k) as u64 & 1) << b;
+            }
+        }
+        c
+    }
+}
+
 /// Enumerates unique non-hanging nodes for a 2:1-balanced element list
 /// (Algorithm of §3.4: generate + cancellation + sort + filter + tag).
 pub fn enumerate_nodes<const DIM: usize>(
@@ -140,77 +182,108 @@ pub fn enumerate_nodes<const DIM: usize>(
     elems: &[Octant<DIM>],
     p: u64,
 ) -> NodeSet<DIM> {
+    enumerate_nodes_and_slots(domain, elems, 0..0, p).0
+}
+
+/// Marks a lattice slot that is not a node (it hangs).
+pub(crate) const HANGING: u32 = u32::MAX;
+
+/// [`enumerate_nodes`] and, out of the same sort, the node of every lattice
+/// slot of the elements `elems[slotted]`: entry `i * npe + lin` is the node
+/// index of slot `lin` of element `slotted.start + i`, or [`HANGING`].
+///
+/// Every generated point is one integer — its Morton key, then the
+/// cancellation flag, then (for a slot of a `slotted` element) the entry it
+/// fills — so one integer sort groups the instances of a coordinate,
+/// ordinary ones first, and a surviving group names its slots.
+pub(crate) fn enumerate_nodes_and_slots<const DIM: usize>(
+    domain: &dyn Subdomain<DIM>,
+    elems: &[Octant<DIM>],
+    slotted: Range<usize>,
+    p: u64,
+) -> (NodeSet<DIM>, Vec<u32>) {
     assert!((1..=3).contains(&p), "orders 1 to 3 supported");
     let _obs = carve_obs::scope("nodes");
     let npe = nodes_per_elem::<DIM>(p);
-    // (coord, is_cancellation)
-    let mut pts: Vec<([u64; DIM], bool)> = Vec::with_capacity(elems.len() * npe * 2);
-    for e in elems {
+    let mut slot_node = vec![HANGING; slotted.len() * npe];
+    let cube_max = p * (1u64 << MAX_LEVEL);
+    let coord_bits = u64::BITS - cube_max.leading_zeros();
+    // Low bits: entry of `slot_node` plus one (zero: none), then the flag.
+    let tag_bits = usize::BITS - slot_node.len().leading_zeros();
+    let flag = 1u128 << tag_bits;
+    assert!(
+        (DIM as u32) * coord_bits + tag_bits < u128::BITS,
+        "Morton key of a {DIM}-dimensional lattice point does not fit 128 bits"
+    );
+    // Half-lattice multi-indices (each component `0..=2p`) of the ordinary
+    // nodes — all even — and of the cancellation nodes: the points on ∂e
+    // that are not p-lattice points (a component on a face, a component
+    // odd).
+    let q = 2 * p;
+    let ordinary: Vec<[u64; DIM]> = (0..npe)
+        .map(|lin| lattice_index::<DIM>(lin, p).map(|i| 2 * i))
+        .collect();
+    let cancellation: Vec<[u64; DIM]> = (0..nodes_per_elem::<DIM>(q))
+        .map(|lin| lattice_index::<DIM>(lin, q))
+        .filter(|idx| idx.iter().any(|&i| i == 0 || i == q) && idx.iter().any(|&i| i % 2 == 1))
+        .collect();
+    // A cancellation point of `e` sits at an odd multiple of `side(e) / 2`
+    // on some axis, every ordinary node of an element at `e`'s level or
+    // coarser at a multiple of `side(e)`: the finest leaves cancel nothing.
+    let finest = elems.iter().map(|e| e.level).max().unwrap_or(0);
+    let n_coarser = elems.iter().filter(|e| e.level < finest).count();
+    let mut keys: Vec<u128> =
+        Vec::with_capacity(elems.len() * npe + n_coarser * cancellation.len());
+    let morton = MortonKeys::<DIM>::new();
+    for (ei, e) in elems.iter().enumerate() {
         assert!(
             e.level < MAX_LEVEL,
             "elements at MAX_LEVEL cannot host cancellation lattices"
         );
-        // Ordinary nodes.
-        for lin in 0..npe {
-            let idx = lattice_index::<DIM>(lin, p);
-            pts.push((elem_node_coord(e, p, &idx), false));
+        let half = (e.side() / 2) as u64;
+        // Key contributions of the `2p + 1` half-lattice positions per axis.
+        let axis: [[u128; 7]; DIM] = std::array::from_fn(|k| {
+            std::array::from_fn(|j| morton.axis(e.anchor[k] as u64 * p + j as u64 * half, k))
+        });
+        let key = |idx: &[u64; DIM]| {
+            let point = idx.iter().zip(&axis);
+            point.fold(0u128, |acc, (&j, ax)| acc | ax[j as usize]) << (tag_bits + 1)
+        };
+        if slotted.contains(&ei) {
+            let first_tag = (ei - slotted.start) * npe + 1;
+            let tagged = ordinary.iter().zip(first_tag..);
+            keys.extend(tagged.map(|(idx, tag)| key(idx) | tag as u128));
+        } else {
+            keys.extend(ordinary.iter().map(key));
         }
-        // Cancellation nodes: the (2p)-lattice points on ∂e that are not
-        // p-lattice points (at least one odd component; at least one
-        // component on a face).
-        let side = e.side() as u64;
-        let half = side / 2;
-        let q = 2 * p;
-        let n2 = ((q + 1) as usize).pow(DIM as u32);
-        for lin in 0..n2 {
-            let idx = lattice_index::<DIM>(lin, q);
-            let mut on_boundary = false;
-            let mut any_odd = false;
-            for &ik in idx.iter().take(DIM) {
-                if ik == 0 || ik == q {
-                    on_boundary = true;
-                }
-                if ik % 2 == 1 {
-                    any_odd = true;
-                }
-            }
-            if on_boundary && any_odd {
-                let mut c = [0u64; DIM];
-                for k in 0..DIM {
-                    c[k] = e.anchor[k] as u64 * p + idx[k] * half;
-                }
-                pts.push((c, true));
-            }
+        if e.level < finest {
+            keys.extend(cancellation.iter().map(|idx| key(idx) | flag));
         }
     }
-    // Sort by coordinate (point-Morton), cancellation instances
-    // tie-broken after ordinary so a single pass can scan groups.
-    pts.sort_unstable_by(|a, b| match point_cmp_morton(&a.0, &b.0) {
-        Ordering::Equal => a.1.cmp(&b.1),
-        o => o,
-    });
+    keys.sort_unstable();
     let mut coords = Vec::new();
-    let mut i = 0;
-    while i < pts.len() {
-        let c = pts[i].0;
-        let mut has_ordinary = false;
-        let mut has_cancel = false;
-        let mut j = i;
-        while j < pts.len() && pts[j].0 == c {
-            if pts[j].1 {
-                has_cancel = true;
-            } else {
-                has_ordinary = true;
+    let mut group_start = 0;
+    for i in 0..keys.len() {
+        let coord_key = keys[i] >> (tag_bits + 1);
+        if keys
+            .get(i + 1)
+            .is_some_and(|&next| next >> (tag_bits + 1) == coord_key)
+        {
+            continue;
+        }
+        // `keys[group_start..=i]` are the instances of one coordinate. It
+        // survives when none is a cancellation: the last has the flag clear.
+        if keys[i] & flag == 0 {
+            for k in &keys[group_start..=i] {
+                if let Some(slot) = ((k & (flag - 1)) as usize).checked_sub(1) {
+                    slot_node[slot] = coords.len() as u32;
+                }
             }
-            j += 1;
+            coords.push(MortonKeys::<DIM>::point(coord_key, coord_bits));
         }
-        if has_ordinary && !has_cancel {
-            coords.push(c);
-        }
-        i = j;
+        group_start = i + 1;
     }
     // Tag nodes.
-    let cube_max = p * (1u64 << MAX_LEVEL);
     let flags = coords
         .iter()
         .map(|c| {
@@ -225,11 +298,12 @@ pub fn enumerate_nodes<const DIM: usize>(
             NodeFlags(f)
         })
         .collect();
-    NodeSet {
+    let nodes = NodeSet {
         order: p,
         coords,
         flags,
-    }
+    };
+    (nodes, slot_node)
 }
 
 impl<const DIM: usize> NodeSet<DIM> {
@@ -285,7 +359,9 @@ pub fn resolve_slot<const DIM: usize>(
         return SlotRef::Direct(i);
     }
     let mut acc: Vec<(usize, f64)> = Vec::new();
-    accumulate_hanging(nodes, elem, coord, 1.0, &mut Vec::new(), &mut acc);
+    accumulate_hanging(nodes, elem, coord, 1.0, &mut Vec::new(), &mut |i, w| {
+        acc.push((i, w))
+    });
     // Merge duplicate node indices.
     acc.sort_unstable_by_key(|e| e.0);
     let mut merged: Vec<(usize, f64)> = Vec::with_capacity(acc.len());
@@ -301,16 +377,21 @@ pub fn resolve_slot<const DIM: usize>(
     SlotRef::Hanging(merged)
 }
 
-fn accumulate_hanging<const DIM: usize>(
+/// The recursion under [`resolve_slot`], without its `Vec`: hands `sink`
+/// every `(node index, weight)` term of lattice coordinate `coord` of `oct`
+/// scaled by `weight` — the node itself, or the recursively resolved sources
+/// of a hanging point, repeats unmerged. `srcs` is scratch shared across
+/// calls.
+pub(crate) fn accumulate_hanging<const DIM: usize>(
     nodes: &NodeSet<DIM>,
     oct: &Octant<DIM>,
     coord: &[u64; DIM],
     weight: f64,
     srcs: &mut Vec<([u64; DIM], f64)>,
-    acc: &mut Vec<(usize, f64)>,
+    sink: &mut impl FnMut(usize, f64),
 ) {
     if let Some(i) = nodes.find(coord) {
-        acc.push((i, weight));
+        sink(i, weight);
         return;
     }
     let base = srcs.len();
@@ -318,7 +399,7 @@ fn accumulate_hanging<const DIM: usize>(
     let parent = oct.parent();
     for k in base..srcs.len() {
         let (src, w) = srcs[k];
-        accumulate_hanging(nodes, &parent, &src, weight * w, srcs, acc);
+        accumulate_hanging(nodes, &parent, &src, weight * w, srcs, sink);
     }
     srcs.truncate(base);
 }
@@ -673,6 +754,104 @@ mod tests {
             hanging += check_resolve_slot_unchanged(&d3, &b, &format!("3d {round}"));
         }
         assert!(hanging > 1000, "only {hanging} hanging slots compared");
+    }
+
+    /// `enumerate_nodes` as first written: `(coord, is_cancellation)` pairs
+    /// from every element, sorted with `point_cmp_morton`. Coordinates only —
+    /// tagging did not change.
+    fn enumerate_coords_reference<const DIM: usize>(
+        elems: &[Octant<DIM>],
+        p: u64,
+    ) -> Vec<[u64; DIM]> {
+        use carve_sfc::morton::point_cmp_morton;
+        let mut pts: Vec<([u64; DIM], bool)> = Vec::new();
+        for e in elems {
+            for lin in 0..nodes_per_elem::<DIM>(p) {
+                pts.push((elem_node_coord(e, p, &lattice_index::<DIM>(lin, p)), false));
+            }
+            let half = (e.side() / 2) as u64;
+            let q = 2 * p;
+            for lin in 0..nodes_per_elem::<DIM>(q) {
+                let idx = lattice_index::<DIM>(lin, q);
+                let on_boundary = idx.iter().any(|&i| i == 0 || i == q);
+                let any_odd = idx.iter().any(|&i| i % 2 == 1);
+                if on_boundary && any_odd {
+                    pts.push((
+                        std::array::from_fn(|k| e.anchor[k] as u64 * p + idx[k] * half),
+                        true,
+                    ));
+                }
+            }
+        }
+        pts.sort_unstable_by(|a, b| point_cmp_morton(&a.0, &b.0).then(a.1.cmp(&b.1)));
+        let mut coords = Vec::new();
+        let mut i = 0;
+        while i < pts.len() {
+            let c = pts[i].0;
+            let group = pts[i..].iter().take_while(|q| q.0 == c);
+            let (n, cancelled) = group.fold((0, false), |(n, x), q| (n + 1, x || q.1));
+            if !cancelled {
+                coords.push(c);
+            }
+            i += n;
+        }
+        coords
+    }
+
+    fn check_enumeration_unchanged<const DIM: usize>(
+        domain: &dyn carve_geom::Subdomain<DIM>,
+        elems: &[Octant<DIM>],
+        tag: &str,
+    ) {
+        // Slots of the middle third: elements before and after stay untagged.
+        let slotted = elems.len() / 3..2 * elems.len() / 3;
+        for p in [1u64, 2, 3] {
+            let (nodes, slot_node) = enumerate_nodes_and_slots(domain, elems, slotted.clone(), p);
+            let want = enumerate_coords_reference(elems, p);
+            assert_eq!(nodes.coords, want, "{tag} p={p}");
+            assert_eq!(nodes.flags.len(), nodes.coords.len());
+            assert_eq!(enumerate_nodes(domain, elems, p).coords, want);
+            let npe = nodes_per_elem::<DIM>(p);
+            assert_eq!(slot_node.len(), slotted.len() * npe);
+            for (e, slots) in elems[slotted.clone()].iter().zip(slot_node.chunks(npe)) {
+                for (lin, &slot) in slots.iter().enumerate() {
+                    let c = elem_node_coord(e, p, &lattice_index::<DIM>(lin, p));
+                    let want = nodes.find(&c).map_or(HANGING, |i| i as u32);
+                    assert_eq!(slot, want, "{tag} p={p} {e:?} lin={lin}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_key_enumeration_equals_the_comparator_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(16);
+        for round in 0..4 {
+            let c2 = [rng.gen_range(0.3..0.7), rng.gen_range(0.3..0.7)];
+            let d2 =
+                CarvedSolids::<2>::new(vec![Box::new(Sphere::new(c2, rng.gen_range(0.1..0.3)))]);
+            // Unbalanced (hanging chains), balanced, and one level only.
+            let t = construct_boundary_refined(&d2, Curve::Hilbert, 2, 6);
+            check_enumeration_unchanged(&d2, &t, &format!("2d raw {round}"));
+            let b = construct_balanced(&d2, Curve::Hilbert, &t);
+            check_enumeration_unchanged(&d2, &b, &format!("2d {round}"));
+            let c3 = [rng.gen_range(0.4..0.6), rng.gen_range(0.4..0.6), 0.5];
+            let d3 =
+                CarvedSolids::<3>::new(vec![Box::new(Sphere::new(c3, rng.gen_range(0.15..0.3)))]);
+            let t = construct_boundary_refined(&d3, Curve::Morton, 1, 4);
+            check_enumeration_unchanged(&d3, &t, &format!("3d raw {round}"));
+            let b = construct_balanced(&d3, Curve::Morton, &t);
+            check_enumeration_unchanged(&d3, &b, &format!("3d {round}"));
+        }
+        let uniform = construct_uniform::<3>(&FullDomain, Curve::Morton, 2);
+        check_enumeration_unchanged(&FullDomain, &uniform, "3d uniform");
+        // Four dimensions at the far corner of the cube: the widest keys.
+        let root = Octant::<4>::ROOT;
+        let mut t4: Vec<Octant<4>> = (0..15).map(|c| root.child(c)).collect();
+        t4.extend((0..16).map(|c| root.child(15).child(c)));
+        check_enumeration_unchanged(&FullDomain, &t4, "4d");
+        check_enumeration_unchanged::<2>(&FullDomain, &[], "empty");
     }
 
     #[test]
