@@ -440,3 +440,175 @@ fn disk_poisson_sbm_schwarz_rung_is_pinned_bitwise() {
     let l2 = l2_linf_error(&mesh, &domain, &sol.u, &exact, 1.0).l2;
     assert!(l2 < 1e-4, "l2 {l2:e}");
 }
+
+/// FNV-1a over the bits of `v`.
+fn fnv_bits(v: &[f64]) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for x in v {
+        for b in x.to_bits().to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
+/// One pinned solve: `(digest of x, iterations, residual bits)`.
+type Pin = (u64, usize, u64);
+
+fn pin(x: &[f64], k: &carve::la::KrylovResult) -> Pin {
+    (fnv_bits(x), k.iterations, k.residual.to_bits())
+}
+
+/// 1-D Laplacian `tridiag(-1, 2 + shift, -1)` as CSR.
+fn laplace_1d(n: usize, shift: f64) -> carve::la::CsrMatrix {
+    let mut coo = carve::la::CooBuilder::new(n);
+    for i in 0..n {
+        coo.add(i, i, 2.0 + shift);
+        if i > 0 {
+            coo.add(i, i - 1, -1.0);
+        }
+        if i + 1 < n {
+            coo.add(i, i + 1, -1.0);
+        }
+    }
+    coo.build()
+}
+
+/// The Krylov layer's outputs, bit for bit, through three callers that
+/// exercise every option a solve takes: a distributed reducer, the
+/// checkpoint hook on both methods (the supervisor's escalation ladder),
+/// and fused lanes with early exits (block CG). The values were recorded
+/// before the Krylov entry points were collapsed onto one options struct;
+/// any change to the recurrences, the reduction batches or the checkpoint
+/// cadence moves them.
+#[test]
+fn krylov_solves_are_pinned_bitwise() {
+    use carve::fem::{StiffnessKernel, Supervisor};
+    use carve::la::{IdentityPrecond, JacobiPrecond};
+
+    // 2-rank CG over the traversal MATVEC on a carved 3-D p = 1 mesh, with
+    // the mesh's owned-masked reducer.
+    let dist: Vec<(Pin, u64)> = carve::comm::run_spmd(2, |c| {
+        let domain = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
+        let dm = DistMesh::<3>::build(c, &domain, Curve::Hilbert, 2, 4, 1);
+        let n = dm.nodes.len();
+        // Homogeneous Dirichlet rows on every boundary node keep it SPD.
+        let fixed: Vec<bool> = dm.nodes.flags.iter().map(|f| f.is_any_boundary()).collect();
+        let b: Vec<f64> = (0..n)
+            .map(|i| {
+                let v = (dm.nodes.unit_coords(i)[0] * 7.0).sin();
+                if fixed[i] {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        let ws = std::cell::RefCell::new(TraversalWorkspace::with_threads(1));
+        let make_kernel = || StiffnessKernel::<3>::new(1, 1.0);
+        let op = (n, |xv: &[f64], yv: &mut [f64]| {
+            dm.matvec_par(
+                c,
+                xv,
+                yv,
+                &mut ws.borrow_mut(),
+                GhostState::OwnedOnly,
+                &make_kernel,
+            );
+            for ((yi, &xi), &f) in yv.iter_mut().zip(xv).zip(&fixed) {
+                if f {
+                    *yi = xi;
+                }
+            }
+        });
+        let mut x = vec![0.0; n];
+        let ops = c.op_count();
+        let k = carve::la::cg_with(
+            &op,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            1e-9,
+            0.0,
+            400,
+            &dm.reducer(c),
+        );
+        assert!(k.converged, "{k:?}");
+        (pin(&x, &k), c.op_count() - ops)
+    });
+    // Per rank, with the communication ops the solve issued: two per apply
+    // for 24 applies, one per fused reduction for 2 + 2 × 23.
+    let want_dist: [(Pin, u64); 2] = [
+        ((0x9598_81d1_33ab_0b58, 23, 0x3e3b_0ec1_2ae0_42bb), 96),
+        ((0x7cc9_744f_9750_d3a7, 23, 0x3e3b_0ec1_2ae0_42bb), 96),
+    ];
+    assert_eq!(dist, want_dist, "distributed CG");
+
+    // The supervisor's Krylov ladder, every rung failing: CG, CG restarted
+    // from its newest checkpoint, BiCGStab from that one's.
+    let n = 60;
+    let a = laplace_1d(n, 0.05);
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos()).collect();
+    let mut x = vec![0.0; n];
+    let sup = Supervisor {
+        rtol: 1e-30,
+        atol: 0.0,
+        max_iter: 12,
+        ckpt_every: 5,
+    };
+    let failed = sup
+        .solve(&a, &b, &mut x, &JacobiPrecond::from_matrix(&a), None)
+        .expect_err("an unreachable tolerance fails every rung");
+    let trail: Vec<(&str, usize, u64)> = failed
+        .attempts
+        .iter()
+        .map(|t| (t.stage, t.iterations, t.residual.to_bits()))
+        .collect();
+    assert_eq!(
+        trail,
+        [
+            ("cg", 12, 0x3fce_ae16_1b24_aa35),
+            ("cg_restart", 12, 0x3f9c_3dd8_1868_8538),
+            ("bicgstab", 12, 0x3f40_8653_3379_14e0),
+        ],
+        "escalation trail"
+    );
+    // Snapshots at 0, 5, 10 of each rung, the offset carried forward.
+    assert_eq!(failed.ranks[0].checkpoint_iteration, Some(30));
+    assert_eq!(fnv_bits(&x), 0x0ce8_fbae_ef26_f1b0, "ladder iterate");
+
+    // k = 3 fused lanes: a zero right-hand side (done at iteration 0), an
+    // eigenvector of the operator (done after one step) and a generic one.
+    let n = 48;
+    let a = laplace_1d(n, 0.0);
+    let mode = std::f64::consts::PI * 3.0 / (n + 1) as f64;
+    let bs = [
+        vec![0.0; n],
+        (0..n).map(|i| (mode * (i + 1) as f64).sin()).collect(),
+        (0..n).map(|i| 1.0 + (i % 5) as f64).collect::<Vec<f64>>(),
+    ];
+    let mut xs = vec![vec![0.0; n]; 3];
+    let b_refs: Vec<&[f64]> = bs.iter().map(|b| b.as_slice()).collect();
+    let mut x_refs: Vec<&mut [f64]> = xs.iter_mut().map(|x| x.as_mut_slice()).collect();
+    let lanes = carve::la::block_cg_with(
+        &a,
+        &b_refs,
+        &mut x_refs,
+        &IdentityPrecond,
+        1e-10,
+        0.0,
+        200,
+        &carve::la::LocalReduce,
+    );
+    assert!(lanes.iter().all(|k| k.converged));
+    let block: Vec<Pin> = xs.iter().zip(&lanes).map(|(x, k)| pin(x, k)).collect();
+    assert_eq!(
+        block,
+        [
+            (0xc86e_c345_c0ee_8125, 0, 0),
+            (0xd10f_c79d_5c4d_e747, 1, 0x3d3c_78c1_5324_d6d3),
+            (0xc285_02d7_30fd_e648, 48, 0x3d0b_782f_c1d5_45f6),
+        ],
+        "block CG lanes"
+    );
+}
