@@ -108,16 +108,11 @@ fn dist_snapshots(case: &SmokeCase) -> Vec<Snapshot> {
         let mut sol = vec![0.0; dm.nodes.len()];
         let res = {
             let _obs = carve_obs::scope("krylov_dist");
-            carve_la::cg_with(
-                &op,
-                &x,
-                &mut sol,
-                &carve_la::IdentityPrecond,
-                1e-12,
-                0.0,
-                8,
-                &dm.reducer(c),
-            )
+            let opts = carve_la::SolveOpts {
+                reduce: &dm.reducer(c),
+                ..carve_la::SolveOpts::new(1e-12, 0.0, 8)
+            };
+            carve_la::cg(&op, &x, &mut sol, &carve_la::IdentityPrecond, opts)
         };
         assert!(
             res.residual.is_finite(),
@@ -180,7 +175,7 @@ const RECOVERY_ITERS: usize = 40;
 fn recovery_snapshots() -> Vec<Snapshot> {
     use carve_comm::{Comm, FaultPlan, SpmdOptions};
     use carve_core::{supervise_spmd, CheckpointStore};
-    use carve_la::Checkpointer;
+    use carve_la::{Checkpointer, SolveOpts};
     use std::sync::Arc;
 
     let body = |c: &Comm, attempt: usize, store: &CheckpointStore| -> (u64, u64, Snapshot) {
@@ -219,17 +214,12 @@ fn recovery_snapshots() -> Vec<Snapshot> {
         let ops_cg_start = c.op_count();
         let res = {
             let _obs = carve_obs::scope("krylov_recovery");
-            carve_la::cg_checkpointed(
-                &op,
-                &b,
-                &mut x,
-                &carve_la::IdentityPrecond,
-                0.0,
-                0.0,
-                RECOVERY_ITERS,
-                &dm.reducer(c),
-                &mut ck,
-            )
+            let opts = SolveOpts {
+                reduce: &dm.reducer(c),
+                checkpoint: Some(&mut ck),
+                ..SolveOpts::new(0.0, 0.0, RECOVERY_ITERS)
+            };
+            carve_la::cg(&op, &b, &mut x, &carve_la::IdentityPrecond, opts)
         };
         assert!(
             res.residual.is_finite(),

@@ -391,9 +391,9 @@ impl<const DIM: usize> DistMesh<DIM> {
         }
     }
 
-    /// A [`Reduce`] backend over this mesh's node ownership: hand it to
-    /// `cg_with` / `bicgstab_with` so each batch of inner products rides
-    /// one fused all-reduce.
+    /// A [`Reduce`] backend over this mesh's node ownership: hand it to a
+    /// Krylov solve as `SolveOpts::reduce` so each batch of inner products
+    /// rides one fused all-reduce.
     pub fn reducer<'a>(&'a self, comm: &'a Comm) -> DistReduce<'a> {
         DistReduce {
             comm,
@@ -1877,11 +1877,11 @@ mod tests {
 
     #[test]
     fn dist_cg_with_fused_reducer_converges() {
-        // End-to-end Krylov stack: `cg_with` over the overlapped OwnedOnly
+        // End-to-end Krylov stack: `cg` over the overlapped OwnedOnly
         // MATVEC and the mesh's `DistReduce` (owned-masked partials, one
         // fused all-reduce per batch). Every rank must agree on the iteration
         // trajectory and the distributed residual must actually be small.
-        use carve_la::{cg_with, IdentityPrecond};
+        use carve_la::{cg, IdentityPrecond, SolveOpts};
         let p = 3;
         let results: Vec<(bool, usize, f64, f64)> = run_spmd(p, |c| {
             let domain = sphere_domain_2d();
@@ -1901,7 +1901,11 @@ mod tests {
             });
             let mut x = vec![0.0; n];
             let rd = m.reducer(c);
-            let res = cg_with(&op, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 500, &rd);
+            let opts = SolveOpts {
+                reduce: &rd,
+                ..SolveOpts::new(1e-10, 0.0, 500)
+            };
+            let res = cg(&op, &b, &mut x, &IdentityPrecond, opts);
             // Independent residual check through the distributed operator.
             let mut ax = vec![0.0; n];
             m.matvec_ws(
@@ -1933,7 +1937,7 @@ mod tests {
         // supervisor, restores from the surviving checkpoints, and converges
         // to the same answer as the uninterrupted solve — doing *fewer*
         // iterations on the retry than a from-scratch solve would.
-        use carve_la::{cg_checkpointed, Checkpointer, IdentityPrecond};
+        use carve_la::{cg, Checkpointer, IdentityPrecond, SolveOpts};
         use std::sync::Arc;
 
         let p = 3;
@@ -1970,18 +1974,12 @@ mod tests {
                         .resume_from(&snap);
                 }
             }
-            let rd = m.reducer(c);
-            let res = cg_checkpointed(
-                &op,
-                &b,
-                &mut x,
-                &IdentityPrecond,
-                1e-10,
-                0.0,
-                500,
-                &rd,
-                &mut ck,
-            );
+            let opts = SolveOpts {
+                reduce: &m.reducer(c),
+                checkpoint: Some(&mut ck),
+                ..SolveOpts::new(1e-10, 0.0, 500)
+            };
+            let res = cg(&op, &b, &mut x, &IdentityPrecond, opts);
             let owned: Vec<f64> = x
                 .iter()
                 .zip(&m.owner)
@@ -2105,33 +2103,22 @@ mod tests {
             });
             let rd = m.reducer(c);
 
+            let opts = || carve_la::SolveOpts {
+                reduce: &rd,
+                ..carve_la::SolveOpts::new(0.0, 0.0, 6)
+            };
             let mut x_fresh = vec![0.0; n];
-            carve_la::cg_with(
-                &op,
-                &b,
-                &mut x_fresh,
-                &carve_la::IdentityPrecond,
-                0.0,
-                0.0,
-                6,
-                &rd,
-            );
+            carve_la::cg(&op, &b, &mut x_fresh, &carve_la::IdentityPrecond, opts());
 
             let mut scratch = carve_la::KrylovScratch::new();
             let mut first: Option<Vec<usize>> = None;
             for round in 0..2 {
                 let mut x = vec![0.0; n];
-                carve_la::cg_with_scratch(
-                    &op,
-                    &b,
-                    &mut x,
-                    &carve_la::IdentityPrecond,
-                    0.0,
-                    0.0,
-                    6,
-                    &rd,
-                    &mut scratch,
-                );
+                let opts = carve_la::SolveOpts {
+                    scratch: Some(&mut scratch),
+                    ..opts()
+                };
+                carve_la::cg(&op, &b, &mut x, &carve_la::IdentityPrecond, opts);
                 for (a, bb) in x.iter().zip(&x_fresh) {
                     assert_eq!(a.to_bits(), bb.to_bits(), "scratch solve drifted");
                 }

@@ -444,13 +444,13 @@ impl<const DIM: usize> Multigrid<DIM> {
     /// reducer sees the preconditioned cycle's reduction discipline
     /// directly. With [`carve_la::LocalReduce`] this is bitwise identical
     /// to [`Multigrid::solve`].
-    pub fn solve_with<R: carve_la::Reduce + ?Sized>(
+    pub fn solve_with(
         &self,
         b: &[f64],
         x: &mut [f64],
         rtol: f64,
         max_iter: usize,
-        rd: &R,
+        rd: &dyn carve_la::Reduce,
     ) -> KrylovResult {
         struct MgOp<'a, const DIM: usize>(&'a Multigrid<DIM>);
         impl<'a, const DIM: usize> carve_la::LinOp for MgOp<'a, DIM> {
@@ -468,7 +468,11 @@ impl<const DIM: usize> Multigrid<DIM> {
                 self.0.vcycle(0, z, r);
             }
         }
-        carve_la::cg_with(&MgOp(self), b, x, &MgPre(self), rtol, 1e-14, max_iter, rd)
+        let opts = carve_la::SolveOpts {
+            reduce: rd,
+            ..carve_la::SolveOpts::new(rtol, 1e-14, max_iter)
+        };
+        carve_la::cg(&MgOp(self), b, x, &MgPre(self), opts)
     }
 }
 

@@ -16,7 +16,7 @@
 //!   bytes).
 //! * [`ScenarioEntry::solve`] / [`ScenarioEntry::block_solve`] — warm
 //!   Jacobi-CG over the traversal MATVEC; the block variant runs k RHS in
-//!   lockstep through [`carve_la::block_cg_with`]'s fused reduction rounds
+//!   lockstep through [`carve_la::block_cg`]'s fused reduction rounds
 //!   (2 collective rounds per iteration regardless of k).
 //! * [`ServedField::eval_points`] — point reads on a solved field: SFC
 //!   owner lookup + tensor-Lagrange evaluation through the hanging-stencil
@@ -38,8 +38,8 @@ use carve_comm::Comm;
 use carve_core::{traversal_assemble_par, DistMesh, FusedReduce, GhostState, TraversalWorkspace};
 use carve_geom::Subdomain;
 use carve_la::{
-    block_cg_scratch, cg_with_scratch, CooBuilder, CsrMatrix, JacobiPrecond, KrylovResult,
-    KrylovScratch, LocalReduce,
+    block_cg, cg, CooBuilder, CsrMatrix, JacobiPrecond, KrylovResult, KrylovScratch, LocalReduce,
+    SolveOpts,
 };
 use carve_sfc::{Curve, Octant, MAX_LEVEL};
 use std::cell::RefCell;
@@ -211,23 +211,18 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
         max_iter: usize,
     ) -> KrylovResult {
         carve_obs::counter("serve_solves", 1);
-        let res = cg_with_scratch(
-            &self.op(comm),
-            b,
-            x,
-            &self.jacobi,
-            rtol,
-            0.0,
-            max_iter,
-            &self.dm.reducer(comm),
-            &mut self.scratch.borrow_mut(),
-        );
+        let opts = SolveOpts {
+            reduce: &self.dm.reducer(comm),
+            scratch: Some(&mut self.scratch.borrow_mut()),
+            ..SolveOpts::new(rtol, 0.0, max_iter)
+        };
+        let res = cg(&self.op(comm), b, x, &self.jacobi, opts);
         self.dm.ghost_read(comm, x);
         res
     }
 
     /// Multi-RHS batch: k lockstep CG recurrences sharing every reduction
-    /// round ([`carve_la::block_cg_with`] — 2 collective rounds per
+    /// round ([`carve_la::block_cg`] — 2 collective rounds per
     /// iteration regardless of k). Per-lane results are bitwise identical
     /// to k sequential [`ScenarioEntry::solve`] calls.
     pub fn block_solve(
@@ -240,17 +235,12 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
     ) -> Vec<KrylovResult> {
         carve_obs::counter("block_solves", 1);
         carve_obs::counter("block_rhs", bs.len() as u64);
-        let res = block_cg_scratch(
-            &self.op(comm),
-            bs,
-            xs,
-            &self.jacobi,
-            rtol,
-            0.0,
-            max_iter,
-            &self.dm.reducer(comm),
-            &mut self.scratch.borrow_mut(),
-        );
+        let opts = SolveOpts {
+            reduce: &self.dm.reducer(comm),
+            scratch: Some(&mut self.scratch.borrow_mut()),
+            ..SolveOpts::new(rtol, 0.0, max_iter)
+        };
+        let res = block_cg(&self.op(comm), bs, xs, &self.jacobi, opts);
         for x in xs.iter_mut() {
             self.dm.ghost_read(comm, x);
         }

@@ -12,9 +12,8 @@ use carve_core::{
 };
 use carve_geom::Subdomain;
 use carve_la::{
-    bicgstab, bicgstab_checkpointed, cg_checkpointed, default_ckpt_every, AsmPrecond, Checkpointer,
-    CooBuilder, CsrMatrix, DenseMatrix, JacobiPrecond, KrylovResult, LinOp, LocalReduce, Precond,
-    SolveCheckpoint,
+    bicgstab, cg, default_ckpt_every, AsmPrecond, Checkpointer, CooBuilder, CsrMatrix, DenseMatrix,
+    JacobiPrecond, KrylovResult, LinOp, Precond, SolveCheckpoint, SolveOpts,
 };
 use carve_sfc::Octant;
 use std::collections::HashMap;
@@ -303,7 +302,8 @@ pub fn solve_poisson<const DIM: usize>(
     let mut u = vec![0.0; n];
     let obs_krylov = carve_obs::scope("krylov");
     let pre = default_precond(&a);
-    let krylov = bicgstab(&a, &rhs, &mut u, &pre.as_ref(), 1e-12, 1e-14, 50_000);
+    let opts = SolveOpts::new(1e-12, 1e-14, 50_000);
+    let krylov = bicgstab(&a, &rhs, &mut u, &pre.as_ref(), opts);
     carve_obs::counter("iterations", krylov.iterations as u64);
     drop(obs_krylov);
     let _ = domain;
@@ -461,6 +461,23 @@ fn restore_iterate(x: &mut [f64], latest: Option<&SolveCheckpoint>) -> Option<us
 }
 
 impl Supervisor {
+    /// One Krylov rung: the supervisor's stopping rule, snapshots into `ck`.
+    fn rung<'a, 'c>(&self, ck: &'a mut Checkpointer<'c>) -> SolveOpts<'a, 'c> {
+        SolveOpts {
+            checkpoint: Some(ck),
+            ..SolveOpts::new(self.rtol, self.atol, self.max_iter)
+        }
+    }
+
+    /// Restores `x` from the newest snapshot in `ck` and restarts `ck` at
+    /// that snapshot's iteration count.
+    fn resume(&self, x: &mut [f64], ck: &mut Checkpointer<'_>) {
+        restore_iterate(x, ck.latest());
+        if let Some(snap) = ck.latest().cloned() {
+            *ck = Checkpointer::new(self.ckpt_every).resume_from(&snap);
+        }
+    }
+
     /// Climbs the escalation ladder for `A x = b`. On success returns the
     /// final Krylov report plus the attempt trail; when every rung fails,
     /// returns the structured [`SolveFailed`] report (boxed: it carries the
@@ -473,22 +490,11 @@ impl Supervisor {
         pre: &dyn Precond,
         mut escalate: Option<&mut dyn EscalatedSolver>,
     ) -> Result<SupervisedSolve, Box<SolveFailed>> {
-        let opw = (op.size(), |xv: &[f64], yv: &mut [f64]| op.apply(xv, yv));
         let mut attempts = Vec::new();
 
         // Rung 1: checkpointed CG.
         let mut ck = Checkpointer::new(self.ckpt_every);
-        let k = cg_checkpointed(
-            &opw,
-            b,
-            x,
-            &pre,
-            self.rtol,
-            self.atol,
-            self.max_iter,
-            &LocalReduce,
-            &mut ck,
-        );
+        let k = cg(&op, b, x, &pre, self.rung(&mut ck));
         attempts.push(AttemptReport::from_result("cg", &k));
         if k.converged {
             return Ok(SupervisedSolve {
@@ -502,23 +508,10 @@ impl Supervisor {
 
         // Rung 2: restart CG from the newest checkpoint.
         let k = {
-            restore_iterate(x, ck.latest());
-            if let Some(snap) = ck.latest().cloned() {
-                ck = Checkpointer::new(self.ckpt_every).resume_from(&snap);
-            }
+            self.resume(x, &mut ck);
             let _retry = carve_obs::scope("retry");
             carve_obs::counter("solve_restarts", 1);
-            cg_checkpointed(
-                &opw,
-                b,
-                x,
-                &pre,
-                self.rtol,
-                self.atol,
-                self.max_iter,
-                &LocalReduce,
-                &mut ck,
-            )
+            cg(&op, b, x, &pre, self.rung(&mut ck))
         };
         attempts.push(AttemptReport::from_result("cg_restart", &k));
         if k.converged {
@@ -531,23 +524,10 @@ impl Supervisor {
 
         // Rung 3: change methods — BiCGStab from the restored iterate.
         let k = {
-            restore_iterate(x, ck.latest());
-            if let Some(snap) = ck.latest().cloned() {
-                ck = Checkpointer::new(self.ckpt_every).resume_from(&snap);
-            }
+            self.resume(x, &mut ck);
             let _esc = carve_obs::scope("escalate");
             carve_obs::counter("solve_escalations", 1);
-            bicgstab_checkpointed(
-                &opw,
-                b,
-                x,
-                &pre,
-                self.rtol,
-                self.atol,
-                self.max_iter,
-                &LocalReduce,
-                &mut ck,
-            )
+            bicgstab(&op, b, x, &pre, self.rung(&mut ck))
         };
         attempts.push(AttemptReport::from_result("bicgstab", &k));
         if k.converged {
@@ -791,15 +771,8 @@ mod tests {
             ) -> KrylovResult {
                 assert!(self.tightened, "tighten() must precede the attempt");
                 // A strong inner solver: plenty of CG iterations.
-                carve_la::cg(
-                    &self.a,
-                    b,
-                    x,
-                    &JacobiPrecond::from_matrix(&self.a),
-                    rtol,
-                    1e-14,
-                    max_iter * 1000,
-                )
+                let opts = SolveOpts::new(rtol, 1e-14, max_iter * 1000);
+                cg(&self.a, b, x, &JacobiPrecond::from_matrix(&self.a), opts)
             }
         }
 

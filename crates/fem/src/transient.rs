@@ -35,7 +35,7 @@ use carve_comm::{Comm, ReduceOp};
 use carve_core::{AdaptParams, DistMesh, GhostState, NodeSet, TraversalWorkspace};
 use carve_geom::Subdomain;
 use carve_io::{AdaptCycleRecord, AdaptTrace};
-use carve_la::{cg_with, IdentityPrecond};
+use carve_la::{cg, IdentityPrecond, SolveOpts};
 use carve_sfc::{Curve, Octant};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -378,17 +378,11 @@ pub fn run_transient<const DIM: usize>(
                 }
             }
         });
-        let rd = dm.reducer(comm);
-        let res = cg_with(
-            &op,
-            &b,
-            &mut u,
-            &IdentityPrecond,
-            cfg.cg_rtol,
-            0.0,
-            cfg.cg_maxit,
-            &rd,
-        );
+        let opts = SolveOpts {
+            reduce: &dm.reducer(comm),
+            ..SolveOpts::new(cfg.cg_rtol, 0.0, cfg.cg_maxit)
+        };
+        let res = cg(&op, &b, &mut u, &IdentityPrecond, opts);
         carve_obs::counter("iterations", res.iterations as u64);
         assert!(
             res.converged,

@@ -24,9 +24,8 @@ pub trait Reduce {
     fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]);
 }
 
-/// Sequential reduction: plain local dot products. With this reducer,
-/// [`cg_with`] / [`bicgstab_with`] are bitwise identical to [`cg`] /
-/// [`bicgstab`] (which are thin wrappers over it).
+/// Sequential reduction: plain local dot products, the default of
+/// [`SolveOpts::reduce`].
 pub struct LocalReduce;
 
 impl Reduce for LocalReduce {
@@ -39,7 +38,7 @@ impl Reduce for LocalReduce {
 
 /// Single inner product through a [`Reduce`] (still one message, just not
 /// fused with anything).
-fn rdot<R: Reduce + ?Sized>(rd: &R, u: &[f64], v: &[f64]) -> f64 {
+fn rdot(rd: &dyn Reduce, u: &[f64], v: &[f64]) -> f64 {
     let mut out = [0.0];
     rd.dots(&[(u, v)], &mut out);
     out[0]
@@ -272,16 +271,26 @@ impl KrylovResult {
         }
         self
     }
+
+    /// Iteration cap: converged only if the final residual `rn` meets `tol`;
+    /// `last_finite` stands in when `rn` itself is not finite.
+    pub(crate) fn at_cap(max_iter: usize, rn: f64, tol: f64, last_finite: f64) -> Self {
+        KrylovResult {
+            converged: rn <= tol,
+            ..Self::stalled(max_iter, rn)
+        }
+        .with_last_finite(last_finite)
+    }
 }
 
 /// Reusable pool of solver scratch vectors. The Krylov drivers allocate a
-/// handful of length-`n` work buffers per solve (`r`, `z`, `p`, `Ap`, and
-/// the per-RHS panels of the block driver); a serving loop that solves the
-/// same cached system over and over pays that allocation on every request.
-/// Handing the same `KrylovScratch` to [`cg_with_scratch`] /
-/// [`crate::block::block_cg_scratch`] recycles the buffers instead — the
-/// pool is LIFO, so back-to-back same-size solves reuse the exact
-/// allocations (pointer-stable, asserted by the warm-path tests).
+/// handful of length-`n` work buffers per solve (CG: `r`, `z`, `p`, `Ap` per
+/// right-hand side; BiCGStab: seven); a serving loop that solves the same
+/// cached system over and over pays that allocation on every request.
+/// Handing the same `KrylovScratch` to every solve through
+/// [`SolveOpts::scratch`] recycles the buffers instead — the pool is LIFO,
+/// so back-to-back same-shape solves reuse the exact allocations
+/// (pointer-stable, asserted by the warm-path tests).
 ///
 /// Buffers are zero-filled on loan, so a scratch-backed solve is bitwise
 /// identical to the allocating one.
@@ -316,32 +325,26 @@ impl KrylovScratch {
     }
 }
 
-/// Internal loan source: a caller-held pool, or fresh allocations for the
-/// scratch-less entry points (which must stay allocation-compatible with
-/// their historical behavior).
-pub(crate) enum Lease<'s> {
-    Pool(&'s mut KrylovScratch),
-    Fresh,
-}
-
-impl Lease<'_> {
-    pub(crate) fn take(&mut self, n: usize) -> Vec<f64> {
-        match self {
-            Lease::Pool(s) => s.take(n),
-            Lease::Fresh => vec![0.0; n],
-        }
-    }
-
-    pub(crate) fn put(&mut self, v: Vec<f64>) {
-        if let Lease::Pool(s) = self {
-            s.put(v);
-        }
+/// A zeroed length-`n` work vector, loaned from `pool` or freshly allocated.
+pub(crate) fn loan(pool: &mut Option<&mut KrylovScratch>, n: usize) -> Vec<f64> {
+    match pool {
+        Some(s) => s.take(n),
+        None => vec![0.0; n],
     }
 }
 
-/// Environment override for the checkpoint cadence of the checkpointed
-/// Krylov drivers (iterations between snapshots; default 25).
-pub const CKPT_EVERY_ENV: &str = "CARVE_CKPT_EVERY";
+/// Returns loaned work vectors to `pool` (or drops them). Pass them in
+/// reverse loan order: the next same-shape solve then gets the same
+/// buffers back in the same roles.
+pub(crate) fn park(pool: Option<&mut KrylovScratch>, bufs: impl IntoIterator<Item = Vec<f64>>) {
+    if let Some(s) = pool {
+        bufs.into_iter().for_each(|v| s.put(v));
+    }
+}
+
+/// Environment override for the checkpoint cadence (iterations between
+/// snapshots; default 25).
+const CKPT_EVERY_ENV: &str = "CARVE_CKPT_EVERY";
 
 const DEFAULT_CKPT_EVERY: usize = 25;
 
@@ -376,7 +379,8 @@ pub struct SolveCheckpoint {
     pub residual_tail: Vec<f64>,
 }
 
-/// Checkpoint cadence driver for [`cg_checkpointed`] / [`bicgstab_checkpointed`].
+/// Checkpoint cadence driver, handed to a single-lane solve through
+/// [`SolveOpts::checkpoint`].
 ///
 /// Observes every iteration's residual (cheap: a bounded tail push),
 /// snapshots `x`/`r` every `every` iterations, and optionally streams each
@@ -405,11 +409,6 @@ impl<'a> Checkpointer<'a> {
             latest: None,
             sink: None,
         }
-    }
-
-    /// Cadence from `CARVE_CKPT_EVERY` (default 25).
-    pub fn from_env() -> Self {
-        Checkpointer::new(default_ckpt_every())
     }
 
     /// Streams every snapshot into `sink` as it is taken (in addition to
@@ -447,7 +446,7 @@ impl<'a> Checkpointer<'a> {
     /// at the cadence, snapshots the full solver state. Non-finite residuals
     /// are never snapshotted (a checkpoint must always be a healthy restart
     /// point).
-    fn observe(&mut self, method: &str, it: usize, rn: f64, x: &[f64], r: &[f64]) {
+    pub(crate) fn observe(&mut self, method: &str, it: usize, rn: f64, x: &[f64], r: &[f64]) {
         if !rn.is_finite() {
             return;
         }
@@ -472,28 +471,73 @@ impl<'a> Checkpointer<'a> {
     }
 }
 
-/// Preconditioned conjugate gradients for SPD operators. Stops when
-/// `‖r‖ <= rtol * ‖b‖ + atol`.
+/// How one Krylov solve runs: the stopping rule `‖r‖ ≤ rtol ‖b‖ + atol`
+/// within `max_iter` iterations, and the services the iteration uses. None
+/// of the services changes the arithmetic: a solve is bitwise the same with
+/// any pool or checkpointer, and with any [`Reduce`] that sums the same
+/// local products.
+pub struct SolveOpts<'a, 'c> {
+    pub rtol: f64,
+    pub atol: f64,
+    pub max_iter: usize,
+    /// Inner-product backend. Each method groups its reductions into the
+    /// fewest batches (CG: 2 per iteration, BiCGStab: 4), so a distributed
+    /// backend pays one message per batch.
+    pub reduce: &'a dyn Reduce,
+    /// Pool the work vectors are loaned from; fresh allocations when `None`.
+    pub scratch: Option<&'a mut KrylovScratch>,
+    /// Periodic [`SolveCheckpoint`] snapshots for restart after a fault.
+    /// Observes a single lane, so [`crate::block_cg`] takes one only for
+    /// k ≤ 1.
+    pub checkpoint: Option<&'a mut Checkpointer<'c>>,
+}
+
+impl SolveOpts<'_, '_> {
+    /// The stopping rule with [`LocalReduce`], fresh buffers and no
+    /// checkpoint.
+    pub fn new(rtol: f64, atol: f64, max_iter: usize) -> Self {
+        SolveOpts {
+            rtol,
+            atol,
+            max_iter,
+            reduce: &LocalReduce,
+            scratch: None,
+            checkpoint: None,
+        }
+    }
+}
+
+/// Panics unless `b` and `x` both have the operator's length `n`: a short
+/// vector would otherwise be read as if padded with zeros.
+pub(crate) fn check_sizes(method: &str, n: usize, b: &[f64], x: &[f64]) {
+    assert!(
+        b.len() == n && x.len() == n,
+        "{method}: the operator has {n} unknowns, but b has {} and x has {}",
+        b.len(),
+        x.len()
+    );
+}
+
+/// Preconditioned conjugate gradients for SPD operators: one lane of
+/// [`crate::block_cg`]. Per iteration the reductions form two batches,
+/// `(p·Ap)` and the paired `(r·z, r·r)` after the preconditioner; the
+/// convergence norm reuses that `r·r`.
 pub fn cg<A: LinOp, M: Precond>(
     a: &A,
     b: &[f64],
     x: &mut [f64],
     m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
+    opts: SolveOpts,
 ) -> KrylovResult {
-    cg_with(a, b, x, m, rtol, atol, max_iter, &LocalReduce)
+    check_sizes("cg", a.size(), b, x);
+    crate::block_cg(a, &[b], &mut [x], m, opts)[0]
 }
 
-/// CG with an explicit [`Reduce`] backend. The per-iteration reductions are
-/// fused into two batches: `(p·Ap)` and the paired `(r·z, r·r)` after the
-/// preconditioner — the convergence norm reuses the `r·r` from the previous
-/// batch rather than issuing its own reduction, so a distributed run pays 2
-/// messages per iteration instead of 3. With [`LocalReduce`] the arithmetic
-/// is bitwise identical to the unfused history of [`cg`].
+/// [`cg`] with positional arguments, kept for one caller:
+/// `benchmark/src/api.rs` calls it by position and is edited on its own
+/// (ROADMAP item 1(b)), which deletes this wrapper.
 #[allow(clippy::too_many_arguments)]
-pub fn cg_with<A: LinOp, M: Precond, R: Reduce + ?Sized>(
+pub fn cg_with<A: LinOp, M: Precond, R: Reduce>(
     a: &A,
     b: &[f64],
     x: &mut [f64],
@@ -503,335 +547,226 @@ pub fn cg_with<A: LinOp, M: Precond, R: Reduce + ?Sized>(
     max_iter: usize,
     rd: &R,
 ) -> KrylovResult {
-    cg_impl(a, b, x, m, rtol, atol, max_iter, rd, None, Lease::Fresh)
+    let opts = SolveOpts {
+        reduce: rd,
+        ..SolveOpts::new(rtol, atol, max_iter)
+    };
+    cg(a, b, x, m, opts)
 }
 
-/// CG with periodic [`SolveCheckpoint`] snapshots: bitwise identical to
-/// [`cg_with`] (checkpointing adds no reductions and touches no iteration
-/// arithmetic), but every `ck.every` iterations the current `(x, r)` state
-/// is snapshotted for restart after a fault.
-#[allow(clippy::too_many_arguments)]
-pub fn cg_checkpointed<A: LinOp, M: Precond, R: Reduce + ?Sized>(
+/// Preconditioned BiCGStab for general (nonsymmetric) operators — the
+/// paper's `-ksp_type bcgs`. Per iteration the six reductions of the
+/// textbook loop form four batches: the paired `(r·r, r0·r)` at the top,
+/// `r0·v`, the intermediate `s`-norm, and the paired `(t·t, t·r)` for the
+/// stabilizer.
+pub fn bicgstab<A: LinOp, M: Precond>(
     a: &A,
     b: &[f64],
     x: &mut [f64],
     m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    ck: &mut Checkpointer<'_>,
+    opts: SolveOpts,
 ) -> KrylovResult {
-    cg_impl(a, b, x, m, rtol, atol, max_iter, rd, Some(ck), Lease::Fresh)
-}
-
-/// [`cg_with`] drawing its work vectors from a caller-held
-/// [`KrylovScratch`] pool instead of allocating: the serving path's warm
-/// solves run allocation-free for the length-`n` buffers. Bitwise identical
-/// to [`cg_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn cg_with_scratch<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    scratch: &mut KrylovScratch,
-) -> KrylovResult {
-    cg_impl(
-        a,
-        b,
-        x,
-        m,
+    let n = a.size();
+    check_sizes("bicgstab", n, b, x);
+    let SolveOpts {
         rtol,
         atol,
         max_iter,
-        rd,
-        None,
-        Lease::Pool(scratch),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cg_impl<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    ck: Option<&mut Checkpointer<'_>>,
-    mut lease: Lease<'_>,
-) -> KrylovResult {
-    let n = a.size();
-    let mut r = lease.take(n);
-    let mut z = lease.take(n);
-    let mut p = lease.take(n);
-    let mut ap = lease.take(n);
-    let res = cg_body(
-        a,
-        b,
-        x,
-        m,
-        rtol,
-        atol,
-        max_iter,
-        rd,
-        ck,
-        (&mut r, &mut z, &mut p, &mut ap),
-    );
-    // LIFO restore in reverse loan order: the next same-size solve gets the
-    // same buffers back in the same roles (pointer stability).
-    lease.put(ap);
-    lease.put(p);
-    lease.put(z);
-    lease.put(r);
-    res
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cg_body<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    mut ck: Option<&mut Checkpointer<'_>>,
-    bufs: (&mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>, &mut Vec<f64>),
-) -> KrylovResult {
-    let n = a.size();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let (r, z, p, ap) = bufs;
+        reduce: rd,
+        mut scratch,
+        checkpoint: mut ck,
+    } = opts;
+    let mut bufs: [Vec<f64>; 7] = std::array::from_fn(|_| loan(&mut scratch, n));
+    let [r, r0, v, p, phat, shat, t] = &mut bufs;
     a.apply(x, r);
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
     }
     let bnorm = rdot(rd, b, b).sqrt().max(1e-300);
     let tol = rtol * bnorm + atol;
-    m.apply(r, z);
-    p.copy_from_slice(z);
-    let mut pair = [0.0; 2];
-    rd.dots(&[(r, z), (r, r)], &mut pair);
-    let (mut rz, mut rn2) = (pair[0], pair[1]);
-    let mut last_finite_rn = f64::NAN;
-    for it in 0..max_iter {
-        let rn = rn2.sqrt();
-        if !rn.is_finite() {
-            return KrylovResult::divergence(it, rn).with_last_finite(last_finite_rn);
-        }
-        last_finite_rn = rn;
-        if let Some(ck) = ck.as_deref_mut() {
-            ck.observe("cg", it, rn, x, r);
-        }
-        if rn <= tol {
-            return KrylovResult::success(it, rn);
-        }
-        a.apply(p, ap);
-        let pap = rdot(rd, p, ap);
-        if pap.abs() < 1e-300 || !pap.is_finite() {
-            return KrylovResult::stalled(it, rn);
-        }
-        let alpha = rz / pap;
-        axpy(alpha, p, x);
-        axpy(-alpha, ap, r);
-        m.apply(r, z);
-        rd.dots(&[(r, z), (r, r)], &mut pair);
-        let beta = pair[0] / rz;
-        rz = pair[0];
-        rn2 = pair[1];
-        for (pi, zi) in p.iter_mut().zip(z.iter()) {
-            *pi = zi + beta * *pi;
-        }
-    }
-    let rn = rn2.sqrt();
-    KrylovResult {
-        converged: rn <= tol,
-        iterations: max_iter,
-        residual: rn,
-        diverged: !rn.is_finite(),
-        last_finite_residual: if rn.is_finite() {
-            Some(rn)
-        } else {
-            last_finite_rn.is_finite().then_some(last_finite_rn)
-        },
-    }
-}
-
-/// Preconditioned BiCGStab for general (nonsymmetric) operators — the
-/// paper's `-ksp_type bcgs`.
-pub fn bicgstab<A: LinOp, M: Precond>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-) -> KrylovResult {
-    bicgstab_with(a, b, x, m, rtol, atol, max_iter, &LocalReduce)
-}
-
-/// BiCGStab with an explicit [`Reduce`] backend. Per iteration the six
-/// reductions of the textbook loop are fused into four batches: the paired
-/// `(r·r, r0·r)` at the top, `r0·v`, the intermediate `s`-norm, and the
-/// paired `(t·t, t·r)` for the stabilizer — 4 messages instead of 6 on a
-/// distributed run. With [`LocalReduce`] the arithmetic is bitwise
-/// identical to the unfused history of [`bicgstab`].
-#[allow(clippy::too_many_arguments)]
-pub fn bicgstab_with<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-) -> KrylovResult {
-    bicgstab_impl(a, b, x, m, rtol, atol, max_iter, rd, None)
-}
-
-/// BiCGStab with periodic [`SolveCheckpoint`] snapshots; see
-/// [`cg_checkpointed`] for the contract.
-#[allow(clippy::too_many_arguments)]
-pub fn bicgstab_checkpointed<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    ck: &mut Checkpointer<'_>,
-) -> KrylovResult {
-    bicgstab_impl(a, b, x, m, rtol, atol, max_iter, rd, Some(ck))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn bicgstab_impl<A: LinOp, M: Precond, R: Reduce + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x: &mut [f64],
-    m: &M,
-    rtol: f64,
-    atol: f64,
-    max_iter: usize,
-    rd: &R,
-    mut ck: Option<&mut Checkpointer<'_>>,
-) -> KrylovResult {
-    let n = a.size();
-    let mut r = vec![0.0; n];
-    a.apply(x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    let bnorm = rdot(rd, b, b).sqrt().max(1e-300);
-    let tol = rtol * bnorm + atol;
-    let r0 = r.clone();
+    r0.copy_from_slice(r);
     let mut rho = 1.0;
     let mut alpha = 1.0;
     let mut omega = 1.0;
-    let mut v = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut phat = vec![0.0; n];
-    let mut shat = vec![0.0; n];
-    let mut t = vec![0.0; n];
     let mut pair = [0.0; 2];
     let mut last_finite_rn = f64::NAN;
-    for it in 0..max_iter {
-        rd.dots(&[(&r, &r), (&r0, &r)], &mut pair);
-        let rn = pair[0].sqrt();
-        let rho_new = pair[1];
-        if !rn.is_finite() {
-            return KrylovResult::divergence(it, rn).with_last_finite(last_finite_rn);
-        }
-        last_finite_rn = rn;
-        if let Some(ck) = ck.as_deref_mut() {
-            ck.observe("bicgstab", it, rn, x, &r);
-        }
-        if rn <= tol {
-            return KrylovResult::success(it, rn);
-        }
-        if rho_new.abs() < 1e-300 || !rho_new.is_finite() {
-            return KrylovResult::stalled(it, rn);
-        }
-        if it == 0 {
-            p.copy_from_slice(&r);
-        } else {
-            let beta = (rho_new / rho) * (alpha / omega);
-            for k in 0..n {
-                p[k] = r[k] + beta * (p[k] - omega * v[k]);
+    let res = 'solve: {
+        for it in 0..max_iter {
+            rd.dots(&[(r, r), (r0, r)], &mut pair);
+            let rn = pair[0].sqrt();
+            let rho_new = pair[1];
+            if !rn.is_finite() {
+                break 'solve KrylovResult::divergence(it, rn).with_last_finite(last_finite_rn);
+            }
+            last_finite_rn = rn;
+            if let Some(ck) = ck.as_deref_mut() {
+                ck.observe("bicgstab", it, rn, x, r);
+            }
+            if rn <= tol {
+                break 'solve KrylovResult::success(it, rn);
+            }
+            if rho_new.abs() < 1e-300 || !rho_new.is_finite() {
+                break 'solve KrylovResult::stalled(it, rn);
+            }
+            if it == 0 {
+                p.copy_from_slice(r);
+            } else {
+                let beta = (rho_new / rho) * (alpha / omega);
+                for k in 0..n {
+                    p[k] = r[k] + beta * (p[k] - omega * v[k]);
+                }
+            }
+            rho = rho_new;
+            m.apply(p, phat);
+            a.apply(phat, v);
+            let r0v = rdot(rd, r0, v);
+            if r0v.abs() < 1e-300 || !r0v.is_finite() {
+                break 'solve KrylovResult::stalled(it, rn);
+            }
+            alpha = rho / r0v;
+            // s = r - alpha v  (reuse r)
+            axpy(-alpha, v, r);
+            let sn = rdot(rd, r, r).sqrt();
+            if !sn.is_finite() {
+                break 'solve KrylovResult::divergence(it + 1, sn).with_last_finite(last_finite_rn);
+            }
+            last_finite_rn = sn;
+            if sn <= tol {
+                axpy(alpha, phat, x);
+                break 'solve KrylovResult::success(it + 1, sn);
+            }
+            m.apply(r, shat);
+            a.apply(shat, t);
+            rd.dots(&[(t, t), (t, r)], &mut pair);
+            let tt = pair[0];
+            if tt.abs() < 1e-300 || !tt.is_finite() {
+                break 'solve KrylovResult::stalled(it, sn);
+            }
+            omega = pair[1] / tt;
+            axpy(alpha, phat, x);
+            axpy(omega, shat, x);
+            axpy(-omega, t, r);
+            if omega.abs() < 1e-300 {
+                break 'solve KrylovResult::stalled(it + 1, rdot(rd, r, r).sqrt());
             }
         }
-        rho = rho_new;
-        m.apply(&p, &mut phat);
-        a.apply(&phat, &mut v);
-        let r0v = rdot(rd, &r0, &v);
-        if r0v.abs() < 1e-300 || !r0v.is_finite() {
-            return KrylovResult::stalled(it, rn);
-        }
-        alpha = rho / r0v;
-        // s = r - alpha v  (reuse r)
-        axpy(-alpha, &v, &mut r);
-        let sn = rdot(rd, &r, &r).sqrt();
-        if !sn.is_finite() {
-            return KrylovResult::divergence(it + 1, sn).with_last_finite(last_finite_rn);
-        }
-        last_finite_rn = sn;
-        if sn <= tol {
-            axpy(alpha, &phat, x);
-            return KrylovResult::success(it + 1, sn);
-        }
-        m.apply(&r, &mut shat);
-        a.apply(&shat, &mut t);
-        rd.dots(&[(&t, &t), (&t, &r)], &mut pair);
-        let tt = pair[0];
-        if tt.abs() < 1e-300 || !tt.is_finite() {
-            return KrylovResult::stalled(it, sn);
-        }
-        omega = pair[1] / tt;
-        axpy(alpha, &phat, x);
-        axpy(omega, &shat, x);
-        axpy(-omega, &t, &mut r);
-        if omega.abs() < 1e-300 {
-            return KrylovResult::stalled(it + 1, rdot(rd, &r, &r).sqrt());
-        }
-    }
-    let rn = rdot(rd, &r, &r).sqrt();
-    KrylovResult {
-        converged: rn <= tol,
-        iterations: max_iter,
-        residual: rn,
-        diverged: !rn.is_finite(),
-        last_finite_residual: if rn.is_finite() {
-            Some(rn)
-        } else {
-            last_finite_rn.is_finite().then_some(last_finite_rn)
-        },
-    }
+        KrylovResult::at_cap(max_iter, rdot(rd, r, r).sqrt(), tol, last_finite_rn)
+    };
+    park(scratch, bufs.into_iter().rev());
+    res
 }
 
+/// Shared test fixtures, and the solo CG recurrence that [`cg`] replaced
+/// with one lane of [`crate::block_cg`], kept as the independent oracle the
+/// lane-identity tests compare against.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::csr::CooBuilder;
     use crate::vector::norm2;
+    use std::cell::RefCell;
 
-    /// 1D Laplacian (tridiagonal SPD).
-    fn laplace_1d(n: usize) -> CsrMatrix {
+    /// Solo preconditioned CG, as it was before the lane loop took over.
+    /// Allocates its own buffers (`opts.scratch` is ignored).
+    pub(crate) fn cg_body<A: LinOp, M: Precond>(
+        a: &A,
+        b: &[f64],
+        x: &mut [f64],
+        m: &M,
+        opts: SolveOpts,
+    ) -> KrylovResult {
+        let SolveOpts {
+            rtol,
+            atol,
+            max_iter,
+            reduce: rd,
+            checkpoint: mut ck,
+            ..
+        } = opts;
+        let n = a.size();
+        check_sizes("cg", n, b, x);
+        let (mut r, mut z, mut p, mut ap) =
+            (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        a.apply(x, &mut r);
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
+        let bnorm = rdot(rd, b, b).sqrt().max(1e-300);
+        let tol = rtol * bnorm + atol;
+        m.apply(&r, &mut z);
+        p.copy_from_slice(&z);
+        let mut pair = [0.0; 2];
+        rd.dots(&[(&r, &z), (&r, &r)], &mut pair);
+        let (mut rz, mut rn2) = (pair[0], pair[1]);
+        let mut last_finite_rn = f64::NAN;
+        for it in 0..max_iter {
+            let rn = rn2.sqrt();
+            if !rn.is_finite() {
+                return KrylovResult::divergence(it, rn).with_last_finite(last_finite_rn);
+            }
+            last_finite_rn = rn;
+            if let Some(ck) = ck.as_deref_mut() {
+                ck.observe("cg", it, rn, x, &r);
+            }
+            if rn <= tol {
+                return KrylovResult::success(it, rn);
+            }
+            a.apply(&p, &mut ap);
+            let pap = rdot(rd, &p, &ap);
+            if pap.abs() < 1e-300 || !pap.is_finite() {
+                return KrylovResult::stalled(it, rn);
+            }
+            let alpha = rz / pap;
+            axpy(alpha, &p, x);
+            axpy(-alpha, &ap, &mut r);
+            m.apply(&r, &mut z);
+            rd.dots(&[(&r, &z), (&r, &r)], &mut pair);
+            let beta = pair[0] / rz;
+            rz = pair[0];
+            rn2 = pair[1];
+            for (pi, zi) in p.iter_mut().zip(z.iter()) {
+                *pi = zi + beta * *pi;
+            }
+        }
+        KrylovResult::at_cap(max_iter, rn2.sqrt(), tol, last_finite_rn)
+    }
+
+    /// Delegates to [`LocalReduce`] while recording every batch size, so
+    /// tests can assert both bitwise equivalence and message fusion.
+    pub(crate) struct CountingReduce {
+        batches: RefCell<Vec<usize>>,
+    }
+
+    impl CountingReduce {
+        pub(crate) fn new() -> Self {
+            CountingReduce {
+                batches: RefCell::new(Vec::new()),
+            }
+        }
+
+        /// `dots` calls so far.
+        pub(crate) fn rounds(&self) -> usize {
+            self.batches.borrow().len()
+        }
+
+        /// Pairs reduced so far, over all rounds.
+        pub(crate) fn pairs(&self) -> usize {
+            self.batches.borrow().iter().sum()
+        }
+    }
+
+    impl Reduce for CountingReduce {
+        fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
+            self.batches.borrow_mut().push(pairs.len());
+            LocalReduce.dots(pairs, out);
+        }
+    }
+
+    /// 1-D Laplacian plus a diagonal shift (tridiagonal SPD).
+    pub(crate) fn laplacian(n: usize, shift: f64) -> CsrMatrix {
         let mut b = CooBuilder::new(n);
         for i in 0..n {
-            b.add(i, i, 2.0);
+            b.add(i, i, 2.0 + shift);
             if i > 0 {
                 b.add(i, i - 1, -1.0);
             }
@@ -868,10 +803,16 @@ mod tests {
 
     #[test]
     fn cg_solves_laplace() {
-        let a = laplace_1d(100);
+        let a = laplacian(100, 0.0);
         let b: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.1).sin()).collect();
         let mut x = vec![0.0; 100];
-        let res = cg(&a, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 1000);
+        let res = cg(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 1000),
+        );
         assert!(res.converged, "{res:?}");
         check_solution(&a, &x, &b, 1e-7);
     }
@@ -894,10 +835,16 @@ mod tests {
         let a = bld.build();
         let b = vec![1.0; n];
         let mut x1 = vec![0.0; n];
-        let r1 = cg(&a, &b, &mut x1, &IdentityPrecond, 1e-10, 0.0, 10_000);
+        let r1 = cg(
+            &a,
+            &b,
+            &mut x1,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 10_000),
+        );
         let mut x2 = vec![0.0; n];
         let jac = JacobiPrecond::from_matrix(&a);
-        let r2 = cg(&a, &b, &mut x2, &jac, 1e-10, 0.0, 10_000);
+        let r2 = cg(&a, &b, &mut x2, &jac, SolveOpts::new(1e-10, 0.0, 10_000));
         assert!(r2.converged);
         assert!(
             r2.iterations < r1.iterations,
@@ -913,20 +860,27 @@ mod tests {
         let a = advdiff_1d(120);
         let b: Vec<f64> = (0..120).map(|i| 1.0 + (i % 7) as f64).collect();
         let mut x = vec![0.0; 120];
-        let res = bicgstab(&a, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 2000);
+        let res = bicgstab(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 2000),
+        );
         assert!(res.converged, "{res:?}");
         check_solution(&a, &x, &b, 1e-6);
     }
 
     #[test]
     fn asm_precond_accelerates_bicgstab() {
-        let a = laplace_1d(200);
+        let a = laplacian(200, 0.0);
         let b = vec![1.0; 200];
+        let opts = || SolveOpts::new(1e-10, 0.0, 5000);
         let mut x_plain = vec![0.0; 200];
-        let r_plain = bicgstab(&a, &b, &mut x_plain, &IdentityPrecond, 1e-10, 0.0, 5000);
+        let r_plain = bicgstab(&a, &b, &mut x_plain, &IdentityPrecond, opts());
         let asm = AsmPrecond::new(&a, 8, 4);
         let mut x_asm = vec![0.0; 200];
-        let r_asm = bicgstab(&a, &b, &mut x_asm, &asm, 1e-10, 0.0, 5000);
+        let r_asm = bicgstab(&a, &b, &mut x_asm, &asm, opts());
         assert!(r_asm.converged);
         assert!(
             r_asm.iterations < r_plain.iterations,
@@ -939,7 +893,7 @@ mod tests {
 
     #[test]
     fn asm_single_block_is_direct_solve() {
-        let a = laplace_1d(30);
+        let a = laplacian(30, 0.0);
         let asm = AsmPrecond::new(&a, 1, 0);
         let b = vec![1.0; 30];
         let mut z = vec![0.0; 30];
@@ -1094,117 +1048,216 @@ mod tests {
 
     #[test]
     fn cg_and_bicgstab_flag_divergence_on_nan() {
-        let a = laplace_1d(30);
+        let a = laplacian(30, 0.0);
         let mut b = vec![1.0; 30];
         b[7] = f64::NAN;
         let mut x = vec![0.0; 30];
-        let res = cg(&a, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 100);
+        let res = cg(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 100),
+        );
         assert!(res.diverged && !res.converged, "{res:?}");
         let mut x = vec![0.0; 30];
-        let res = bicgstab(&a, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 100);
+        let res = bicgstab(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 100),
+        );
         assert!(res.diverged && !res.converged, "{res:?}");
     }
 
     #[test]
     fn stall_is_not_divergence() {
         // Iteration cap with a finite residual: non-converged but not diverged.
-        let a = laplace_1d(200);
+        let a = laplacian(200, 0.0);
         let b = vec![1.0; 200];
         let mut x = vec![0.0; 200];
-        let res = cg(&a, &b, &mut x, &IdentityPrecond, 1e-14, 0.0, 3);
+        let res = cg(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-14, 0.0, 3),
+        );
         assert!(!res.converged && !res.diverged, "{res:?}");
         assert!(res.residual.is_finite());
     }
 
-    /// Delegates to [`LocalReduce`] while recording every batch size, so
-    /// tests can assert both bitwise equivalence and message fusion.
-    struct CountingReduce {
-        batches: std::cell::RefCell<Vec<usize>>,
+    /// The services a solve can be given besides the reducer.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Service {
+        Plain,
+        Scratch,
+        Checkpoint,
     }
 
-    impl CountingReduce {
-        fn new() -> Self {
-            CountingReduce {
-                batches: std::cell::RefCell::new(Vec::new()),
+    /// Every method over {local, counting reducer} × {plain, scratch,
+    /// checkpoint}: the same bits as the plain local solve (CG: as the solo
+    /// oracle), the fused batch counts (CG 2 per iteration, BiCGStab 4),
+    /// and what the service itself is for.
+    #[test]
+    fn options_change_no_bits_and_no_batches() {
+        let spd = laplacian(100, 0.0);
+        let b_spd: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.1).sin()).collect();
+        let nonsym = advdiff_1d(120);
+        let b_ns: Vec<f64> = (0..120).map(|i| 1.0 + (i % 7) as f64).collect();
+        type Method =
+            fn(&CsrMatrix, &[f64], &mut [f64], &IdentityPrecond, SolveOpts) -> KrylovResult;
+        let methods: [(&str, Method, &CsrMatrix, &[f64], usize); 3] = [
+            ("oracle", cg_body, &spd, &b_spd, 4),
+            ("cg", cg, &spd, &b_spd, 4),
+            ("bicgstab", bicgstab, &nonsym, &b_ns, 7),
+        ];
+        let mut want: Option<(Vec<u64>, usize, u64)> = None;
+        for (name, solve, a, b, loans) in methods {
+            if name != "cg" {
+                want = None; // cg is held to the oracle's bits
+            }
+            for counting in [false, true] {
+                for service in [Service::Plain, Service::Scratch, Service::Checkpoint] {
+                    let rd = CountingReduce::new();
+                    let mut pool = KrylovScratch::new();
+                    let mut ck = Checkpointer::new(10);
+                    let opts = SolveOpts {
+                        reduce: if counting { &rd } else { &LocalReduce },
+                        scratch: (service == Service::Scratch).then_some(&mut pool),
+                        checkpoint: (service == Service::Checkpoint).then_some(&mut ck),
+                        ..SolveOpts::new(1e-10, 0.0, 2000)
+                    };
+                    let mut x = vec![0.0; a.n];
+                    let res = solve(a, b, &mut x, &IdentityPrecond, opts);
+                    let at = format!("{name} counting={counting} {service:?}");
+                    assert!(res.converged, "{at}: {res:?}");
+                    let got = (bits(&x), res.iterations, res.residual.to_bits());
+                    assert_eq!(&got, want.get_or_insert_with(|| got.clone()), "{at}");
+                    let it = res.iterations;
+                    if counting && name == "bicgstab" {
+                        // Setup: bnorm. Each full iteration: fused (r·r,
+                        // r0·r), r0·v, s-norm, fused (t·t, t·r). The last
+                        // partial iteration stops at the top-of-loop check
+                        // (1 more batch) or at the s-norm check (3 more).
+                        assert!(it > 1, "{at}: needs a multi-iteration solve");
+                        let rounds = rd.rounds();
+                        assert!(rounds == 2 + 4 * it || rounds == 4 * it, "{at}: {rounds}");
+                    } else if counting {
+                        // Setup: bnorm + initial (r·z, r·r). Each iteration:
+                        // p·Ap plus one fused pair.
+                        assert_eq!(rd.rounds(), 2 + 2 * it, "{at}");
+                    }
+                    if service == Service::Scratch && name != "oracle" {
+                        assert_eq!(pool.pooled(), loans, "{at}");
+                    }
+                    if service == Service::Checkpoint {
+                        let snap = ck.latest().expect("solve ran past the cadence");
+                        assert_eq!(
+                            snap.method,
+                            if name == "bicgstab" { "bicgstab" } else { "cg" }
+                        );
+                        assert!(snap.iteration >= 10 && snap.iteration <= it, "{at}");
+                        assert_eq!(snap.iteration % 10, 0);
+                        assert_eq!((snap.x.len(), snap.r.len()), (a.n, a.n));
+                        assert!((1..=8).contains(&snap.residual_tail.len()));
+                        assert_eq!(*snap.residual_tail.last().unwrap(), snap.residual);
+                    }
+                }
             }
         }
     }
 
-    impl Reduce for CountingReduce {
-        fn dots(&self, pairs: &[(&[f64], &[f64])], out: &mut [f64]) {
-            self.batches.borrow_mut().push(pairs.len());
-            LocalReduce.dots(pairs, out);
+    /// Runs `method` ("cg", "bicgstab" or "block_cg") on every lane of `bs`.
+    fn solve_lanes(
+        method: &str,
+        a: &CsrMatrix,
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
+        scratch: Option<&mut KrylovScratch>,
+    ) {
+        let opts = SolveOpts {
+            scratch,
+            ..SolveOpts::new(1e-11, 0.0, 300)
+        };
+        match method {
+            "cg" => {
+                cg(a, bs[0], xs[0], &IdentityPrecond, opts);
+            }
+            "bicgstab" => {
+                bicgstab(a, bs[0], xs[0], &IdentityPrecond, opts);
+            }
+            _ => {
+                crate::block_cg(a, bs, xs, &IdentityPrecond, opts);
+            }
         }
     }
 
-    #[test]
-    fn cg_with_fuses_reductions_and_stays_bitwise_identical() {
-        let a = laplace_1d(100);
-        let b: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.1).sin()).collect();
-        let mut x_plain = vec![0.0; 100];
-        let res_plain = cg(&a, &b, &mut x_plain, &IdentityPrecond, 1e-10, 0.0, 1000);
-        let rd = CountingReduce::new();
-        let mut x_fused = vec![0.0; 100];
-        let res_fused = cg_with(
-            &a,
-            &b,
-            &mut x_fused,
-            &IdentityPrecond,
-            1e-10,
-            0.0,
-            1000,
-            &rd,
-        );
-        assert_eq!(res_plain.iterations, res_fused.iterations);
-        assert_eq!(res_plain.residual.to_bits(), res_fused.residual.to_bits());
-        for (p, f) in x_plain.iter().zip(&x_fused) {
-            assert_eq!(p.to_bits(), f.to_bits());
+    /// Drains and restores the pool to read the buffer addresses in LIFO
+    /// order (take/put round-trips preserve both addresses and order).
+    fn scratch_ptrs(s: &mut KrylovScratch, count: usize, n: usize) -> Vec<usize> {
+        let bufs: Vec<Vec<f64>> = (0..count).map(|_| s.take(n)).collect();
+        let ptrs: Vec<usize> = bufs.iter().map(|b| b.as_ptr() as usize).collect();
+        for b in bufs.into_iter().rev() {
+            s.put(b);
         }
-        let batches = rd.batches.borrow();
-        assert!(batches.contains(&2), "no fused batch in {batches:?}");
-        // Setup: bnorm + initial (r·z, r·r). Each full iteration: p·Ap plus
-        // one fused pair — 2 messages, not the 3 of the unfused loop.
-        assert_eq!(batches.len(), 2 + 2 * res_fused.iterations);
+        ptrs
     }
 
+    /// Repeat solves through one pool are bitwise the allocating solve and
+    /// reuse the exact buffers (pointer-stable), for every method.
     #[test]
-    fn bicgstab_with_fuses_reductions_and_stays_bitwise_identical() {
-        let a = advdiff_1d(120);
-        let b: Vec<f64> = (0..120).map(|i| 1.0 + (i % 7) as f64).collect();
-        let mut x_plain = vec![0.0; 120];
-        let res_plain = bicgstab(&a, &b, &mut x_plain, &IdentityPrecond, 1e-10, 0.0, 2000);
-        let rd = CountingReduce::new();
-        let mut x_fused = vec![0.0; 120];
-        let res_fused = bicgstab_with(
-            &a,
-            &b,
-            &mut x_fused,
-            &IdentityPrecond,
-            1e-10,
-            0.0,
-            2000,
-            &rd,
-        );
-        assert_eq!(res_plain.iterations, res_fused.iterations);
-        assert_eq!(res_plain.residual.to_bits(), res_fused.residual.to_bits());
-        for (p, f) in x_plain.iter().zip(&x_fused) {
-            assert_eq!(p.to_bits(), f.to_bits());
+    fn scratch_solves_reuse_the_same_buffers() {
+        let n = 56;
+        let a = laplacian(n, 0.3);
+        let bs: Vec<Vec<f64>> = (1..4)
+            .map(|s| (0..n).map(|i| ((i * s) as f64 * 0.37).sin()).collect())
+            .collect();
+        let b_refs: Vec<&[f64]> = bs.iter().map(|b| b.as_slice()).collect();
+        for (method, lanes, loans) in [("cg", 1, 4), ("bicgstab", 1, 7), ("block_cg", 3, 12)] {
+            let solve = |scratch: Option<&mut KrylovScratch>| {
+                let mut xs = vec![vec![0.0; n]; lanes];
+                let mut x_refs: Vec<&mut [f64]> = xs.iter_mut().map(|x| x.as_mut_slice()).collect();
+                solve_lanes(method, &a, &b_refs[..lanes], &mut x_refs, scratch);
+                xs.iter().map(|x| bits(x)).collect::<Vec<_>>()
+            };
+            let fresh = solve(None);
+            let mut scratch = KrylovScratch::new();
+            let mut first = None;
+            for round in 0..3 {
+                assert_eq!(solve(Some(&mut scratch)), fresh, "{method} round {round}");
+                assert_eq!(scratch.pooled(), loans, "{method}");
+                let ptrs = scratch_ptrs(&mut scratch, loans, n);
+                assert_eq!(
+                    &ptrs,
+                    first.get_or_insert_with(|| ptrs.clone()),
+                    "{method} round {round}"
+                );
+            }
         }
-        // Setup: bnorm. Each full iteration: fused (r·r, r0·r), r0·v, s-norm,
-        // fused (t·t, t·r) — 4 messages, not the 6 of the unfused loop.
-        // Depending on whether the run converges at the top-of-loop check or
-        // the s-norm check, the final partial iteration adds 1 or 3 batches.
-        let batches = rd.batches.borrow();
-        let it = res_fused.iterations;
-        assert!(it > 1, "test needs a multi-iteration solve, got {it}");
-        let top_exit = 2 + 4 * it;
-        let snorm_exit = 4 * it;
-        assert!(
-            batches.len() == top_exit || batches.len() == snorm_exit,
-            "batches {} vs expected {top_exit} or {snorm_exit}",
-            batches.len()
-        );
-        assert!(batches.iter().filter(|&&n| n == 2).count() >= it);
+    }
+
+    /// A right-hand side two entries short would be read as if padded with
+    /// zeros; every method refuses it, naming itself and both lengths.
+    #[test]
+    fn every_method_checks_vector_lengths() {
+        let a = laplacian(6, 0.0);
+        let b = [1.0; 4];
+        for method in ["cg", "bicgstab", "block_cg"] {
+            let mut x = [0.0; 6];
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solve_lanes(method, &a, &[&b], &mut [&mut x], None)
+            }))
+            .expect_err(method);
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(
+                msg,
+                &format!("{method}: the operator has 6 unknowns, but b has 4 and x has 6")
+            );
+        }
     }
 
     #[test]
@@ -1220,84 +1273,59 @@ mod tests {
         assert_eq!(res.last_finite_residual, None);
         // End-to-end: NaN contaminates the very first residual — there was
         // never a healthy iteration to report.
-        let a = laplace_1d(30);
+        let a = laplacian(30, 0.0);
         let mut b = vec![1.0; 30];
         b[7] = f64::NAN;
         let mut x = vec![0.0; 30];
-        let res = cg(&a, &b, &mut x, &IdentityPrecond, 1e-10, 0.0, 100);
+        let res = cg(
+            &a,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-10, 0.0, 100),
+        );
         assert!(res.diverged, "{res:?}");
         assert_eq!(res.iterations, 0);
         assert_eq!(res.last_finite_residual, None);
         // Healthy non-convergence carries its own (finite) residual.
         let b = vec![1.0; 30];
         let mut x = vec![0.0; 30];
-        let res = cg(&a, &b, &mut x, &IdentityPrecond, 1e-14, 0.0, 2);
-        assert!(!res.converged && !res.diverged);
-        assert_eq!(res.last_finite_residual, Some(res.residual));
-    }
-
-    #[test]
-    fn checkpointed_cg_is_bitwise_identical_and_snapshots() {
-        let a = laplace_1d(100);
-        let b: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.1).sin()).collect();
-        let mut x_plain = vec![0.0; 100];
-        let res_plain = cg(&a, &b, &mut x_plain, &IdentityPrecond, 1e-10, 0.0, 1000);
-        let rd = CountingReduce::new();
-        let mut ck = Checkpointer::new(10);
-        let mut x_ck = vec![0.0; 100];
-        let res_ck = cg_checkpointed(
+        let res = cg(
             &a,
             &b,
-            &mut x_ck,
+            &mut x,
             &IdentityPrecond,
-            1e-10,
-            0.0,
-            1000,
-            &rd,
-            &mut ck,
+            SolveOpts::new(1e-14, 0.0, 2),
         );
-        assert_eq!(res_plain.iterations, res_ck.iterations);
-        assert_eq!(res_plain.residual.to_bits(), res_ck.residual.to_bits());
-        for (p, f) in x_plain.iter().zip(&x_ck) {
-            assert_eq!(p.to_bits(), f.to_bits());
-        }
-        // Checkpointing adds no reductions: exact fused-batch count as cg_with.
-        assert_eq!(rd.batches.borrow().len(), 2 + 2 * res_ck.iterations);
-        let ckpt = ck.latest().expect("solve ran past the cadence");
-        assert_eq!(ckpt.method, "cg");
-        assert!(ckpt.iteration >= 10 && ckpt.iteration <= res_ck.iterations);
-        assert_eq!(ckpt.iteration % 10, 0);
-        assert_eq!(ckpt.x.len(), 100);
-        assert_eq!(ckpt.r.len(), 100);
-        assert!(!ckpt.residual_tail.is_empty() && ckpt.residual_tail.len() <= 8);
-        assert_eq!(*ckpt.residual_tail.last().unwrap(), ckpt.residual);
+        assert!(!res.converged && !res.diverged);
+        assert_eq!(res.last_finite_residual, Some(res.residual));
     }
 
     #[test]
     fn cg_restarted_from_checkpoint_matches_uninterrupted_answer() {
         // "Kill" a solve mid-flight, restart from its last checkpoint, and
         // converge to the same answer as the uninterrupted run.
-        let a = laplace_1d(120);
+        let a = laplacian(120, 0.0);
         let b: Vec<f64> = (0..120).map(|i| 1.0 + ((i as f64) * 0.3).cos()).collect();
         let mut x_full = vec![0.0; 120];
-        let res_full = cg(&a, &b, &mut x_full, &IdentityPrecond, 1e-11, 0.0, 2000);
+        let res_full = cg(
+            &a,
+            &b,
+            &mut x_full,
+            &IdentityPrecond,
+            SolveOpts::new(1e-11, 0.0, 2000),
+        );
         assert!(res_full.converged);
 
         // First attempt dies after a bounded number of iterations (cap as a
         // stand-in for a rank kill); its checkpoints survive.
         let mut ck = Checkpointer::new(5);
         let mut x1 = vec![0.0; 120];
-        let res1 = cg_checkpointed(
-            &a,
-            &b,
-            &mut x1,
-            &IdentityPrecond,
-            1e-11,
-            0.0,
-            23,
-            &LocalReduce,
-            &mut ck,
-        );
+        let opts = SolveOpts {
+            checkpoint: Some(&mut ck),
+            ..SolveOpts::new(1e-11, 0.0, 23)
+        };
+        let res1 = cg(&a, &b, &mut x1, &IdentityPrecond, opts);
         assert!(!res1.converged);
         let ckpt = ck.into_latest().expect("first attempt checkpointed");
 
@@ -1305,17 +1333,11 @@ mod tests {
         let mut ck2 = Checkpointer::new(5).resume_from(&ckpt);
         assert_eq!(ck2.offset(), ckpt.iteration);
         let mut x2 = ckpt.x.clone();
-        let res2 = cg_checkpointed(
-            &a,
-            &b,
-            &mut x2,
-            &IdentityPrecond,
-            1e-11,
-            0.0,
-            2000,
-            &LocalReduce,
-            &mut ck2,
-        );
+        let opts = SolveOpts {
+            checkpoint: Some(&mut ck2),
+            ..SolveOpts::new(1e-11, 0.0, 2000)
+        };
+        let res2 = cg(&a, &b, &mut x2, &IdentityPrecond, opts);
         assert!(res2.converged, "{res2:?}");
         // Same answer as the uninterrupted solve, to solver tolerance.
         let scale = x_full.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
@@ -1330,57 +1352,23 @@ mod tests {
 
     #[test]
     fn checkpointer_streams_snapshots_into_sink() {
-        let a = laplace_1d(60);
+        let a = laplacian(60, 0.0);
         let b = vec![1.0; 60];
-        let seen = std::cell::RefCell::new(Vec::new());
+        let seen = RefCell::new(Vec::new());
         let mut ck = Checkpointer::new(4).with_sink(|c: &SolveCheckpoint| {
             seen.borrow_mut().push(c.iteration);
         });
         let mut x = vec![0.0; 60];
-        let res = cg_checkpointed(
-            &a,
-            &b,
-            &mut x,
-            &IdentityPrecond,
-            1e-10,
-            0.0,
-            1000,
-            &LocalReduce,
-            &mut ck,
-        );
+        let opts = SolveOpts {
+            checkpoint: Some(&mut ck),
+            ..SolveOpts::new(1e-10, 0.0, 1000)
+        };
+        let res = cg(&a, &b, &mut x, &IdentityPrecond, opts);
         assert!(res.converged);
         let seen = seen.borrow();
         assert!(seen.len() >= 2, "snapshots: {seen:?}");
         assert!(seen.iter().all(|i| i % 4 == 0));
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "monotonic: {seen:?}");
-    }
-
-    #[test]
-    fn checkpointed_bicgstab_is_bitwise_identical() {
-        let a = advdiff_1d(120);
-        let b: Vec<f64> = (0..120).map(|i| 1.0 + (i % 7) as f64).collect();
-        let mut x_plain = vec![0.0; 120];
-        let res_plain = bicgstab(&a, &b, &mut x_plain, &IdentityPrecond, 1e-10, 0.0, 2000);
-        let mut ck = Checkpointer::new(5);
-        let mut x_ck = vec![0.0; 120];
-        let res_ck = bicgstab_checkpointed(
-            &a,
-            &b,
-            &mut x_ck,
-            &IdentityPrecond,
-            1e-10,
-            0.0,
-            2000,
-            &LocalReduce,
-            &mut ck,
-        );
-        assert_eq!(res_plain.iterations, res_ck.iterations);
-        assert_eq!(res_plain.residual.to_bits(), res_ck.residual.to_bits());
-        for (p, f) in x_plain.iter().zip(&x_ck) {
-            assert_eq!(p.to_bits(), f.to_bits());
-        }
-        let ckpt = ck.latest().expect("bicgstab checkpointed");
-        assert_eq!(ckpt.method, "bicgstab");
     }
 
     #[test]
@@ -1393,7 +1381,13 @@ mod tests {
         });
         let b = vec![2.0, 4.0, 6.0, 8.0];
         let mut x = vec![0.0; 4];
-        let res = cg(&op, &b, &mut x, &IdentityPrecond, 1e-12, 0.0, 10);
+        let res = cg(
+            &op,
+            &b,
+            &mut x,
+            &IdentityPrecond,
+            SolveOpts::new(1e-12, 0.0, 10),
+        );
         assert!(res.converged);
         for (xi, want) in x.iter().zip([1.0, 2.0, 3.0, 4.0]) {
             assert!((xi - want).abs() < 1e-10);

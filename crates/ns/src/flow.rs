@@ -5,7 +5,7 @@
 use crate::vms::{element_ns_system, VmsParams};
 use carve_core::nodes::NodeFlags;
 use carve_core::{resolve_slot, Mesh, SlotRef};
-use carve_la::{bicgstab, AsmPrecond, CooBuilder, KrylovResult};
+use carve_la::{bicgstab, AsmPrecond, CooBuilder, KrylovResult, SolveOpts};
 
 /// Strong boundary condition at one node.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -238,7 +238,8 @@ impl<'a, const DIM: usize> FlowSolver<'a, DIM> {
             let nblocks = (ndof / 500).max(1);
             let pre = AsmPrecond::new(&a, nblocks, 2 * (DIM + 1));
             let mut x = self.state.clone();
-            linear = bicgstab(&a, &rhs, &mut x, &pre, 1e-8, 1e-12, self.lin_max_iter);
+            let opts = SolveOpts::new(1e-8, 1e-12, self.lin_max_iter);
+            linear = bicgstab(&a, &rhs, &mut x, &pre, opts);
             let delta: f64 = x
                 .iter()
                 .zip(&self.state)

@@ -4,7 +4,7 @@
 
 use carve_core::{resolve_slot, Mesh, NodeFlags, SlotRef};
 use carve_fem::basis::{gauss_rule, lagrange_deriv_unit, lagrange_eval_unit};
-use carve_la::{bicgstab, AsmPrecond, CooBuilder, KrylovResult};
+use carve_la::{bicgstab, AsmPrecond, CooBuilder, KrylovResult, SolveOpts};
 
 /// Scalar transport solver (BDF1 + SUPG) over a frozen velocity field.
 pub struct TransportSolver<'a, const DIM: usize> {
@@ -201,7 +201,8 @@ impl<'a, const DIM: usize> TransportSolver<'a, DIM> {
         }
         let pre = AsmPrecond::new(&a, (n / 600).max(1), 3);
         let mut c_new = self.c.clone();
-        let res = bicgstab(&a, &rhs, &mut c_new, &pre, 1e-9, 1e-12, 10_000);
+        let opts = SolveOpts::new(1e-9, 1e-12, 10_000);
+        let res = bicgstab(&a, &rhs, &mut c_new, &pre, opts);
         self.c = c_new;
         res
     }

@@ -1,39 +1,28 @@
 #!/usr/bin/env bash
-# Perf-regression gate: run the smoke benchmark, write BENCH_PR<k>.json at
-# the repo root, and compare per-phase timings against the newest prior
-# BENCH_*.json. Fails (exit 1) if any phase's mean seconds regressed beyond
-# the tolerance; the first ever run just records the baseline.
+# Perf-regression gate: run the smoke benchmark into a temporary directory
+# and compare its per-phase timings with the newest committed
+# BENCH_PR*.json. Writes no tracked file. Fails (exit 1) if any phase's mean
+# seconds regressed beyond the tolerance.
+#
+# Recording a new baseline is an explicit step, not part of the gate:
+#   cargo build --release -p carve-bench --bin bench_smoke
+#   ./target/release/bench_smoke BENCH_PR<k>.json   # then commit it
 #
 # Knobs (env):
-#   BENCH_PR              force the PR number for the output file
 #   BENCH_GATE_TOLERANCE  fractional slowdown allowed per phase (default 0.25)
 #   BENCH_GATE_MIN_SECS   ignore phases faster than this (default 0.005)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+baseline=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 1 || true)
+if [[ -z "$baseline" ]]; then
+  echo "bench_gate: no committed BENCH_PR*.json to compare with" >&2
+  exit 1
+fi
+
 cargo build --release -q -p carve-bench --bin bench_smoke
-
-if [[ -n "${BENCH_PR:-}" ]]; then
-  k="$BENCH_PR"
-else
-  newest=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 1 || true)
-  if [[ -n "$newest" ]]; then
-    k=$(( $(basename "$newest" .json | sed 's/^BENCH_PR//') + 1 ))
-  else
-    k=2 # PR numbering starts where the observability layer landed
-  fi
-fi
-out="BENCH_PR${k}.json"
-
-# Newest prior report = highest PR number among committed BENCH_PR*.json,
-# excluding this run's own output (a rerun must not diff against itself).
-prev=$(ls BENCH_PR*.json 2>/dev/null | grep -Fxv "$out" | sort -V | tail -n 1 || true)
-
-./target/release/bench_smoke "$out"
-
-if [[ -n "$prev" && "$prev" != "$out" ]]; then
-  ./target/release/bench_smoke --compare "$prev" "$out"
-  echo "bench_gate: $out vs $prev — no regression"
-else
-  echo "bench_gate: recorded baseline $out (no prior report to compare)"
-fi
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+./target/release/bench_smoke "$tmp/report.json"
+./target/release/bench_smoke --compare "$baseline" "$tmp/report.json"
+echo "bench_gate: no regression against $baseline"

@@ -32,7 +32,9 @@
 #                      function of the owned leaves and the splitters
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
-#   bench-gate         scripts/bench_gate.sh perf regression gate
+#   bench-gate         scripts/bench_gate.sh: the smoke benchmark, run into
+#                      a temporary directory, against the newest committed
+#                      BENCH_PR*.json
 #   serve-gate         bench_serve request replay: latency floors (cache
 #                      hit ≥5× faster than miss, block-CG ≤1/3 the
 #                      rounds) plus the latency-stripped report
@@ -41,6 +43,9 @@
 #   scaling-gate       repro_scaling --check vs the committed scaling
 #                      artifact (per-rank replay structure at 256..28672
 #                      ranks, digests, reference-model efficiencies)
+#
+# No stage may change a tracked file: the run fails if `git diff HEAD` differs
+# before and after the stages.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -148,15 +153,7 @@ run_stage() {
       RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
       ;;
     bench-gate)
-      # A CI re-run must not mint a new report number: regenerate the
-      # newest committed report and gate it against its predecessor.
-      local pr="${BENCH_PR:-}"
-      if [[ -z "$pr" ]]; then
-        local newest
-        newest=$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 1 || true)
-        [[ -n "$newest" ]] && pr=$(basename "$newest" .json | sed 's/^BENCH_PR//')
-      fi
-      BENCH_PR="$pr" bash scripts/bench_gate.sh
+      bash scripts/bench_gate.sh
       ;;
     # Serving engine gate (DESIGN.md §6i): one full replay enforcing the
     # hit-vs-miss latency floor and the block-CG round budget, then the
@@ -210,6 +207,12 @@ else
   selected=("${STAGES[@]}")
 fi
 
+# Fingerprint of every tracked file's difference from HEAD.
+tracked_diff() {
+  git diff HEAD --binary | git hash-object --stdin
+}
+tracked_before=$(tracked_diff)
+
 summary=()
 for stage in "${selected[@]}"; do
   echo "ci: ==> $stage"
@@ -218,7 +221,13 @@ for stage in "${selected[@]}"; do
   summary+=("$(printf '%-18s %5ss  ok' "$stage" "$((SECONDS - start))")")
 done
 
+if [[ "$(tracked_diff)" != "$tracked_before" ]]; then
+  echo "ci: the run changed tracked files:" >&2
+  git diff HEAD --stat >&2
+  exit 1
+fi
+
 echo
 echo "ci: summary"
 printf '  %s\n' "${summary[@]}"
-echo "ci: all stages green"
+echo "ci: all stages green, no tracked file changed"

@@ -484,7 +484,7 @@ fn laplace_1d(n: usize, shift: f64) -> carve::la::CsrMatrix {
 #[test]
 fn krylov_solves_are_pinned_bitwise() {
     use carve::fem::{StiffnessKernel, Supervisor};
-    use carve::la::{IdentityPrecond, JacobiPrecond};
+    use carve::la::{IdentityPrecond, JacobiPrecond, SolveOpts};
 
     // 2-rank CG over the traversal MATVEC on a carved 3-D p = 1 mesh, with
     // the mesh's owned-masked reducer.
@@ -523,16 +523,11 @@ fn krylov_solves_are_pinned_bitwise() {
         });
         let mut x = vec![0.0; n];
         let ops = c.op_count();
-        let k = carve::la::cg_with(
-            &op,
-            &b,
-            &mut x,
-            &IdentityPrecond,
-            1e-9,
-            0.0,
-            400,
-            &dm.reducer(c),
-        );
+        let opts = SolveOpts {
+            reduce: &dm.reducer(c),
+            ..SolveOpts::new(1e-9, 0.0, 400)
+        };
+        let k = carve::la::cg(&op, &b, &mut x, &IdentityPrecond, opts);
         assert!(k.converged, "{k:?}");
         (pin(&x, &k), c.op_count() - ops)
     });
@@ -590,16 +585,8 @@ fn krylov_solves_are_pinned_bitwise() {
     let mut xs = vec![vec![0.0; n]; 3];
     let b_refs: Vec<&[f64]> = bs.iter().map(|b| b.as_slice()).collect();
     let mut x_refs: Vec<&mut [f64]> = xs.iter_mut().map(|x| x.as_mut_slice()).collect();
-    let lanes = carve::la::block_cg_with(
-        &a,
-        &b_refs,
-        &mut x_refs,
-        &IdentityPrecond,
-        1e-10,
-        0.0,
-        200,
-        &carve::la::LocalReduce,
-    );
+    let opts = SolveOpts::new(1e-10, 0.0, 200);
+    let lanes = carve::la::block_cg(&a, &b_refs, &mut x_refs, &IdentityPrecond, opts);
     assert!(lanes.iter().all(|k| k.converged));
     let block: Vec<Pin> = xs.iter().zip(&lanes).map(|(x, k)| pin(x, k)).collect();
     assert_eq!(
