@@ -23,5 +23,5 @@ pub use scaling::{
     CaseSpec, SCALING_PR, SCALING_RANKS,
 };
 pub use serve::{gate_failures, run_replay, HIT_SPEEDUP_FLOOR, SERVE_PR, SERVE_RANKS};
-pub use smoke::{compare_reports, run_smoke, same_machine, strip_secs};
+pub use smoke::run_smoke;
 pub use workloads::*;

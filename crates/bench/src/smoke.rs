@@ -1,12 +1,8 @@
-//! Smoke benchmark behind `scripts/bench_gate.sh`: two fixed small
-//! workloads (the §4.5.1 channel and a carved sphere) through the full
-//! pipeline — distributed build + MATVECs on simulated ranks, then a
-//! sequential Poisson solve — with every phase recorded by `carve-obs`.
-//!
-//! The emitted `BENCH_PR<k>.json` is deterministic modulo the `secs`
-//! fields: same phases, same call counts, same counters on every run (see
-//! `tests/smoke_determinism.rs`), so the CI gate can diff structure exactly
-//! and timings within a tolerance.
+//! Seed-pinned counter probe behind `tests/smoke_determinism.rs`, not a
+//! timing harness (`benchmark/` is the only one): small fixed workloads —
+//! the §4.5.1 channel and a carved sphere, a chaos-recovered solve, the
+//! transient adapt loop, a serving replay — with every phase recorded by
+//! `carve-obs`. Deterministic modulo the `secs` fields.
 
 use carve_comm::run_spmd;
 use carve_core::{DistMesh, GhostState, Mesh};
@@ -18,9 +14,6 @@ use carve_sfc::Curve;
 
 /// Simulated ranks for the distributed stage of each workload.
 pub const SMOKE_RANKS: usize = 2;
-
-/// Schema tag written into every smoke report.
-pub const SMOKE_SCHEMA: &str = "carve-bench-phase-report-v1";
 
 /// One fixed-size smoke workload.
 #[derive(Clone, Copy)]
@@ -162,7 +155,7 @@ const RECOVERY_CKPT_EVERY: usize = 5;
 /// Fixed CG iteration count per attempt of the recovery workload: with
 /// `rtol = 0` the solve runs exactly this many iterations, so every call
 /// count and loss counter in the report is a pure function of the chaos
-/// seed — the determinism the smoke gate diffs on.
+/// seed — the determinism the smoke test diffs on.
 const RECOVERY_ITERS: usize = 40;
 
 /// Recovery stage: a distributed CG solve under *lossy* chaos (frame drops
@@ -268,7 +261,7 @@ fn recovery_snapshots() -> Vec<Snapshot> {
 /// Transient stage: the dynamic-AMR heat driver on a 2-D carved sphere —
 /// estimator-driven refine/coarsen with incremental ghost patching — so
 /// the `adapt/{mark,refine,repartition,patch}` phases and their counters
-/// ride the perf gate alongside the static workloads.
+/// are on the record alongside the static workloads.
 fn transient_snapshots() -> Vec<Snapshot> {
     use carve_fem::{run_transient, TransientConfig};
     run_spmd(SMOKE_RANKS, |c| {
@@ -302,7 +295,7 @@ fn transient_snapshots() -> Vec<Snapshot> {
 /// Serving stage: the scenario-cache replay in miniature — one cache-miss
 /// build+solve, two cache-hit solves, a k=4 block solve, and a point-query
 /// burst per workload, then an eviction sweep — so the `serve/*` phases
-/// and the `cache_*`/`block_*`/`eval_points` counters ride the perf gate.
+/// and the `cache_*`/`block_*`/`eval_points` counters are on the record.
 /// Fixed iteration counts with `rtol = 0` keep every counter a pure
 /// function of the trace.
 fn serve_snapshots() -> Vec<Snapshot> {
@@ -377,58 +370,9 @@ fn serve_snapshots() -> Vec<Snapshot> {
     })
 }
 
-/// Stamps every `…/leaf` phase of a workload report with the derived
-/// `leaf_ns_per_element` metric (mean per-rank leaf seconds over mean
-/// per-rank leaves processed): the roofline-facing number the batched
-/// kernels are gated on. Timing-valued, so [`strip_secs`] removes it.
-fn add_leaf_ns_per_element(report: &mut Json) {
-    let ranks = report
-        .get("ranks")
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0)
-        .max(1.0);
-    let mut ns_by_path: Vec<(String, f64)> = Vec::new();
-    if let Some(Json::Obj(phases)) = report.get("phases") {
-        for (path, phase) in phases {
-            if path != "leaf" && !path.ends_with("/leaf") {
-                continue;
-            }
-            let mean_secs = phase
-                .get("secs")
-                .and_then(|s| s.get("mean"))
-                .and_then(Json::as_f64);
-            let leaves = phase
-                .get("counters")
-                .and_then(|c| c.get("leaves"))
-                .and_then(Json::as_f64);
-            if let (Some(secs), Some(leaves)) = (mean_secs, leaves) {
-                if leaves > 0.0 {
-                    ns_by_path.push((path.clone(), secs * 1e9 / (leaves / ranks)));
-                }
-            }
-        }
-    }
-    if let Json::Obj(fields) = report {
-        for (k, v) in fields.iter_mut() {
-            if k != "phases" {
-                continue;
-            }
-            if let Json::Obj(phases) = v {
-                for (path, phase) in phases.iter_mut() {
-                    if let Some((_, ns)) = ns_by_path.iter().find(|(p, _)| p == path) {
-                        if let Json::Obj(pf) = phase {
-                            pf.push(("leaf_ns_per_element".into(), Json::Num(*ns)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Runs the smoke workloads (two fixed meshes, the fault-recovery solve,
-/// and the transient adapt loop) and returns the full report document:
-/// `{"schema": ..., "workloads": {name: {"ranks": ..., "phases": ...}}}`.
+/// the transient adapt loop and the serving replay) and returns the report
+/// document: `{"workloads": {name: {"ranks": ..., "phases": ...}}}`.
 pub fn run_smoke() -> Json {
     let _e = carve_obs::force_enabled();
     let mut workloads = Vec::new();
@@ -436,9 +380,7 @@ pub fn run_smoke() -> Json {
         let mut snaps = dist_snapshots(case);
         snaps.push(solve_snapshot(case));
         let report = carve_obs::aggregate(&snaps);
-        let mut json = report_to_json(&report);
-        add_leaf_ns_per_element(&mut json);
-        workloads.push((case.name.to_string(), json));
+        workloads.push((case.name.to_string(), report_to_json(&report)));
     }
     let report = carve_obs::aggregate(&recovery_snapshots());
     workloads.push(("recovery".to_string(), report_to_json(&report)));
@@ -446,185 +388,5 @@ pub fn run_smoke() -> Json {
     workloads.push(("transient".to_string(), report_to_json(&report)));
     let report = carve_obs::aggregate(&serve_snapshots());
     workloads.push(("serve".to_string(), report_to_json(&report)));
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SMOKE_SCHEMA.into())),
-        (
-            "machine".into(),
-            Json::Obj(vec![("cpus".into(), Json::Num(cpus as f64))]),
-        ),
-        ("workloads".into(), Json::Obj(workloads)),
-    ])
-}
-
-/// Whether two reports were recorded on comparable hardware. Reports
-/// predating the machine stamp (or with differing CPU counts) are not:
-/// wall-clock comparisons across machines are noise, so the gate falls
-/// back to structure-only checking for them.
-pub fn same_machine(old: &Json, new: &Json) -> bool {
-    let cpus = |j: &Json| {
-        j.get("machine")
-            .and_then(|m| m.get("cpus"))
-            .and_then(Json::as_f64)
-    };
-    match (cpus(old), cpus(new)) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
-    }
-}
-
-/// Recursively drops every object field named `"secs"`, `"retries"`,
-/// `"backoff_ns"`, or `"leaf_ns_per_element"` — the nondeterministic parts
-/// of a smoke report. Wall clock (and the per-element rate derived from
-/// it) is obvious; the retry counters are timing-dependent because a
-/// dropped frame is recovered either by the receive-side retry timer
-/// (counted) or by a racing duplicate/mangled arrival (not), while
-/// `drops_detected`/`corrupt_detected` are keyed off the *injection* and
-/// stay pure functions of the chaos seed.
-pub fn strip_secs(j: &Json) -> Json {
-    match j {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .filter(|(k, _)| {
-                    k != "secs" && k != "retries" && k != "backoff_ns" && k != "leaf_ns_per_element"
-                })
-                .map(|(k, v)| (k.clone(), strip_secs(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_secs).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Compares two smoke reports for the CI gate. Returns regression messages
-/// (empty = pass): a workload or phase present in `old` but missing in
-/// `new`, or a phase whose mean seconds grew beyond `1 + tolerance`
-/// (phases faster than `min_secs` in both reports are exempt — they are
-/// noise at smoke sizes). Timing checks only apply between reports from
-/// the same machine ([`same_machine`]); structural checks always apply.
-pub fn compare_reports(old: &Json, new: &Json, tolerance: f64, min_secs: f64) -> Vec<String> {
-    let check_timings = same_machine(old, new);
-    let mut failures = Vec::new();
-    let old_workloads = match old.get("workloads") {
-        Some(Json::Obj(w)) => w,
-        _ => return vec!["old report: missing \"workloads\" object".into()],
-    };
-    for (wname, old_report) in old_workloads {
-        let new_report = match new.get("workloads").and_then(|w| w.get(wname)) {
-            Some(r) => r,
-            None => {
-                failures.push(format!(
-                    "workload {wname:?} disappeared from the new report"
-                ));
-                continue;
-            }
-        };
-        let old_phases = match old_report.get("phases") {
-            Some(Json::Obj(p)) => p,
-            _ => continue,
-        };
-        for (phase, old_p) in old_phases {
-            let new_p = match new_report.get("phases").and_then(|p| p.get(phase)) {
-                Some(p) => p,
-                None => {
-                    failures.push(format!("{wname}: phase {phase:?} disappeared"));
-                    continue;
-                }
-            };
-            if !check_timings {
-                continue;
-            }
-            let mean = |p: &Json| {
-                p.get("secs")
-                    .and_then(|s| s.get("mean"))
-                    .and_then(Json::as_f64)
-            };
-            let (old_mean, new_mean) = match (mean(old_p), mean(new_p)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => continue,
-            };
-            if old_mean.max(new_mean) < min_secs {
-                continue;
-            }
-            if new_mean > old_mean * (1.0 + tolerance) {
-                failures.push(format!(
-                    "{wname}: {phase} regressed {old_mean:.4}s -> {new_mean:.4}s \
-                     (+{:.0}% > {:.0}% tolerance)",
-                    (new_mean / old_mean - 1.0) * 100.0,
-                    tolerance * 100.0,
-                ));
-            }
-        }
-    }
-    failures
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn report_on(mean: f64, cpus: u32) -> Json {
-        Json::parse(&format!(
-            r#"{{"schema": "carve-bench-phase-report-v1",
-                 "machine": {{"cpus": {cpus}}}, "workloads": {{
-                 "w": {{"ranks": 2, "phases": {{
-                   "matvec": {{"calls": 6, "ranks": 2,
-                     "secs": {{"min": {mean}, "mean": {mean}, "max": {mean}}},
-                     "counters": {{}}}}}}}}}}}}"#
-        ))
-        .expect("valid test report")
-    }
-
-    fn report(mean: f64) -> Json {
-        report_on(mean, 4)
-    }
-
-    #[test]
-    fn comparator_flags_slowdowns_and_structure() {
-        let old = report(0.1);
-        assert!(compare_reports(&old, &report(0.11), 0.25, 0.005).is_empty());
-        let fails = compare_reports(&old, &report(0.2), 0.25, 0.005);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("regressed"), "{fails:?}");
-        // Below the floor, both directions pass.
-        assert!(compare_reports(&report(0.001), &report(0.004), 0.25, 0.005).is_empty());
-        // Structural losses fail loudly.
-        let empty = Json::parse(r#"{"workloads": {}}"#).unwrap();
-        let fails = compare_reports(&old, &empty, 0.25, 0.005);
-        assert!(fails[0].contains("disappeared"), "{fails:?}");
-    }
-
-    #[test]
-    fn cross_machine_comparison_checks_structure_only() {
-        let old = report_on(0.1, 4);
-        let slow = report_on(10.0, 1);
-        assert!(!same_machine(&old, &slow));
-        // A huge slowdown on different hardware is not a regression...
-        assert!(compare_reports(&old, &slow, 0.25, 0.005).is_empty());
-        // ...and a pre-stamp report never gets timing-compared either...
-        let mut unstamped = report_on(10.0, 1);
-        if let Json::Obj(fields) = &mut unstamped {
-            fields.retain(|(k, _)| k != "machine");
-        }
-        assert!(compare_reports(&old, &unstamped, 0.25, 0.005).is_empty());
-        // ...but a phase disappearing still fails across machines.
-        let empty = Json::parse(r#"{"machine": {"cpus": 1}, "workloads": {}}"#).unwrap();
-        let fails = compare_reports(&old, &empty, 0.25, 0.005);
-        assert!(fails[0].contains("disappeared"), "{fails:?}");
-    }
-
-    #[test]
-    fn strip_secs_removes_only_secs() {
-        let j = report(0.5);
-        let stripped = strip_secs(&j);
-        let phase = stripped
-            .get("workloads")
-            .and_then(|w| w.get("w"))
-            .and_then(|r| r.get("phases"))
-            .and_then(|p| p.get("matvec"))
-            .expect("phase kept");
-        assert!(phase.get("secs").is_none());
-        assert!(phase.get("calls").is_some());
-    }
+    Json::Obj(vec![("workloads".into(), Json::Obj(workloads))])
 }

@@ -1,9 +1,30 @@
-//! The smoke benchmark must be deterministic modulo wall-clock: two runs in
-//! the same process produce identical phases, call counts, and counters —
-//! the property the CI perf gate relies on to diff structure exactly.
+//! The smoke counter probe must be deterministic modulo wall-clock: two runs
+//! in the same process produce identical phases, call counts, and counters,
+//! and every layer puts the counters asserted below on the record.
 
-use carve_bench::smoke::{run_smoke, strip_secs};
+use carve_bench::smoke::run_smoke;
 use carve_io::Json;
+
+/// Recursively drops every object field named `"secs"`, `"retries"` or
+/// `"backoff_ns"` — the nondeterministic parts of a smoke report. Wall
+/// clock is obvious; the retry counters are timing-dependent because a
+/// dropped frame is recovered either by the receive-side retry timer
+/// (counted) or by a racing duplicate/mangled arrival (not), while
+/// `drops_detected`/`corrupt_detected` are keyed off the *injection* and
+/// stay pure functions of the chaos seed.
+fn strip_secs(j: &Json) -> Json {
+    match j {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .filter(|(k, _)| k != "secs" && k != "retries" && k != "backoff_ns")
+                .map(|(k, v)| (k.clone(), strip_secs(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(strip_secs).collect()),
+        other => other.clone(),
+    }
+}
 
 fn phase<'a>(report: &'a Json, workload: &str, path: &str) -> &'a Json {
     report
@@ -174,4 +195,29 @@ fn smoke_report_is_deterministic_modulo_secs() {
     assert_eq!(counter(&a, "serve", "serve", "cache_evictions"), 4.0);
     // The warm solves ride fused reductions like every other Krylov stage.
     assert!(counter(&a, "serve", "serve/hit_solve", "reductions_fused") > 0.0);
+}
+
+fn report(mean: f64) -> Json {
+    Json::parse(&format!(
+        r#"{{"workloads": {{
+             "w": {{"ranks": 2, "phases": {{
+               "matvec": {{"calls": 6, "ranks": 2,
+                 "secs": {{"min": {mean}, "mean": {mean}, "max": {mean}}},
+                 "counters": {{}}}}}}}}}}}}"#
+    ))
+    .expect("valid test report")
+}
+
+#[test]
+fn strip_secs_removes_only_secs() {
+    let j = report(0.5);
+    let stripped = strip_secs(&j);
+    let phase = stripped
+        .get("workloads")
+        .and_then(|w| w.get("w"))
+        .and_then(|r| r.get("phases"))
+        .and_then(|p| p.get("matvec"))
+        .expect("phase kept");
+    assert!(phase.get("secs").is_none());
+    assert!(phase.get("calls").is_some());
 }

@@ -179,11 +179,11 @@ const DEFAULT_BATCH_WIDTH: usize = 8;
 /// Reusable arena for the traversal engine: bucket vectors, scatter logs,
 /// and per-worker scratch pooled across recursion levels and across calls.
 /// Also carries the intra-rank thread budget (`CARVE_PAR_THREADS` env or
-/// `available_parallelism`) and the spine split depth (`CARVE_PAR_SPLIT`
-/// env, default 1). Results never depend on either knob — see the module
-/// docs — only wall-clock does.
+/// `available_parallelism`) and the spine split depth. Results never depend
+/// on either — see the module docs — only wall-clock does.
 pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
+    /// 1: every depth-1 subtree is a task; tests sweep deeper splits.
     split_depth: u8,
     /// Maximum leaf-panel width (`CARVE_BATCH_WIDTH` env, default 8;
     /// 1 disables batching). Results never depend on it.
@@ -206,25 +206,19 @@ pub struct TraversalWorkspace<const DIM: usize> {
 impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// Workspace with the environment-resolved thread budget.
     pub fn new() -> Self {
-        let split = std::env::var("CARVE_PAR_SPLIT")
-            .ok()
-            .and_then(|v| v.parse::<u8>().ok())
-            .filter(|&d| d >= 1)
-            .unwrap_or(1)
-            .min(8);
         let batch = std::env::var("CARVE_BATCH_WIDTH")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&w| w >= 1)
             .unwrap_or(DEFAULT_BATCH_WIDTH)
             .min(64);
-        Self::build(par::thread_budget(), split, batch)
+        Self::build(par::thread_budget(), batch)
     }
 
     /// Workspace with an explicit thread count (tests; avoids racy env
     /// mutation under a parallel test harness).
     pub fn with_threads(threads: usize) -> Self {
-        Self::build(threads, 1, DEFAULT_BATCH_WIDTH)
+        Self::build(threads, DEFAULT_BATCH_WIDTH)
     }
 
     /// Sets the maximum leaf-panel width (builder style; tests). `1`
@@ -247,10 +241,10 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
         self
     }
 
-    fn build(threads: usize, split_depth: u8, batch_width: usize) -> Self {
+    fn build(threads: usize, batch_width: usize) -> Self {
         Self {
             threads: threads.max(1),
-            split_depth: split_depth.max(1),
+            split_depth: 1,
             batch_width: batch_width.max(1),
             bucket_pool: Vec::new(),
             log_pool: Vec::new(),

@@ -407,8 +407,9 @@ impl<const DIM: usize> ServedField<'_, DIM> {
     /// zero communication; points whose covering leaf is remote ride one
     /// `all_to_allv` request/reply round to their candidate owners (the
     /// lowest-ranked rank that evaluates wins, deterministically). Points
-    /// outside the carved mesh evaluate to `0.0` and count into the
-    /// `eval_misses` counter.
+    /// outside the carved mesh — including points outside the unit cube and
+    /// points with a non-finite coordinate — evaluate to `0.0` and count
+    /// into the `eval_misses` counter.
     ///
     /// Collective: every rank must call this, with its own point set.
     pub fn eval_points(&self, comm: &Comm, pts: &[[f64; DIM]]) -> Vec<f64> {
@@ -434,15 +435,23 @@ impl<const DIM: usize> ServedField<'_, DIM> {
         let fv = self.entry.field_view(self.u);
         let mut out = vec![0.0f64; pts.len()];
         let mut unresolved: Vec<usize> = Vec::new();
+        // Off-cube and NaN points never reach the lattice lookup, whose
+        // cell cast would clamp them onto a boundary leaf and extrapolate.
+        let mut misses = 0u64;
         for (i, latt) in latts.iter().enumerate() {
+            if !pts[i].iter().all(|c| (0.0..=1.0).contains(c)) {
+                misses += 1;
+                continue;
+            }
             match eval_field_lattice(&fv, latt, NudgePolicy::FaceOnly) {
                 Some(v) => out[i] = v,
                 None => unresolved.push(i),
             }
         }
         if comm.size() == 1 {
-            if !unresolved.is_empty() {
-                carve_obs::counter("eval_misses", unresolved.len() as u64);
+            misses += unresolved.len() as u64;
+            if misses > 0 {
+                carve_obs::counter("eval_misses", misses);
             }
             return out;
         }
@@ -479,7 +488,6 @@ impl<const DIM: usize> ServedField<'_, DIM> {
             .collect();
         let reply_in = comm.all_to_allv(replies);
         let mut cursors = vec![0usize; pnum];
-        let mut misses = 0u64;
         for (&i, bins) in unresolved.iter().zip(&point_bins) {
             let mut val: Option<f64> = None;
             for &b in bins {
@@ -682,6 +690,45 @@ mod tests {
                 );
             }
         });
+    }
+
+    #[test]
+    fn eval_points_misses_off_cube_and_non_finite_points() {
+        // `u = 1 + x` is exact on the p = 1 mesh, so the in-cube read
+        // returns it. Points off the unit cube or with a non-finite
+        // coordinate must miss (zero plus `eval_misses`), not extrapolate
+        // from the boundary leaf their cell index would clamp to.
+        let pts = [
+            [0.3, 0.05],
+            [-0.5, 0.05],
+            [-3.0, 0.05],
+            [1.5, 0.05],
+            [f64::NAN, 0.05],
+            [0.3, f64::INFINITY],
+        ];
+        for ranks in [1, 2] {
+            let per_rank = run_spmd(ranks, move |c| {
+                let _on = carve_obs::force_enabled();
+                let (domain, spec) = sphere_spec(None);
+                let mut cache = ScenarioCache::<2>::with_cap_bytes(64 << 20);
+                let e = cache.get_or_build(c, &domain, spec);
+                let u = coord_field(&e.dm, &|x| 1.0 + x[0]);
+                let vals = ServedField { entry: e, u: &u }.eval_points(c, &pts);
+                let misses: u64 = carve_obs::thread_snapshot()
+                    .phases
+                    .values()
+                    .filter_map(|st| st.counters.get("eval_misses"))
+                    .sum();
+                (vals, misses)
+            });
+            for (vals, misses) in per_rank {
+                assert!((vals[0] - 1.3).abs() < 1e-12, "{ranks} ranks: {vals:?}");
+                for (v, p) in vals[1..].iter().zip(&pts[1..]) {
+                    assert_eq!(v.to_bits(), 0.0f64.to_bits(), "{ranks} ranks at {p:?}");
+                }
+                assert_eq!(misses, 5, "{ranks} ranks");
+            }
+        }
     }
 
     #[test]

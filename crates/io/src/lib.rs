@@ -17,7 +17,7 @@ pub use adapt_trace::{
 };
 pub use checkpoint::{checkpoint_from_json, checkpoint_to_json, CHECKPOINT_SCHEMA};
 pub use json::Json;
-pub use obs_report::{report_from_json, report_to_json};
+pub use obs_report::report_to_json;
 pub use results::{ExperimentRecord, Series, ShapeCheck};
 pub use scaling_report::{
     scaling_report_from_json, scaling_report_to_json, ModelConstants, ScalingCase, ScalingPoint,

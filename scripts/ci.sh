@@ -32,9 +32,9 @@
 #                      function of the owned leaves and the splitters
 #   clippy             clippy with warnings denied
 #   doc                rustdoc with warnings denied
-#   bench-gate         scripts/bench_gate.sh: the smoke benchmark, run into
-#                      a temporary directory, against the newest committed
-#                      BENCH_PR*.json
+#   perf-gate          scripts/perf_gate.py: benchmark/ as 3 alternating
+#                      HEAD~1/working-tree pairs per workload; outputs,
+#                      failures and the BENCHMARK.json bounds (≈ 11 min)
 #   serve-gate         bench_serve request replay: latency floors (cache
 #                      hit ≥5× faster than miss, block-CG ≤1/3 the
 #                      rounds) plus the latency-stripped report
@@ -51,7 +51,7 @@ cd "$(dirname "$0")/.."
 
 STAGES=(fmt build test-par1 test-par4 test-debug chaos chaos-lossy
         adapt-determinism leaf-kernel-determinism mesh-digest clippy doc
-        bench-gate serve-gate scaling-gate)
+        perf-gate serve-gate scaling-gate)
 
 run_stage() {
   case "$1" in
@@ -152,8 +152,9 @@ run_stage() {
     doc)
       RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
       ;;
-    bench-gate)
-      bash scripts/bench_gate.sh
+    # Its worktree and builds live under mktemp -d and target/perf-gate/.
+    perf-gate)
+      python3 scripts/perf_gate.py
       ;;
     # Serving engine gate (DESIGN.md §6i): one full replay enforcing the
     # hit-vs-miss latency floor and the block-CG round budget, then the
