@@ -758,8 +758,11 @@ impl Comm {
             if let Some(deadline) = next_retry {
                 if Instant::now() >= deadline {
                     attempt += 1;
-                    carve_obs::counter("retries", 1);
+                    // A retry is a frame the store handed back; an expiry
+                    // that finds nothing is a slow peer and shows only in
+                    // `backoff_ns`.
                     if let Some((kind, pristine)) = self.lost.fetch(from, self.rank, tag, seq) {
+                        carve_obs::counter("retries", 1);
                         count_recovery(kind);
                         self.account_recv(
                             (pristine.data.len() * std::mem::size_of::<f64>()) as u64,

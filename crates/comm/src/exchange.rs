@@ -324,6 +324,17 @@ mod tests {
         (send, recv)
     }
 
+    /// Sum of counter `name` over every phase the calling rank recorded
+    /// since `before`.
+    fn counter_since(before: &carve_obs::Snapshot, name: &str) -> u64 {
+        carve_obs::thread_snapshot()
+            .diff(before)
+            .phases
+            .values()
+            .filter_map(|ph| ph.counters.get(name))
+            .sum()
+    }
+
     #[test]
     fn read_then_accumulate_roundtrip_on_ring() {
         let res = run_spmd(3, |c| {
@@ -533,15 +544,24 @@ mod tests {
         let mut opts = SpmdOptions::default().timeout(std::time::Duration::from_secs(20));
         opts.fault = Some(plan);
         let res = run_spmd_with(3, opts, |c| {
+            let _obs = carve_obs::force_enabled();
+            let before = carve_obs::thread_snapshot();
             let (sp, rp) = ring_plans(c);
             let mut ex = ExchangeHandle::new(&sp, &rp);
             let mut v = [10.0 * (c.rank() as f64 + 1.0), -1.0];
             ex.read(c, &mut v);
-            v[1]
+            let recovered = counter_since(&before, "drops_detected")
+                + counter_since(&before, "corrupt_detected");
+            (v[1], counter_since(&before, "retries"), recovered)
         })
         .expect("dropped frames must be recovered");
-        for (r, ghost) in res.iter().enumerate() {
+        for (r, (ghost, retries, recovered)) in res.iter().enumerate() {
             assert_eq!(*ghost, 10.0 * (((r + 1) % 3) as f64 + 1.0), "rank {r}");
+            assert!(*recovered > 0, "rank {r}: no drop was detected");
+            assert_eq!(
+                retries, recovered,
+                "rank {r}: retries must count recoveries"
+            );
         }
     }
 
@@ -557,6 +577,8 @@ mod tests {
         let mut opts = SpmdOptions::default().timeout(std::time::Duration::from_secs(20));
         opts.fault = Some(plan);
         let res = run_spmd_with(3, opts, |c| {
+            let _obs = carve_obs::force_enabled();
+            let before = carve_obs::thread_snapshot();
             let (sp, rp) = ring_plans(c);
             let mut ex = ExchangeHandle::new(&sp, &rp);
             let mut acc = 0.0;
@@ -565,13 +587,51 @@ mod tests {
                 ex.read(c, &mut v);
                 acc += v[1];
             }
-            acc
+            let recovered = counter_since(&before, "drops_detected")
+                + counter_since(&before, "corrupt_detected");
+            (acc, counter_since(&before, "retries"), recovered)
         })
         .expect("corrupted frames must be recovered");
-        for (r, got) in res.iter().enumerate() {
+        for (r, (got, retries, recovered)) in res.iter().enumerate() {
             let expect: f64 = (0..4).map(|k| (((r + 1) % 3) + k) as f64 + 0.5).sum();
             assert_eq!(*got, expect, "rank {r}");
+            assert!(*recovered > 0, "rank {r}: no corruption was detected");
+            assert_eq!(
+                retries, recovered,
+                "rank {r}: retries must count recoveries"
+            );
         }
+    }
+
+    #[test]
+    fn slow_peer_is_not_a_retry() {
+        // Rank 1 posts its read three retry windows late. Its neighbours'
+        // lane timers expire and find nothing in the retransmit store: that
+        // is backoff, not a recovered frame, so `retries` stays 0.
+        let late = 3 * crate::comm::DEFAULT_RETRY_BASE;
+        let res = run_spmd_with(3, SpmdOptions::default(), |c| {
+            let _obs = carve_obs::force_enabled();
+            let before = carve_obs::thread_snapshot();
+            let (sp, rp) = ring_plans(c);
+            let mut ex = ExchangeHandle::new(&sp, &rp);
+            if c.rank() == 1 {
+                std::thread::sleep(late);
+            }
+            let mut v = [c.rank() as f64 + 1.0, 0.0];
+            ex.read(c, &mut v);
+            (
+                v[1],
+                counter_since(&before, "retries"),
+                counter_since(&before, "backoff_ns"),
+            )
+        })
+        .expect("a slow peer must not fail the exchange");
+        for (r, (ghost, retries, _)) in res.iter().enumerate() {
+            assert_eq!(*ghost, ((r + 1) % 3) as f64 + 1.0, "rank {r}");
+            assert_eq!(*retries, 0, "rank {r}: a late frame is not a retry");
+        }
+        // Rank 0 ghosts rank 1's value, so it is the one that waited.
+        assert!(res[0].2 > 0, "rank 0 waited past its retry window");
     }
 
     #[test]
