@@ -9,6 +9,8 @@ PAIRS alternating pairs, and exits 1 when a run is not correct, the change
 fails more of its operations, a `# exact` line moves, or an end-to-end median
 is worse than the base's by more than its bound and outside the base's range.
 A metric whose base runs alone spread wider than its bound is `unresolved`.
+Each workload then runs once traced (`--trace 1`) on each side: the change's
+traced run must be correct; the base's verdict is only printed.
 """
 import json
 import os
@@ -20,7 +22,7 @@ import tempfile
 
 # Alternating pairs per workload: a median and a range for each side. One
 # suite takes about 93 s per side on a 2-core box, so the gate takes about
-# 11 minutes including both builds.
+# 11 minutes including both builds, plus about 4 for the traced passes.
 PAIRS = 3
 
 
@@ -60,6 +62,17 @@ def output_failures(name, runs):
     return fails
 
 
+def traced_verdict(name, side, out):
+    """One line on a traced run, and whether it is correct."""
+    result = json.loads(out[-1])
+    retries = result["metrics"].get("comm.retries", {}).get("value")
+    notes = [l for l in out if l.startswith("check failed: ")]
+    line = (f"{name} traced {side}: {'correct' if result['correct'] else 'NOT correct'}"
+            + ("" if retries is None else f", comm.retries {retries:g}")
+            + "".join(f"\n  {n}" for n in notes))
+    return line, result["correct"]
+
+
 def main():
     base_rev = sys.argv[1] if len(sys.argv) > 1 else "HEAD~1"
     root = sh(["git", "rev-parse", "--show-toplevel"], os.getcwd())
@@ -68,7 +81,7 @@ def main():
     trees = {"base": os.path.join(tmp, "base"), "change": root}
     targets = {side: os.path.join(root, "target", "perf-gate", side) for side in trees}
     args = ["--seconds", str(spec["run_seconds"]), "--trace", "0"]
-    failures, rows, exacts = [], [], []
+    failures, rows, exacts, traced = [], [], [], []
     try:
         sh(["git", "worktree", "add", "--detach", trees["base"], base_rev], root)
         for side in trees:
@@ -87,6 +100,15 @@ def main():
                     print(f"perf_gate: {name} pair {pair + 1}/{PAIRS} {side}: tts_s "
                           f"{result['metrics']['tts_s']['value']:.4g}", file=sys.stderr)
             failures += output_failures(name, runs)
+            for side in ("base", "change"):
+                out = sh(spec["command"] + ["--workload", name, "--seconds",
+                                            str(spec["run_seconds"]), "--trace", "1"],
+                         trees[side], targets[side]).splitlines()
+                line, correct = traced_verdict(name, side, out)
+                print(f"perf_gate: {line}", file=sys.stderr)
+                traced.append(line)
+                if side == "change" and not correct:
+                    failures.append(f"{name}: the change's traced run is not correct")
             exacts.append(f"{name} {runs['change'][0][1]}")
             for m in spec["end_to_end"]:
                 vals = {side: [r["metrics"][m["name"]]["value"] for r, _ in rs]
@@ -110,6 +132,7 @@ def main():
           "against the working tree; medians [min–max]\n")
     print("| workload | metric | base | change | Δ | bound | verdict |\n|---|---|---|---|---|---|---|")
     print("\n".join(rows) + "\n\nchange, first run:\n" + "\n".join(exacts) + "\n")
+    print("traced passes (the base's verdict is informational):\n" + "\n".join(traced) + "\n")
     for f in failures:
         print(f"perf_gate: FAIL {f}")
     print("perf_gate: failed" if failures else "perf_gate: passed")
