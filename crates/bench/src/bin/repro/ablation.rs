@@ -1,0 +1,334 @@
+//! Ablations ◆ for the design decisions DESIGN.md calls out. Only the
+//! Morton-vs-Hilbert ghost counts are deterministic and go to a CSV; the
+//! timed rows are printed.
+//!
+//! - partition surface: Morton vs Hilbert ghost nodes;
+//! - leaf kernel: dense vs sum-factorized tensor vs quadrature on the fly;
+//! - scalar vs batched SoA panels at widths 1, 4 and 8 (Fig. 12's sweeps);
+//! - MATVEC: traversal vs e2n map vs assembled CSR, and Morton vs Hilbert
+//!   traversal;
+//! - construction: proactive pruning vs build-then-filter, and balancing;
+//! - TreeSort vs a comparison sort.
+
+use crate::kernel::{batched_sweep, scalar_sweep};
+use crate::{per_call, timed, Opts, Report};
+use carve_baseline::{build_then_filter, ImmersedMesh};
+use carve_bench::{analyze_partition, SphereWorkload};
+use carve_core::{construct_balanced, construct_boundary_refined, construct_uniform};
+use carve_core::{traversal_assemble_ws, traversal_matvec_ws, Mesh, TraversalWorkspace};
+use carve_fem::poisson::reference_stiffness;
+use carve_fem::ElementCache;
+use carve_geom::{CarvedSolids, FullDomain, RetainBox, Sphere, Subdomain};
+use carve_io::Table;
+use carve_la::CooBuilder;
+use carve_sfc::{sfc_cmp, treesort, Curve, Octant};
+use rand::{Rng, SeedableRng};
+
+fn sphere() -> CarvedSolids<3> {
+    CarvedSolids::new(vec![Box::new(Sphere::new([0.5; 3], 0.25))])
+}
+
+fn channel() -> RetainBox<3> {
+    RetainBox::channel([1.0, 1.0 / 16.0, 1.0 / 16.0])
+}
+
+fn ms(secs: f64) -> String {
+    format!("{:.3}", secs * 1e3)
+}
+
+fn ns(secs: f64) -> String {
+    format!("{:.1}", secs * 1e9)
+}
+
+/// Total and per-rank ghost nodes of SFC partitions under each curve.
+fn curve_ghosts() -> Table {
+    let mut table = Table::new(
+        "Ablation: Morton vs Hilbert partition surface (total/mean ghost nodes; lower = less communication)",
+        &[
+            "mesh", "curve", "elements", "ranks", "total ghosts", "mean ghosts", "std", "eta",
+        ],
+    );
+    let cases: [(&str, Box<dyn Subdomain<3>>, u8, u8); 2] = [
+        ("sphere", Box::new(sphere()), 4, 6),
+        ("channel", Box::new(channel()), 5, 7),
+    ];
+    for (name, domain, base, boundary) in &cases {
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            let mesh = Mesh::build(domain.as_ref(), curve, *base, *boundary, 1);
+            for ranks in [64usize, 256, 1024]
+                .into_iter()
+                .filter(|r| mesh.num_elems() >= r * 4)
+            {
+                let a = analyze_partition(&mesh, ranks);
+                let (mean_g, std_g, eta) = a.ghost_stats();
+                let total_ghost: usize = a.loads.iter().map(|l| l.ghost_nodes).sum();
+                table.row(&[
+                    name.to_string(),
+                    format!("{curve:?}"),
+                    mesh.num_elems().to_string(),
+                    ranks.to_string(),
+                    total_ghost.to_string(),
+                    format!("{mean_g:.1}"),
+                    format!("{std_g:.1}"),
+                    format!("{eta:.4}"),
+                ]);
+            }
+        }
+    }
+    table
+}
+
+/// One elemental apply: the dense `(p+1)^{2d}` matrix, the `d(p+1)^{d+1}`
+/// sum-factorized kernel, and the matrix rebuilt by quadrature every call
+/// (why constant-coefficient operators fly and NS does not).
+fn leaf_kernels() -> Table {
+    let mut table = Table::new(
+        "Ablation: elemental apply, ns per call",
+        &["order", "dense", "tensor", "quadrature on the fly"],
+    );
+    for p in [1usize, 2] {
+        let npe = (p + 1).pow(3);
+        let u: Vec<f64> = (0..npe).map(|i| (i as f64).sin()).collect();
+        let mut v = vec![0.0; npe];
+        let mut cache = ElementCache::<3>::new(p);
+        let dense = per_call(20_000, || {
+            v.iter_mut().for_each(|x| *x = 0.0);
+            cache.apply_stiffness_dense(0.25, &u, &mut v);
+            std::hint::black_box(&v);
+        });
+        let tensor = per_call(20_000, || {
+            v.iter_mut().for_each(|x| *x = 0.0);
+            cache.apply_stiffness_tensor(0.25, &u, &mut v);
+            std::hint::black_box(&v);
+        });
+        let on_the_fly = per_call(200, || {
+            reference_stiffness::<3>(p).matvec(&u, &mut v);
+            std::hint::black_box(&v);
+        });
+        table.row(&[p.to_string(), ns(dense), ns(tensor), ns(on_the_fly)]);
+    }
+    table
+}
+
+/// Fig. 12's sphere sweep, one element at a time vs SoA panels.
+fn panels(mesh1: &Mesh<3>, mesh2: &Mesh<3>) -> Table {
+    let mut table = Table::new(
+        "Ablation: scalar vs batched leaf sweep, ns per element (Fig 12's sphere mesh)",
+        &[
+            "order",
+            "elements",
+            "scalar",
+            "batched x1",
+            "batched x4",
+            "batched x8",
+        ],
+    );
+    for (p, mesh) in [(1usize, mesh1), (2, mesh2)] {
+        let per_elem = |secs: f64| ns(secs / mesh.num_elems() as f64);
+        let mut row = vec![
+            p.to_string(),
+            mesh.num_elems().to_string(),
+            per_elem(scalar_sweep(mesh, p, 5)),
+        ];
+        row.extend([1, 4, 8].map(|w| per_elem(batched_sweep(mesh, p, w, 5))));
+        table.row(&row);
+    }
+    table
+}
+
+/// Milliseconds per traversal MATVEC (§3.5, no element-to-node map).
+fn traversal_ms(mesh: &Mesh<3>, x: &[f64], p: usize) -> String {
+    let mut cache = ElementCache::<3>::new(p);
+    let mut ws = TraversalWorkspace::with_threads(1);
+    let mut y = vec![0.0; x.len()];
+    ms(per_call(10, || {
+        y.iter_mut().for_each(|v| *v = 0.0);
+        traversal_matvec_ws(
+            &mesh.elems,
+            0..mesh.elems.len(),
+            mesh.curve,
+            &mesh.nodes,
+            x,
+            &mut y,
+            &mut ws,
+            &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+                cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+            },
+        );
+        std::hint::black_box(&y);
+    }))
+}
+
+/// The three MATVECs on one carved sphere mesh, same tensor kernel; and
+/// the traversal under each curve.
+fn matvecs() -> Table {
+    let mut table = Table::new(
+        "Ablation: MATVEC on the carved sphere (base 4, boundary 6), ms per apply",
+        &[
+            "order",
+            "dofs",
+            "traversal (Hilbert)",
+            "e2n map",
+            "assembled CSR",
+            "traversal (Morton)",
+        ],
+    );
+    let domain = sphere();
+    for order in [1u64, 2] {
+        let p = order as usize;
+        let mesh = Mesh::build(&domain, Curve::Hilbert, 4, 6, order);
+        let n = mesh.num_dofs();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+        let traversal = traversal_ms(&mesh, &x, p);
+
+        let baseline = ImmersedMesh::from_mesh(&FullDomain, mesh.clone());
+        let mut cache = ElementCache::<3>::new(p);
+        let mut y = vec![0.0; n];
+        let e2n = per_call(10, || {
+            y.iter_mut().for_each(|v| *v = 0.0);
+            baseline.matvec(
+                &x,
+                &mut y,
+                &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+                    cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+                },
+            );
+            std::hint::black_box(&y);
+        });
+
+        let mut coo = CooBuilder::new(n);
+        let ids: Vec<u32> = (0..n as u32).collect();
+        traversal_assemble_ws(
+            &mesh.elems,
+            0..mesh.elems.len(),
+            mesh.curve,
+            &mesh.nodes,
+            &ids,
+            &mut coo,
+            &mut TraversalWorkspace::with_threads(1),
+            &mut |e: &Octant<3>| cache.stiffness(e.bounds_unit().1),
+        );
+        let a = coo.build();
+        let csr = per_call(10, || {
+            a.matvec(&x, &mut y);
+            std::hint::black_box(&y);
+        });
+
+        let morton = Mesh::build(&domain, Curve::Morton, 4, 6, order);
+        table.row(&[
+            order.to_string(),
+            n.to_string(),
+            traversal,
+            ms(e2n),
+            ms(csr),
+            traversal_ms(&morton, &x, p),
+        ]);
+    }
+    table
+}
+
+/// Proactive pruning (Algorithms 1–2) vs building the complete tree and
+/// filtering (the \[66\] approach), and what 2:1 balancing costs.
+fn construction() -> Table {
+    let mut table = Table::new(
+        "Ablation: incomplete-octree construction, ms",
+        &[
+            "mesh",
+            "base",
+            "boundary",
+            "proactive + balance",
+            "build then filter",
+            "balance alone",
+        ],
+    );
+    let cases: [(&str, Box<dyn Subdomain<3>>, u8, u8); 2] = [
+        ("sphere", Box::new(sphere()), 4, 6),
+        ("channel", Box::new(channel()), 5, 7),
+    ];
+    for (name, domain, base, boundary) in &cases {
+        let domain = domain.as_ref();
+        let (adaptive, t_refine) =
+            timed(|| construct_boundary_refined(domain, Curve::Hilbert, *base, *boundary));
+        let (balanced, t_balance) = timed(|| construct_balanced(domain, Curve::Hilbert, &adaptive));
+        let (filtered, t_filter) =
+            timed(|| build_then_filter(domain, Curve::Hilbert, *base, *boundary));
+        std::hint::black_box((balanced, filtered));
+        table.row(&[
+            name.to_string(),
+            base.to_string(),
+            boundary.to_string(),
+            ms(t_refine + t_balance),
+            ms(t_filter),
+            ms(t_balance),
+        ]);
+    }
+    let (_, t_uniform) = timed(|| construct_uniform(&sphere(), Curve::Morton, 6));
+    table.row(&[
+        "sphere, uniform".into(),
+        "6".into(),
+        "6".into(),
+        ms(t_uniform),
+        "-".into(),
+        "-".into(),
+    ]);
+    table
+}
+
+/// Octants of random level ≤ `max_level` from a seeded stream.
+fn random_octants(n: usize, max_level: u8, seed: u64) -> Vec<Octant<3>> {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            let level = rng.gen_range(1..=max_level);
+            (0..level).fold(Octant::<3>::ROOT, |o, _| o.child(rng.gen_range(0..8)))
+        })
+        .collect()
+}
+
+/// TreeSort (comparison-free MSD radix, SFC-permuted buckets) vs a
+/// comparison sort: the memory-locality claim of \[23, 30\].
+fn sorts() -> Table {
+    let mut table = Table::new(
+        "Ablation: sorting random octants, ms",
+        &["octants", "curve", "TreeSort", "comparison sort"],
+    );
+    for n in [10_000usize, 100_000] {
+        let input = random_octants(n, 8, 42);
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            let tree = per_call(5, || {
+                let mut v = input.clone();
+                treesort(&mut v, curve);
+                std::hint::black_box(v);
+            });
+            let cmp = per_call(5, || {
+                let mut v = input.clone();
+                v.sort_by(|x, y| sfc_cmp(curve, x, y));
+                std::hint::black_box(v);
+            });
+            table.row(&[n.to_string(), format!("{curve:?}"), ms(tree), ms(cmp)]);
+        }
+    }
+    table
+}
+
+pub fn run(_: &Opts) -> Result<Report, String> {
+    let sph = SphereWorkload::new();
+    let tables = vec![
+        (curve_ghosts(), Some("results/ablation_curves.csv")),
+        (leaf_kernels(), None),
+        (panels(&sph.mesh(4, 7, 1), &sph.mesh(4, 7, 2)), None),
+        (matvecs(), None),
+        (construction(), None),
+        (sorts(), None),
+    ];
+    Ok(Report {
+        tables,
+        check: "expected: Hilbert's face-continuity yields fewer ghosts per rank than\n\
+                Morton's jumps, with the gap widening at higher rank counts.\n\
+                The timed tables are one-shot numbers of this machine, not a gate: read\n\
+                the ratios (tensor vs dense by order, panel width, MATVEC variants,\n\
+                pruning vs filtering by void fraction, TreeSort vs comparison sort)."
+            .into(),
+        ..Report::default()
+    })
+}
