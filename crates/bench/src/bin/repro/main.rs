@@ -24,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Settings shared by every id; each id reads the ones it has.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Opts {
     /// Bigger meshes for fig11, table4, fig13, table5 and table6.
     pub large: bool,
