@@ -932,8 +932,9 @@ mod tests {
         }
     }
 
-    /// Runs one batched apply against `batch` scalar applies on the same
-    /// per-element data and demands bitwise equality.
+    /// Runs one width-`batch` panel apply of each operator against `batch`
+    /// width-1 panels holding the same per-element data and demands
+    /// bitwise equality: results never depend on the panel width.
     fn check_batched_bitwise<const DIM: usize>(p: usize, batch: usize) {
         use rand::{Rng, SeedableRng};
         let mut rng =
@@ -943,46 +944,35 @@ mod tests {
         // SoA panel: node lin of element b at [lin * batch + b].
         let panel_u: Vec<f64> = (0..n * batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
         for (scale, hm, hk) in [(1.0, 0.125, 0.03), (0.4782, 2.0, 0.9)] {
-            let mut panel_v = vec![0.0; n * batch];
-            cache.apply_stiffness_tensor_batched(scale, batch, &panel_u, &mut panel_v);
-            for b in 0..batch {
-                let u: Vec<f64> = (0..n).map(|lin| panel_u[lin * batch + b]).collect();
-                let mut v = vec![0.0; n];
-                cache.apply_stiffness_tensor_scaled(scale, &u, &mut v);
-                for (lin, x) in v.iter().enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        panel_v[lin * batch + b].to_bits(),
-                        "stiffness DIM={DIM} p={p} batch={batch} b={b} lin={lin}"
-                    );
-                }
-            }
-            let mut panel_v = vec![0.0; n * batch];
-            cache.apply_mass_batched(scale, batch, &panel_u, &mut panel_v);
-            for b in 0..batch {
-                let u: Vec<f64> = (0..n).map(|lin| panel_u[lin * batch + b]).collect();
-                let mut v = vec![0.0; n];
-                cache.apply_mass_scaled(scale, &u, &mut v);
-                for (lin, x) in v.iter().enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        panel_v[lin * batch + b].to_bits(),
-                        "mass DIM={DIM} p={p} batch={batch} b={b} lin={lin}"
-                    );
-                }
-            }
-            let mut panel_v = vec![0.0; n * batch];
-            cache.apply_heat_batched(hm, hk, batch, &panel_u, &mut panel_v);
-            for b in 0..batch {
-                let u: Vec<f64> = (0..n).map(|lin| panel_u[lin * batch + b]).collect();
-                let mut v = vec![0.0; n];
-                cache.apply_heat_scaled(hm, hk, &u, &mut v);
-                for (lin, x) in v.iter().enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        panel_v[lin * batch + b].to_bits(),
-                        "heat DIM={DIM} p={p} batch={batch} b={b} lin={lin}"
-                    );
+            type Apply<const D: usize> = dyn Fn(&mut ElementCache<D>, usize, &[f64], &mut [f64]);
+            let ops: [(&str, Box<Apply<DIM>>); 3] = [
+                (
+                    "stiffness",
+                    Box::new(move |c, w, u, v| c.apply_stiffness_tensor_batched(scale, w, u, v)),
+                ),
+                (
+                    "mass",
+                    Box::new(move |c, w, u, v| c.apply_mass_batched(scale, w, u, v)),
+                ),
+                (
+                    "heat",
+                    Box::new(move |c, w, u, v| c.apply_heat_batched(hm, hk, w, u, v)),
+                ),
+            ];
+            for (name, op) in &ops {
+                let mut panel_v = vec![0.0; n * batch];
+                op(&mut cache, batch, &panel_u, &mut panel_v);
+                for b in 0..batch {
+                    let u: Vec<f64> = (0..n).map(|lin| panel_u[lin * batch + b]).collect();
+                    let mut v = vec![0.0; n];
+                    op(&mut cache, 1, &u, &mut v);
+                    for (lin, x) in v.iter().enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            panel_v[lin * batch + b].to_bits(),
+                            "{name} DIM={DIM} p={p} batch={batch} b={b} lin={lin}"
+                        );
+                    }
                 }
             }
         }
