@@ -19,12 +19,15 @@
 //! `results/matvec_digest.txt`: a change of summation order is an explicit
 //! re-record, never a silent pass.
 //!
-//! Traversal threads come from `CARVE_PAR_THREADS` and the leaf-panel width
-//! from `CARVE_BATCH_WIDTH`, so the stage reruns this binary across a
-//! width × threads matrix and byte-compares the documents — the panel path
-//! must be bitwise identical to the scalar path under any schedule.
+//! Every row is computed twice in one process, with leaf panels of width 1
+//! and of width 8 (`TraversalWorkspace::with_batch_width`); the binary exits
+//! 1 naming the first row whose two digests differ, so the panel width can
+//! never change a bit. Traversal threads come from `CARVE_PAR_THREADS`, so
+//! the stage reruns the binary at several thread budgets and byte-compares
+//! the documents.
 //!
-//! Usage: `matvec_digest [OUT.txt]` — writes to the path, or stdout.
+//! Usage: `matvec_digest [OUT.txt]` — writes the document to the path, or
+//! stdout.
 
 use carve_comm::run_spmd;
 use carve_core::{
@@ -56,13 +59,18 @@ fn field(id: usize) -> f64 {
     (id as f64 * 0.13).sin() + 0.01
 }
 
-fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
+/// Environment-resolved workspace (`CARVE_PAR_THREADS` applies) with leaf
+/// panels of at most `width` leaves.
+fn workspace<const DIM: usize>(width: usize) -> TraversalWorkspace<DIM> {
+    TraversalWorkspace::new().with_batch_width(width)
+}
+
+fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> u64 {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let x: Vec<f64> = (0..n).map(field).collect();
     let mut y = vec![0.0f64; n];
-    // Env-resolved workspace: CARVE_PAR_THREADS and CARVE_BATCH_WIDTH apply.
-    let mut ws = TraversalWorkspace::<DIM>::new();
+    let mut ws = workspace::<DIM>(width);
     let make_kernel = || StiffnessKernel::<DIM>::new(p, SCALE);
     // Two rounds through the same workspace so arena/pool reuse is covered.
     for _ in 0..2 {
@@ -81,11 +89,11 @@ fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
     fnv1a(y.iter().map(|v| v.to_bits()))
 }
 
-fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
+fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> u64 {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let ids: Vec<u32> = (0..n as u32).collect();
-    let mut ws = TraversalWorkspace::<DIM>::new();
+    let mut ws = workspace::<DIM>(width);
     let mut coo = CooBuilder::new(n);
     traversal_assemble_par(
         &mesh.elems,
@@ -106,12 +114,12 @@ fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>) -> u64 {
 }
 
 /// Per-rank digests of the ghosted output of one 2-rank overlapped apply.
-fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> Vec<u64> {
+fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize) -> Vec<u64> {
     run_spmd(2, |c| {
         let dm = DistMesh::<DIM>::build(c, domain, Curve::Hilbert, 3, 5, p);
         let x: Vec<f64> = dm.global_id.iter().map(|&g| field(g as usize)).collect();
         let mut y = vec![0.0f64; x.len()];
-        let mut ws = TraversalWorkspace::<DIM>::new();
+        let mut ws = workspace::<DIM>(width);
         let make_kernel = || StiffnessKernel::<DIM>::new(p as usize, SCALE);
         for _ in 0..2 {
             dm.matvec_par(c, &x, &mut y, &mut ws, GhostState::Ghosted, &make_kernel);
@@ -120,38 +128,52 @@ fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64) -> Vec<u64
     })
 }
 
-fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, out: &mut String) {
+fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize, out: &mut String) {
     let mesh = Mesh::<DIM>::build(domain, Curve::Hilbert, 3, 5, p);
     let tag = format!("dim={DIM} p={p}");
     out.push_str(&format!(
         "matvec {tag} digest={:016x}\n",
-        matvec_digest(&mesh)
+        matvec_digest(&mesh, width)
     ));
-    for (rank, d) in dist_digests(domain, p).iter().enumerate() {
+    for (rank, d) in dist_digests(domain, p, width).iter().enumerate() {
         out.push_str(&format!("dist {tag} ranks=2 rank={rank} digest={d:016x}\n"));
     }
     out.push_str(&format!(
         "assemble {tag} digest={:016x}\n",
-        assemble_digest(&mesh)
+        assemble_digest(&mesh, width)
     ));
 }
 
-fn main() {
+/// The digest document with leaf panels of at most `width` leaves.
+fn document(width: usize) -> String {
     let d2 = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
     let d3 = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.28))]);
     let mut out = String::from("carve-matvec-digest-v3\n");
     for p in [1u64, 2] {
-        rows(&d2, p, &mut out);
-        rows(&d3, p, &mut out);
+        rows(&d2, p, width, &mut out);
+        rows(&d3, p, width, &mut out);
     }
-    rows(&d2, 3, &mut out);
+    rows(&d2, 3, width, &mut out);
     let unbalanced = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
     let chain = Mesh::from_balanced_elems(&d2, Curve::Hilbert, unbalanced, 2);
     out.push_str(&format!(
         "chain dim=2 p=2 matvec={:016x} assemble={:016x}\n",
-        matvec_digest(&chain),
-        assemble_digest(&chain)
+        matvec_digest(&chain, width),
+        assemble_digest(&chain, width)
     ));
+    out
+}
+
+fn main() {
+    let out = document(1);
+    for (w1, w8) in out.lines().zip(document(8).lines()) {
+        if w1 != w8 {
+            eprintln!(
+                "matvec_digest: panel width changed a row:\n  width 1: {w1}\n  width 8: {w8}"
+            );
+            std::process::exit(1);
+        }
+    }
     match std::env::args().nth(1) {
         Some(path) => std::fs::write(&path, out).expect("write matvec digest"),
         None => print!("{out}"),

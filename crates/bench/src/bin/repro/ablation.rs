@@ -4,13 +4,14 @@
 //!
 //! - partition surface: Morton vs Hilbert ghost nodes;
 //! - leaf kernel: dense vs sum-factorized tensor vs quadrature on the fly;
-//! - scalar vs batched SoA panels at widths 1, 4 and 8 (Fig. 12's sweeps);
+//! - the leaf kernel through SoA panels of widths 1, 4 and 8 (Fig. 12's
+//!   sweeps);
 //! - MATVEC: traversal vs e2n map vs assembled CSR, and Morton vs Hilbert
 //!   traversal;
 //! - construction: proactive pruning vs build-then-filter, and balancing;
 //! - TreeSort vs a comparison sort.
 
-use crate::kernel::{batched_sweep, scalar_sweep};
+use crate::kernel::batched_sweep;
 use crate::{per_call, timed, Opts, Report};
 use carve_baseline::{build_then_filter, ImmersedMesh};
 use carve_bench::{analyze_partition, SphereWorkload};
@@ -110,26 +111,15 @@ fn leaf_kernels() -> Table {
     table
 }
 
-/// Fig. 12's sphere sweep, one element at a time vs SoA panels.
+/// Fig. 12's sphere sweep through SoA panels of one element and wider.
 fn panels(mesh1: &Mesh<3>, mesh2: &Mesh<3>) -> Table {
     let mut table = Table::new(
-        "Ablation: scalar vs batched leaf sweep, ns per element (Fig 12's sphere mesh)",
-        &[
-            "order",
-            "elements",
-            "scalar",
-            "batched x1",
-            "batched x4",
-            "batched x8",
-        ],
+        "Ablation: leaf sweep by panel width, ns per element (Fig 12's sphere mesh)",
+        &["order", "elements", "width 1", "width 4", "width 8"],
     );
     for (p, mesh) in [(1usize, mesh1), (2, mesh2)] {
         let per_elem = |secs: f64| ns(secs / mesh.num_elems() as f64);
-        let mut row = vec![
-            p.to_string(),
-            mesh.num_elems().to_string(),
-            per_elem(scalar_sweep(mesh, p, 5)),
-        ];
+        let mut row = vec![p.to_string(), mesh.num_elems().to_string()];
         row.extend([1, 4, 8].map(|w| per_elem(batched_sweep(mesh, p, w, 5))));
         table.row(&row);
     }

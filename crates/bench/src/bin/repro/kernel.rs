@@ -8,6 +8,9 @@
 //! the absolute AI differs. What reproduces is the ordering AI(p2) >
 //! AI(p1), the ~1.7× ratio, higher GFLOP/s at higher order, and the
 //! memory-bound placement.
+//!
+//! Each order has two rows, both timing the one panel kernel: panels of one
+//! element (`linear`, `quadratic`) and of eight (`…-batched8`).
 
 use crate::{per_call, Opts, Report};
 use carve_bench::{ChannelWorkload, SphereWorkload};
@@ -46,29 +49,12 @@ fn leaf_model(mesh: &Mesh<3>, p: usize) -> (u64, u64) {
     )
 }
 
-/// Seconds per sweep of the elemental tensor kernel over every element,
-/// one contiguous element vector at a time (the paper's "leaf MATVEC").
-pub fn scalar_sweep(mesh: &Mesh<3>, p: usize, reps: usize) -> f64 {
-    let ne = mesh.num_elems();
-    let npe = (p + 1).pow(3);
-    let mut cache = ElementCache::<3>::new(p);
-    let hs: Vec<f64> = mesh.elems.iter().map(|e| e.bounds_unit().1).collect();
-    let u: Vec<f64> = (0..ne * npe).map(|i| (i as f64 * 0.01).sin()).collect();
-    let mut v = vec![0.0f64; ne * npe];
-    per_call(reps, || {
-        v.iter_mut().for_each(|x| *x = 0.0);
-        for (ei, &h) in hs.iter().enumerate() {
-            let span = ei * npe..(ei + 1) * npe;
-            cache.apply_stiffness_tensor(h, &u[span.clone()], &mut v[span]);
-        }
-        std::hint::black_box(&v);
-    })
-}
-
-/// The same sweep through SoA panels of up to `width` same-level elements
-/// in mesh order, one `apply_stiffness_tensor_batched` call per panel: what
-/// the traversal's panel builder feeds the kernel. The FP work per element
-/// is the scalar sweep's, so only the layout changes.
+/// Seconds per sweep of the elemental tensor kernel (the paper's "leaf
+/// MATVEC") over every element, through SoA panels of up to `width`
+/// same-level elements in mesh order, one `apply_stiffness_tensor_batched`
+/// call per panel: what the traversal's panel builder feeds the kernel.
+/// The FP work per element does not depend on `width`; only the layout
+/// changes.
 pub fn batched_sweep(mesh: &Mesh<3>, p: usize, width: usize, reps: usize) -> f64 {
     let ne = mesh.num_elems();
     let npe = (p + 1).pow(3);
@@ -127,9 +113,10 @@ pub fn fig12(_: &Opts) -> Result<Report, String> {
             let order = if p == 1 { "linear" } else { "quadratic" };
             let (flops, bytes) = leaf_model(mesh, p);
             ai[mi][pi] = flops as f64 / bytes as f64;
-            // The scalar point, then the same FP work through width-8 panels.
+            // One element per panel, then the same FP work through width-8
+            // panels.
             for (label, secs) in [
-                (order.to_string(), scalar_sweep(mesh, p, REPS)),
+                (order.to_string(), batched_sweep(mesh, p, 1, REPS)),
                 (format!("{order}-batched8"), batched_sweep(mesh, p, 8, REPS)),
             ] {
                 table.row(&[

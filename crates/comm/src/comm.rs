@@ -16,7 +16,8 @@
 //!   seed;
 //! * the sequenced lane frames of [`crate::ExchangeHandle`] recover dropped
 //!   or corrupted deliveries through a bounded retransmit-retry protocol
-//!   with exponential backoff (`CARVE_RETRY_BASE` / `CARVE_RETRY_MAX`), so
+//!   with exponential backoff (`CARVE_RETRY_BASE`, at most
+//!   [`DEFAULT_RETRY_MAX`] attempts), so
 //!   a lossy schedule still converges to the bitwise fault-free result.
 
 use std::any::{type_name, Any};
@@ -67,17 +68,14 @@ pub const CHAOS_ENV: &str = "CARVE_CHAOS";
 /// transport's retransmit buffer for a missing frame.
 pub const RETRY_BASE_ENV: &str = "CARVE_RETRY_BASE";
 
-/// Environment variable bounding the number of retransmit-retry attempts
-/// per expected frame; once exhausted the wait falls through to the
-/// watchdog deadline with the retry history in its diagnostic.
-pub const RETRY_MAX_ENV: &str = "CARVE_RETRY_MAX";
-
 /// Default initial per-lane receive timeout: long enough that a healthy
 /// (merely delayed) frame almost always arrives first, short enough that a
 /// genuinely dropped frame costs milliseconds, not the watchdog deadline.
 pub const DEFAULT_RETRY_BASE: Duration = Duration::from_millis(25);
 
-/// Default bound on retransmit-retry attempts per frame.
+/// Bound on retransmit-retry attempts per expected frame; once exhausted
+/// the wait falls through to the watchdog deadline with the retry history
+/// in its diagnostic.
 pub const DEFAULT_RETRY_MAX: u32 = 10;
 
 /// Ambient plan from [`CHAOS_ENV`]: parses `seed[:profile]` and returns the
@@ -102,13 +100,6 @@ fn default_retry_base() -> Duration {
         .filter(|s| *s > 0.0)
         .map(Duration::from_secs_f64)
         .unwrap_or(DEFAULT_RETRY_BASE)
-}
-
-fn default_retry_max() -> u32 {
-    std::env::var(RETRY_MAX_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(DEFAULT_RETRY_MAX)
 }
 
 /// Mutex poisoning is irrelevant here: the abort protocol owns failure
@@ -315,8 +306,6 @@ pub struct Comm {
     lost: Arc<RetransmitStore>,
     /// Initial backoff of the bounded lane-retry loop (`CARVE_RETRY_BASE`).
     retry_base: Duration,
-    /// Maximum retransmit fetch attempts per lane wait (`CARVE_RETRY_MAX`).
-    retry_max: u32,
     /// Human-readable description of the exchange currently in flight on
     /// this rank (neighbor ranks + posted-but-unmatched lane counts);
     /// appended to watchdog timeout diagnostics so a hung exchange names
@@ -360,7 +349,6 @@ impl Comm {
             deferred: RefCell::new(Vec::new()),
             lost: Arc::new(RetransmitStore::default()),
             retry_base: default_retry_base(),
-            retry_max: default_retry_max(),
             exchange_note: RefCell::new(String::new()),
         }
     }
@@ -728,7 +716,7 @@ impl Comm {
     /// retry. If the frame does not arrive within the current backoff
     /// window, the retransmit store is polled (standing in for a NACK
     /// round-trip); backoff doubles with deterministic jitter up to
-    /// `retry_max` attempts, after which the wait falls through to the
+    /// [`DEFAULT_RETRY_MAX`] attempts, after which the wait falls through to the
     /// ordinary watchdog deadline with the retry history in its context.
     pub(crate) fn recv_frame(&self, from: usize, tag: u64, seq: u64, what: &str) -> Vec<f64> {
         self.flush_deferred();
@@ -740,7 +728,7 @@ impl Comm {
         let start = Instant::now();
         let mut attempt: u32 = 0;
         let mut backoff = self.retry_base;
-        let mut next_retry = (self.retry_max > 0).then(|| start + backoff);
+        let mut next_retry = Some(start + backoff);
         loop {
             self.check_abort();
             let waited = start.elapsed();
@@ -771,7 +759,7 @@ impl Comm {
                     }
                     backoff = backoff * 2 + retry_jitter(self.rank, from, tag, attempt);
                     carve_obs::counter("backoff_ns", backoff.as_nanos() as u64);
-                    next_retry = (attempt < self.retry_max).then(|| Instant::now() + backoff);
+                    next_retry = (attempt < DEFAULT_RETRY_MAX).then(|| Instant::now() + backoff);
                 }
             }
             match self.receiver.recv_timeout(POLL) {
@@ -1483,7 +1471,6 @@ where
     let abort = Arc::new(AbortState::default());
     let lost = Arc::new(RetransmitStore::default());
     let retry_base = default_retry_base();
-    let retry_max = default_retry_max();
     let outcomes: Vec<Result<R, RankFailure>> = std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(nranks);
         for (rank, rx) in rxs.into_iter().enumerate() {
@@ -1510,7 +1497,6 @@ where
                     deferred: RefCell::new(Vec::new()),
                     lost,
                     retry_base,
-                    retry_max,
                     exchange_note: RefCell::new(String::new()),
                 };
                 match panic::catch_unwind(AssertUnwindSafe(|| {

@@ -21,7 +21,8 @@
 //!   count) for stress testing the distributed algorithms. Exchange-lane
 //!   traffic is sequence-numbered and checksummed, with bounded
 //!   retry/backoff recovery from a retransmit store (`CARVE_RETRY_BASE`,
-//!   `CARVE_RETRY_MAX`), so lossy chaos converges bit-identically.
+//!   [`comm::DEFAULT_RETRY_MAX`] attempts), so lossy chaos converges
+//!   bit-identically.
 //! * [`disttreesort`] — the distributed sample-sort version of TreeSort used
 //!   by Algorithm 3, with duplicate removal and keep-finer overlap
 //!   resolution across rank boundaries, plus the load-tolerance splitter
@@ -44,7 +45,7 @@ pub mod fault;
 
 pub use comm::{
     run_spmd, run_spmd_with, try_run_spmd, Comm, CommStats, RecvHandle, ReduceOp, SpmdOptions,
-    CHAOS_ENV, RETRY_BASE_ENV, RETRY_MAX_ENV, TIMEOUT_ENV,
+    CHAOS_ENV, RETRY_BASE_ENV, TIMEOUT_ENV,
 };
 pub use disttreesort::{
     dist_tree_sort, load_imbalance, partition_splitters_by_weight, rebalance_equal_counts,

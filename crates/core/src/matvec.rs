@@ -71,8 +71,8 @@
 //!
 //! Runs of SFC-consecutive sibling leaves are processed as one
 //! structure-of-arrays panel (`npe × width`, element lane innermost), up to
-//! `CARVE_BATCH_WIDTH` wide when the kernel opts in via
-//! [`LeafKernel::supports_panels`] and of width 1 otherwise: gathers first
+//! the workspace's batch width (8) and the kernel's
+//! [`LeafKernel::panel_width`] wide (1 for a closure kernel): gathers first
 //! (they only read `vin`, which the traversal never writes), one kernel
 //! call, then per leaf in SFC order its hanging contributions in lattice
 //! order followed by its direct slots, all added straight into the parent
@@ -90,6 +90,7 @@ use carve_la::CooBuilder;
 use carve_la::DenseMatrix;
 use carve_sfc::morton::point_cmp_morton;
 use carve_sfc::{Curve, Octant, SfcState};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -172,8 +173,8 @@ struct PanelBufs<const DIM: usize> {
     srcs: Vec<([u64; DIM], f64)>,
 }
 
-/// Default panel width: one full sibling group in 3D (`2^3`), the natural
-/// maximum run length the traversal produces.
+/// Default panel width: one full sibling group in 3D (`2^3`), the longest
+/// run of sibling leaves a 3-D traversal forms.
 const DEFAULT_BATCH_WIDTH: usize = 8;
 
 /// Reusable arena for the traversal engine: bucket vectors, scatter logs,
@@ -185,8 +186,8 @@ pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
     /// 1: every depth-1 subtree is a task; tests sweep deeper splits.
     split_depth: u8,
-    /// Maximum leaf-panel width (`CARVE_BATCH_WIDTH` env, default 8;
-    /// 1 disables batching). Results never depend on it.
+    /// Maximum leaf-panel width (default 8; 1 makes every panel one
+    /// leaf). Results never depend on it.
     batch_width: usize,
     bucket_pool: Vec<Bucket<DIM>>,
     log_pool: Vec<OutLog>,
@@ -206,29 +207,35 @@ pub struct TraversalWorkspace<const DIM: usize> {
 impl<const DIM: usize> TraversalWorkspace<DIM> {
     /// Workspace with the environment-resolved thread budget.
     pub fn new() -> Self {
-        let batch = std::env::var("CARVE_BATCH_WIDTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(DEFAULT_BATCH_WIDTH)
-            .min(64);
-        Self::build(par::thread_budget(), batch)
+        Self::with_threads(par::thread_budget())
     }
 
     /// Workspace with an explicit thread count (tests; avoids racy env
     /// mutation under a parallel test harness).
     pub fn with_threads(threads: usize) -> Self {
-        Self::build(threads, DEFAULT_BATCH_WIDTH)
+        Self {
+            threads: threads.max(1),
+            split_depth: 1,
+            batch_width: DEFAULT_BATCH_WIDTH,
+            bucket_pool: Vec::new(),
+            log_pool: Vec::new(),
+            scratch: Vec::new(),
+            ghost_scratch: Vec::new(),
+            task_flags: Vec::new(),
+            prolongation: None,
+            alloc: 0,
+            reuse: 0,
+        }
     }
 
-    /// Sets the maximum leaf-panel width (builder style; tests). `1`
-    /// disables batching entirely.
+    /// Sets the maximum leaf-panel width (builder style; tests and
+    /// benchmarks). `1` makes every panel a single leaf.
     pub fn with_batch_width(mut self, width: usize) -> Self {
         self.batch_width = width.max(1);
         self
     }
 
-    /// The maximum leaf-panel width batch-capable kernels will see.
+    /// The maximum leaf-panel width kernels will see.
     pub fn batch_width(&self) -> usize {
         self.batch_width
     }
@@ -239,22 +246,6 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     pub(crate) fn with_split_depth(mut self, depth: u8) -> Self {
         self.split_depth = depth.max(1);
         self
-    }
-
-    fn build(threads: usize, batch_width: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            split_depth: 1,
-            batch_width: batch_width.max(1),
-            bucket_pool: Vec::new(),
-            log_pool: Vec::new(),
-            scratch: Vec::new(),
-            ghost_scratch: Vec::new(),
-            task_flags: Vec::new(),
-            prolongation: None,
-            alloc: 0,
-            reuse: 0,
-        }
     }
 
     /// Takes the persistent ghosted-input scratch vector (empty the first
@@ -725,75 +716,58 @@ fn fill_child_bucket<const DIM: usize>(
 
 // --- Elemental kernel traits ----------------------------------------------
 
-/// Elemental operator for the matvec traversal. `apply` is the scalar
-/// per-element kernel; kernels that can consume structure-of-arrays panels
-/// of SFC-consecutive same-level siblings opt in via
-/// [`Self::supports_panels`] + [`Self::apply_panel`].
+/// Elemental operator for the matvec traversal, applied to panels of
+/// SFC-consecutive same-level sibling leaves in structure-of-arrays
+/// layout: node `lin` of element `b` of a width-`w` panel lives at
+/// `[lin * w + b]`.
 ///
 /// Implemented for every `FnMut(&Octant<DIM>, &[f64], &mut [f64])` closure
-/// (scalar-only), so plain-closure call sites need no changes.
+/// as a kernel of panel width 1, so plain-closure call sites need no
+/// changes.
 pub trait LeafKernel<const DIM: usize> {
-    /// `v_e += K_e u_e` on one element (`v_e` arrives zeroed).
-    fn apply(&mut self, e: &Octant<DIM>, u: &[f64], v: &mut [f64]);
-
-    /// Whether [`Self::apply_panel`] is implemented; when `false` the
-    /// traversal stays on the scalar per-leaf path.
-    fn supports_panels(&self) -> bool {
-        false
+    /// The widest panel the kernel takes; the workspace's
+    /// [`TraversalWorkspace::batch_width`] caps it further.
+    fn panel_width(&self) -> usize {
+        usize::MAX
     }
 
-    /// Applies the operator to a panel of `elems.len()` same-level elements
-    /// in SoA layout: node `lin` of element `b` lives at
-    /// `[lin * batch + b]` (`v` arrives zeroed). Implementations must
-    /// perform each element's floating-point operations in exactly the
-    /// order of [`Self::apply`] so batched and scalar traversals agree
-    /// bitwise.
-    fn apply_panel(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
-        let _ = (elems, u, v);
-        unreachable!("apply_panel called on a kernel without panel support")
-    }
+    /// `v_e += K_e u_e` for every element of the panel `elems` (`v`
+    /// arrives zeroed). Each element's result must not depend on the panel
+    /// width, so traversals agree bitwise for every width.
+    fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]);
 }
 
 impl<const DIM: usize, F> LeafKernel<DIM> for F
 where
     F: FnMut(&Octant<DIM>, &[f64], &mut [f64]),
 {
-    fn apply(&mut self, e: &Octant<DIM>, u: &[f64], v: &mut [f64]) {
-        self(e, u, v)
+    fn panel_width(&self) -> usize {
+        1
+    }
+
+    fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
+        debug_assert_eq!(elems.len(), 1, "a closure kernel takes one element");
+        self(&elems[0], u, v)
     }
 }
 
 /// Elemental matrix source for the assembly traversal. Caching kernels
-/// (e.g. per-level matrices on axis-aligned octrees) return a borrow via
-/// [`Self::matrix_ref`] so the traversal skips the per-leaf build + clone;
-/// the emitted triplet stream is identical either way.
+/// (e.g. per-level matrices on axis-aligned octrees) lend a borrow so the
+/// traversal skips the per-leaf build; the emitted triplet stream is the
+/// same either way.
 ///
 /// Implemented for every `FnMut(&Octant<DIM>) -> DenseMatrix` closure.
 pub trait AssemblyKernel<const DIM: usize> {
-    /// The elemental matrix `K_e` (owned).
-    fn matrix(&mut self, e: &Octant<DIM>) -> DenseMatrix;
-
-    /// Borrowing variant for caching kernels; `None` means "use
-    /// [`Self::matrix`]". Must hold the same values as `matrix`.
-    fn matrix_ref(&mut self, e: &Octant<DIM>) -> Option<&DenseMatrix> {
-        let _ = e;
-        None
-    }
-
-    /// Whether same-level sibling runs should be processed as panels (the
-    /// stencil sweeps batch and the obs counters record it; the triplet
-    /// stream is unchanged either way).
-    fn supports_panels(&self) -> bool {
-        false
-    }
+    /// The elemental matrix `K_e`.
+    fn matrix(&mut self, e: &Octant<DIM>) -> Cow<'_, DenseMatrix>;
 }
 
 impl<const DIM: usize, F> AssemblyKernel<DIM> for F
 where
     F: FnMut(&Octant<DIM>) -> DenseMatrix,
 {
-    fn matrix(&mut self, e: &Octant<DIM>) -> DenseMatrix {
-        self(e)
+    fn matrix(&mut self, e: &Octant<DIM>) -> Cow<'_, DenseMatrix> {
+        Cow::Owned(self(e))
     }
 }
 
@@ -865,8 +839,7 @@ impl<const DIM: usize> LeafRun<'_, DIM> {
 /// of the parent bucket, apply it, and write the results back (matvec) or
 /// log them (assembly).
 trait LeafVisitor<const DIM: usize> {
-    /// Maximum run width this visitor takes as one panel (1 = a kernel
-    /// without panel support).
+    /// Maximum run width this visitor takes as one panel.
     fn panel_width(&self) -> usize;
 
     /// Returns how many hanging sources took the chain fallback.
@@ -1152,11 +1125,7 @@ where
     K: LeafKernel<DIM>,
 {
     fn panel_width(&self) -> usize {
-        if self.kernel.supports_panels() {
-            usize::MAX
-        } else {
-            1
-        }
+        self.kernel.panel_width()
     }
 
     fn run(
@@ -1193,10 +1162,7 @@ where
                 };
             }
         }
-        match run.leaves {
-            [leaf] => self.kernel.apply(leaf, vin, vout),
-            leaves => self.kernel.apply_panel(leaves, vin, vout),
-        }
+        self.kernel.apply(run.leaves, vin, vout);
         // Scatter per leaf in SFC order, hanging slots before direct ones:
         // the order of "scatter into a leaf bucket (hanging slots bypass
         // it), then merge that bucket upward".
@@ -1256,11 +1222,7 @@ where
     K: AssemblyKernel<DIM>,
 {
     fn panel_width(&self) -> usize {
-        if self.kernel.supports_panels() {
-            usize::MAX
-        } else {
-            1
-        }
+        usize::MAX
     }
 
     fn run(
@@ -1291,12 +1253,7 @@ where
                     }
                 }
             }
-            // `K_e` is borrowed from caching kernels, built otherwise.
-            if let Some(ke) = self.kernel.matrix_ref(leaf) {
-                emit_triplets(&self.stencils, ke, ctx.log);
-            } else {
-                emit_triplets(&self.stencils, &self.kernel.matrix(leaf), ctx.log);
-            }
+            emit_triplets(&self.stencils, &self.kernel.matrix(leaf), ctx.log);
         }
         chained
     }
@@ -2036,7 +1993,8 @@ mod tests {
             &mut toy_kernel::<2>(1),
         );
         let d = carve_obs::thread_snapshot().diff(&before);
-        // A closure kernel takes no panels: one `leaf` call per element.
+        // A closure kernel takes panels of one element: one `leaf` call
+        // per element.
         let leaf = &d.phases["matvec/leaf"];
         assert_eq!(leaf.calls, elems.len() as u64);
         assert_eq!(leaf.counters["leaves"], elems.len() as u64);
@@ -2167,28 +2125,13 @@ mod tests {
         }
     }
 
-    /// Panel-capable twin of [`toy_kernel`]: the scalar apply is the same
-    /// code, and the panel apply performs each element's additions in the
-    /// same order over the SoA layout — so batched and scalar traversals
-    /// must agree bit for bit.
+    /// Panel twin of the width-1 closure [`toy_kernel`]: it performs each
+    /// element's additions in the same order over the SoA layout, so
+    /// traversals at every width must agree with the closure bit for bit.
     struct ToyBatchKernel<const DIM: usize>;
 
     impl<const DIM: usize> LeafKernel<DIM> for ToyBatchKernel<DIM> {
-        fn apply(&mut self, e: &Octant<DIM>, u: &[f64], v: &mut [f64]) {
-            let h = e.bounds_unit().1;
-            let scale = h.powi(DIM as i32);
-            let npe = u.len();
-            let sum: f64 = u.iter().sum();
-            for i in 0..npe {
-                v[i] = scale * (u[i] + sum / npe as f64);
-            }
-        }
-
-        fn supports_panels(&self) -> bool {
-            true
-        }
-
-        fn apply_panel(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
+        fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
             let batch = elems.len();
             let npe = u.len() / batch;
             let h = elems[0].bounds_unit().1;
@@ -2205,8 +2148,8 @@ mod tests {
         }
     }
 
-    /// Panel-capable twin of [`toy_matrix`] with a per-level matrix cache
-    /// (the toy matrix depends on the octant only through `h`, i.e. level).
+    /// Caching twin of [`toy_matrix`]: a per-level matrix cache (the toy
+    /// matrix depends on the octant only through `h`, i.e. level).
     struct ToyBatchMatrix<const DIM: usize> {
         p: u64,
         levels: Vec<Option<DenseMatrix>>,
@@ -2222,20 +2165,10 @@ mod tests {
     }
 
     impl<const DIM: usize> AssemblyKernel<DIM> for ToyBatchMatrix<DIM> {
-        fn matrix(&mut self, e: &Octant<DIM>) -> DenseMatrix {
-            toy_matrix::<DIM>(self.p)(e)
-        }
-
-        fn matrix_ref(&mut self, e: &Octant<DIM>) -> Option<&DenseMatrix> {
-            let slot = &mut self.levels[e.level as usize];
-            if slot.is_none() {
-                *slot = Some(toy_matrix::<DIM>(self.p)(e));
-            }
-            slot.as_ref()
-        }
-
-        fn supports_panels(&self) -> bool {
-            true
+        fn matrix(&mut self, e: &Octant<DIM>) -> Cow<'_, DenseMatrix> {
+            let p = self.p;
+            let m = self.levels[e.level as usize].get_or_insert_with(|| toy_matrix::<DIM>(p)(e));
+            Cow::Borrowed(m)
         }
     }
 

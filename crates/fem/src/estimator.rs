@@ -65,7 +65,7 @@ pub fn energy_error_indicators<const DIM: usize>(
         let shift = vals[0];
         vals.iter_mut().for_each(|v| *v -= shift);
         ku.iter_mut().for_each(|v| *v = 0.0);
-        cache.apply_stiffness_tensor_scaled(scales.stiffness(e.level), &vals, &mut ku);
+        cache.apply_stiffness_tensor_batched(scales.stiffness(e.level), 1, &vals, &mut ku);
         let energy: f64 = vals.iter().zip(&ku).map(|(a, b)| a * b).sum();
         eta.push(energy.max(0.0).sqrt());
     }

@@ -28,8 +28,8 @@ pub use fieldeval::{candidate_bins, eval_field_lattice, FieldView, NudgePolicy};
 pub use flops::FlopCount;
 pub use multigrid::{build_transfer, mg_pcg, Multigrid, Transfer};
 pub use poisson::{
-    apply_stiffness_tensor, load_vector, mass_matrix, stiffness_matrix, ElementCache, HeatKernel,
-    LevelScales, MassKernel, StiffnessKernel, StiffnessMatrixKernel,
+    load_vector, mass_matrix, stiffness_matrix, ElementCache, HeatKernel, LevelScales, MassKernel,
+    StiffnessKernel, StiffnessMatrixKernel,
 };
 pub use sbm::{sbm_face_terms, surrogate_faces, SbmParams, SurrogateFace};
 pub use serve::{

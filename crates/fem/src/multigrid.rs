@@ -26,6 +26,7 @@ use carve_core::{
 use carve_geom::Subdomain;
 use carve_la::{CooBuilder, KrylovResult, LuFactors};
 use carve_sfc::morton::finest_cell_of_point;
+use std::mem::size_of;
 use std::sync::Mutex;
 
 /// Sparse interpolation operator stored row-wise (rows = fine nodes,
@@ -336,6 +337,32 @@ impl<const DIM: usize> Multigrid<DIM> {
 
     pub fn finest(&self) -> &Mesh<DIM> {
         &self.levels[0].mesh
+    }
+
+    /// Bytes the hierarchy keeps resident: every level's mesh, mask,
+    /// diagonal and transfer, plus the dense coarse LU (`n²` factors).
+    /// Smoother scratch is not counted.
+    pub fn resident_bytes(&self) -> usize {
+        let levels: usize = self
+            .levels
+            .iter()
+            .map(|l| {
+                let m = &l.mesh;
+                let transfer = l.from_coarser.as_ref().map_or(0, |t| {
+                    t.rows.len() * size_of::<Vec<(u32, f64)>>()
+                        + t.rows.iter().map(Vec::len).sum::<usize>() * size_of::<(u32, f64)>()
+                });
+                m.elems.len() * size_of::<carve_sfc::Octant<DIM>>()
+                    + m.labels.len() * size_of::<carve_geom::RegionLabel>()
+                    + m.nodes.coords.len()
+                        * (size_of::<[u64; DIM]>() + size_of::<carve_core::NodeFlags>())
+                    + l.constrained.len()
+                    + l.inv_diag.len() * size_of::<f64>()
+                    + transfer
+            })
+            .sum();
+        let n = self.coarse_lu.n();
+        levels + n * n * size_of::<f64>() + n * size_of::<usize>() + self.coarse_constrained.len()
     }
 
     /// Applies the constrained operator at level `l` (matrix-free traversal;

@@ -7,6 +7,7 @@ use crate::basis::Tabulated;
 use carve_core::{AssemblyKernel, LeafKernel};
 use carve_la::DenseMatrix;
 use carve_sfc::{Octant, MAX_LEVEL};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -133,10 +134,7 @@ pub struct ElementCache<const DIM: usize> {
     pub kref: DenseMatrix,
     pub mref: DenseMatrix,
     tab: Tabulated,
-    scratch_a: Vec<f64>,
-    scratch_b: Vec<f64>,
-    grads: Vec<f64>,
-    /// SoA panel scratch for the batched applies (`npe × batch`), grown on
+    /// SoA panel scratch for the panel applies (`npe × batch`), grown on
     /// demand and reused across panels.
     panel_a: Vec<f64>,
     panel_b: Vec<f64>,
@@ -151,16 +149,11 @@ impl<const DIM: usize> ElementCache<DIM> {
                 .or_insert_with(|| (reference_stiffness::<DIM>(p), reference_mass::<DIM>(p)))
                 .clone()
         };
-        let tab = tabulated_memo(p, p + 1);
-        let nq = (p + 1).pow(DIM as u32);
         Self {
             p,
             kref,
             mref,
-            tab,
-            scratch_a: vec![0.0; nq],
-            scratch_b: vec![0.0; nq],
-            grads: vec![0.0; nq],
+            tab: tabulated_memo(p, p + 1),
             panel_a: Vec::new(),
             panel_b: Vec::new(),
             panel_g: Vec::new(),
@@ -209,72 +202,22 @@ impl<const DIM: usize> ElementCache<DIM> {
         }
     }
 
-    /// Sum-factorized stiffness apply: `v += h^{d-2} Σ_k C_kᵀ (W ∘ C_k u)`
-    /// where `C_k` differentiates along axis `k` at the tensor quadrature
-    /// points — `O(d²(p+1)^{d+1})` work instead of `O((p+1)^{2d})`.
+    /// Sum-factorized stiffness apply on one element:
+    /// `v += h^{d-2} Σ_k C_kᵀ (W ∘ C_k u)` where `C_k` differentiates along
+    /// axis `k` at the tensor quadrature points — `O(d²(p+1)^{d+1})` work
+    /// instead of `O((p+1)^{2d})`. A width-1
+    /// [`Self::apply_stiffness_tensor_batched`].
     pub fn apply_stiffness_tensor(&mut self, h: f64, u: &[f64], v: &mut [f64]) {
-        self.apply_stiffness_tensor_scaled(h.powi(DIM as i32 - 2), u, v)
+        self.apply_stiffness_tensor_batched(h.powi(DIM as i32 - 2), 1, u, v)
     }
 
-    /// [`Self::apply_stiffness_tensor`] with the geometric factor
-    /// `h^{d-2}` already resolved — the form the per-level scale tables
-    /// ([`LevelScales`]) feed. Bitwise equal to the `h`-taking variant.
-    pub fn apply_stiffness_tensor_scaled(&mut self, scale: f64, u: &[f64], v: &mut [f64]) {
-        let p = self.p;
-        let nb = p + 1;
-        let n = nb.pow(DIM as u32);
-        debug_assert_eq!(u.len(), n);
-        for axis in 0..DIM {
-            // Forward: C_axis u (contract each axis with B, except `axis`
-            // with G). nb == nq so extents stay constant.
-            self.scratch_a[..n].copy_from_slice(u);
-            for m in 0..DIM {
-                contract_axis::<DIM>(
-                    &self.scratch_a,
-                    &mut self.scratch_b,
-                    if m == axis { &self.tab.g } else { &self.tab.b },
-                    nb,
-                    m,
-                    false,
-                );
-                std::mem::swap(&mut self.scratch_a, &mut self.scratch_b);
-            }
-            // Quadrature weights at tensor points.
-            for (ql, g) in self.grads.iter_mut().enumerate() {
-                let q = lattice::<DIM>(ql, nb);
-                let mut w = 1.0;
-                for &qk in &q {
-                    w *= self.tab.quad.weights[qk];
-                }
-                *g = w * self.scratch_a[ql];
-            }
-            // Transpose: C_axisᵀ.
-            self.scratch_a[..n].copy_from_slice(&self.grads);
-            for m in 0..DIM {
-                contract_axis::<DIM>(
-                    &self.scratch_a,
-                    &mut self.scratch_b,
-                    if m == axis { &self.tab.g } else { &self.tab.b },
-                    nb,
-                    m,
-                    true,
-                );
-                std::mem::swap(&mut self.scratch_a, &mut self.scratch_b);
-            }
-            for (vi, &si) in v.iter_mut().zip(&self.scratch_a) {
-                *vi += scale * si;
-            }
-        }
-    }
-
-    /// Batched sum-factorized stiffness apply over an SoA panel of `batch`
-    /// same-scale elements: node `lin` of element `b` lives at
-    /// `[lin * batch + b]`. The contractions run with the element lane as
-    /// the contiguous inner dimension (`contract_axis_batch`), so the
-    /// inner loops auto-vectorize on stable Rust while each element's
-    /// floating-point operation sequence stays exactly that of
-    /// [`Self::apply_stiffness_tensor_scaled`] — batched and scalar results
-    /// agree bitwise.
+    /// Sum-factorized stiffness apply `v += scale · Σ_k C_kᵀ (W ∘ C_k u)`
+    /// over an SoA panel of `batch` same-scale elements: node `lin` of
+    /// element `b` lives at `[lin * batch + b]`. The contractions run with
+    /// the element lane as the contiguous inner dimension
+    /// (`contract_axis_batch`), so the inner loops auto-vectorize on stable
+    /// Rust while each element's floating-point operation sequence does not
+    /// depend on `batch` — every panel width agrees bitwise.
     pub fn apply_stiffness_tensor_batched(
         &mut self,
         scale: f64,
@@ -334,23 +277,9 @@ impl<const DIM: usize> ElementCache<DIM> {
         }
     }
 
-    /// Dense mass apply `v += scale · M_ref u` (row dots) — the scalar
-    /// counterpart of [`Self::apply_mass_batched`].
-    pub fn apply_mass_scaled(&self, scale: f64, u: &[f64], v: &mut [f64]) {
-        let n = u.len();
-        for (i, vi) in v.iter_mut().enumerate().take(n) {
-            let row = &self.mref.data[i * n..(i + 1) * n];
-            let mut s = 0.0;
-            for (m, x) in row.iter().zip(u) {
-                s += m * x;
-            }
-            *vi += scale * s;
-        }
-    }
-
-    /// Batched dense mass apply over an SoA panel (the dense fallback for
-    /// operators without a tensor form). Bitwise equal per element to
-    /// [`Self::apply_mass_scaled`].
+    /// Dense mass apply `v += scale · M_ref u` (row dots) over an SoA panel
+    /// (the dense fallback for operators without a tensor form). Bitwise
+    /// equal per element for every panel width.
     pub fn apply_mass_batched(&mut self, scale: f64, batch: usize, u: &[f64], v: &mut [f64]) {
         let n = u.len() / batch.max(1);
         self.ensure_panel_scratch(batch);
@@ -370,27 +299,9 @@ impl<const DIM: usize> ElementCache<DIM> {
         }
     }
 
-    /// Fused backward-Euler heat apply `v += hm·M_ref u + hk·K_ref u`
-    /// (row dots, one pass) — the scalar counterpart of
-    /// [`Self::apply_heat_batched`].
-    pub fn apply_heat_scaled(&self, hm: f64, hk: f64, u: &[f64], v: &mut [f64]) {
-        let n = u.len();
-        for (i, vi) in v.iter_mut().enumerate().take(n) {
-            let mrow = &self.mref.data[i * n..(i + 1) * n];
-            let krow = &self.kref.data[i * n..(i + 1) * n];
-            let mut sm = 0.0;
-            let mut sk = 0.0;
-            for ((m, k), x) in mrow.iter().zip(krow).zip(u) {
-                sm += m * x;
-                sk += k * x;
-            }
-            *vi += hm * sm + hk * sk;
-        }
-    }
-
-    /// Batched fused heat apply over an SoA panel. Bitwise equal per
-    /// element to [`Self::apply_heat_scaled`] (independent accumulators
-    /// added in the same row order).
+    /// Fused backward-Euler heat apply `v += hm·M_ref u + hk·K_ref u` (row
+    /// dots, one pass) over an SoA panel. Bitwise equal per element for
+    /// every panel width (independent accumulators added in row order).
     pub fn apply_heat_batched(&mut self, hm: f64, hk: f64, batch: usize, u: &[f64], v: &mut [f64]) {
         let n = u.len() / batch.max(1);
         self.ensure_panel_scratch(2 * batch);
@@ -419,48 +330,12 @@ impl<const DIM: usize> ElementCache<DIM> {
 
 /// Contracts axis `m` of a `DIM`-dimensional tensor (extent `nb` per axis,
 /// x-fastest layout) with the `nb × nb` matrix `mat[q*nb + j]`
-/// (`transpose = true` applies `matᵀ`).
-fn contract_axis<const DIM: usize>(
-    input: &[f64],
-    output: &mut [f64],
-    mat: &[f64],
-    nb: usize,
-    m: usize,
-    transpose: bool,
-) {
-    let n = nb.pow(DIM as u32);
-    let stride = nb.pow(m as u32);
-    output[..n].iter_mut().for_each(|x| *x = 0.0);
-    // Iterate all indices; for each position, its axis-m digit.
-    let block = stride * nb;
-    let mut base = 0;
-    while base < n {
-        for inner in 0..stride {
-            let off = base + inner;
-            for out_d in 0..nb {
-                let mut s = 0.0;
-                for in_d in 0..nb {
-                    let m_entry = if transpose {
-                        mat[in_d * nb + out_d]
-                    } else {
-                        mat[out_d * nb + in_d]
-                    };
-                    s += m_entry * input[off + in_d * stride];
-                }
-                output[off + out_d * stride] = s;
-            }
-        }
-        base += block;
-    }
-}
-
-/// Batched [`contract_axis`]: the tensor carries a trailing contiguous
-/// element lane of width `batch` (`position = tensor_index * batch + b`),
-/// so the effective stride of axis `m` is `nb^m · batch` and the innermost
-/// loop runs over `stride` contiguous positions — a multiply-add the
-/// compiler auto-vectorizes. Each output position accumulates its `in_d`
-/// products in the same order as the scalar register accumulation, so the
-/// per-element results are bitwise identical.
+/// (`transpose = true` applies `matᵀ`). The tensor carries a trailing
+/// contiguous element lane of width `batch` (`position = tensor_index *
+/// batch + b`), so the effective stride of axis `m` is `nb^m · batch` and
+/// the innermost loop runs over `stride` contiguous positions — a
+/// multiply-add the compiler auto-vectorizes. Each output position
+/// accumulates its `in_d` products in `in_d` order whatever `batch` is.
 fn contract_axis_batch<const DIM: usize>(
     input: &[f64],
     output: &mut [f64],
@@ -588,11 +463,6 @@ pub fn mass_matrix<const DIM: usize>(p: usize, h: f64) -> DenseMatrix {
     ElementCache::<DIM>::new(p).mass(h)
 }
 
-/// Free-function tensor apply (allocates a cache; prefer [`ElementCache`]).
-pub fn apply_stiffness_tensor<const DIM: usize>(p: usize, h: f64, u: &[f64], v: &mut [f64]) {
-    ElementCache::<DIM>::new(p).apply_stiffness_tensor(h, u, v)
-}
-
 // --- Per-level geometric factors -------------------------------------------
 //
 // Octants are axis-aligned cubes, so the element size `h` — and with it every
@@ -652,11 +522,9 @@ impl LevelScales {
 // --- Batched leaf kernels ---------------------------------------------------
 //
 // Kernel structs implementing the traversal engine's `LeafKernel` /
-// `AssemblyKernel` traits with `supports_panels() == true`, so runs of
-// same-level SFC-contiguous leaves flow through the SoA panel path
-// (DESIGN.md §6h). Each scalar `apply` reproduces the closure it replaces
-// bit for bit; each `apply_panel` reuses the batched tensor/mass applies,
-// whose per-element op sequence equals the scalar one.
+// `AssemblyKernel` traits: runs of same-level SFC-contiguous leaves arrive
+// as SoA panels (DESIGN.md §6h) and go to the panel tensor/mass/heat
+// applies, whose per-element op sequence does not depend on the width.
 
 /// Stiffness (Poisson) leaf kernel: `v += h^{DIM-2} · K_ref · u`.
 pub struct StiffnessKernel<const DIM: usize> {
@@ -674,16 +542,7 @@ impl<const DIM: usize> StiffnessKernel<DIM> {
 }
 
 impl<const DIM: usize> LeafKernel<DIM> for StiffnessKernel<DIM> {
-    fn apply(&mut self, elem: &Octant<DIM>, u: &[f64], v: &mut [f64]) {
-        self.cache
-            .apply_stiffness_tensor_scaled(self.scales.stiffness(elem.level), u, v);
-    }
-
-    fn supports_panels(&self) -> bool {
-        true
-    }
-
-    fn apply_panel(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
+    fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
         debug_assert!(elems.iter().all(|e| e.level == elems[0].level));
         self.cache.apply_stiffness_tensor_batched(
             self.scales.stiffness(elems[0].level),
@@ -710,16 +569,7 @@ impl<const DIM: usize> MassKernel<DIM> {
 }
 
 impl<const DIM: usize> LeafKernel<DIM> for MassKernel<DIM> {
-    fn apply(&mut self, elem: &Octant<DIM>, u: &[f64], v: &mut [f64]) {
-        self.cache
-            .apply_mass_scaled(self.scales.mass(elem.level), u, v);
-    }
-
-    fn supports_panels(&self) -> bool {
-        true
-    }
-
-    fn apply_panel(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
+    fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
         debug_assert!(elems.iter().all(|e| e.level == elems[0].level));
         self.cache
             .apply_mass_batched(self.scales.mass(elems[0].level), elems.len(), u, v);
@@ -745,17 +595,7 @@ impl<const DIM: usize> HeatKernel<DIM> {
 }
 
 impl<const DIM: usize> LeafKernel<DIM> for HeatKernel<DIM> {
-    fn apply(&mut self, elem: &Octant<DIM>, u: &[f64], v: &mut [f64]) {
-        let hm = self.scales.mass(elem.level);
-        let hk = self.dt * self.scales.stiffness(elem.level);
-        self.cache.apply_heat_scaled(hm, hk, u, v);
-    }
-
-    fn supports_panels(&self) -> bool {
-        true
-    }
-
-    fn apply_panel(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
+    fn apply(&mut self, elems: &[Octant<DIM>], u: &[f64], v: &mut [f64]) {
         debug_assert!(elems.iter().all(|e| e.level == elems[0].level));
         let hm = self.scales.mass(elems[0].level);
         let hk = self.dt * self.scales.stiffness(elems[0].level);
@@ -766,8 +606,7 @@ impl<const DIM: usize> LeafKernel<DIM> for HeatKernel<DIM> {
 /// Assembly kernel producing the physical stiffness matrix per leaf, with a
 /// lazily-built per-level matrix cache: since `h` depends only on `level`,
 /// two leaves at the same level share one `DenseMatrix` and
-/// [`AssemblyKernel::matrix_ref`] hands the traversal a borrow instead of a
-/// clone.
+/// [`AssemblyKernel::matrix`] hands the traversal a borrow of it.
 pub struct StiffnessMatrixKernel<const DIM: usize> {
     cache: ElementCache<DIM>,
     scales: LevelScales,
@@ -794,16 +633,8 @@ impl<const DIM: usize> StiffnessMatrixKernel<DIM> {
 }
 
 impl<const DIM: usize> AssemblyKernel<DIM> for StiffnessMatrixKernel<DIM> {
-    fn matrix(&mut self, elem: &Octant<DIM>) -> DenseMatrix {
-        self.level_matrix(elem.level).clone()
-    }
-
-    fn matrix_ref(&mut self, elem: &Octant<DIM>) -> Option<&DenseMatrix> {
-        Some(self.level_matrix(elem.level))
-    }
-
-    fn supports_panels(&self) -> bool {
-        true
+    fn matrix(&mut self, elem: &Octant<DIM>) -> Cow<'_, DenseMatrix> {
+        Cow::Borrowed(self.level_matrix(elem.level))
     }
 }
 
@@ -943,8 +774,8 @@ mod tests {
         let mut cache = ElementCache::<DIM>::new(p);
         // SoA panel: node lin of element b at [lin * batch + b].
         let panel_u: Vec<f64> = (0..n * batch).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        type Apply<const D: usize> = dyn Fn(&mut ElementCache<D>, usize, &[f64], &mut [f64]);
         for (scale, hm, hk) in [(1.0, 0.125, 0.03), (0.4782, 2.0, 0.9)] {
-            type Apply<const D: usize> = dyn Fn(&mut ElementCache<D>, usize, &[f64], &mut [f64]);
             let ops: [(&str, Box<Apply<DIM>>); 3] = [
                 (
                     "stiffness",
@@ -1001,7 +832,7 @@ mod tests {
             let e = Octant::<3>::new([0; 3], level);
             let mut va = vec![0.0; n];
             let mut vb = vec![0.0; n];
-            kern.apply(&e, &u, &mut va);
+            kern.apply(&[e], &u, &mut va);
             let h = e.bounds_unit().1 * scale;
             cache.apply_stiffness_tensor(h, &u, &mut vb);
             for (a, b) in va.iter().zip(&vb) {
@@ -1015,7 +846,7 @@ mod tests {
         use carve_core::AssemblyKernel as _;
         let mut kern = StiffnessMatrixKernel::<3>::new(1, 1.0);
         let e = Octant::<3>::new([0; 3], 4);
-        let owned = kern.matrix(&e);
+        let owned = kern.matrix(&e).into_owned();
         let cache = ElementCache::<3>::new(1);
         let expect = cache.stiffness(LevelScales::new::<3>(1.0).h(4));
         for i in 0..owned.rows {
@@ -1023,7 +854,9 @@ mod tests {
                 assert_eq!(owned[(i, j)].to_bits(), expect[(i, j)].to_bits());
             }
         }
-        let r = kern.matrix_ref(&e).expect("cached");
+        let Cow::Borrowed(r) = kern.matrix(&e) else {
+            panic!("level matrix not lent from the cache");
+        };
         assert_eq!(r[(0, 0)].to_bits(), owned[(0, 0)].to_bits());
     }
 }

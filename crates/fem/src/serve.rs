@@ -11,7 +11,8 @@
 //!   Jacobi diagonal + optional multigrid hierarchy + warm
 //!   [`TraversalWorkspace`] and Krylov scratch, keyed by [`ScenarioSpec`]
 //!   (geometry hash, refinement spec, order), LRU-evicted by resident
-//!   bytes (`CARVE_CACHE_BYTES`, default 256 MiB). Counters: `cache_hits`,
+//!   bytes against the budget given to [`ScenarioCache::with_cap_bytes`]
+//!   (the multigrid hierarchy included). Counters: `cache_hits`,
 //!   `cache_misses`, `cache_evictions`, `cache_bytes` (cumulative admitted
 //!   bytes).
 //! * [`ScenarioEntry::solve`] / [`ScenarioEntry::block_solve`] — warm
@@ -44,11 +45,6 @@ use carve_la::{
 use carve_sfc::{Curve, Octant, MAX_LEVEL};
 use std::cell::RefCell;
 use std::mem::size_of;
-
-/// Environment override for the scenario cache's resident-byte budget.
-pub const CACHE_BYTES_ENV: &str = "CARVE_CACHE_BYTES";
-
-const DEFAULT_CACHE_BYTES: usize = 256 << 20;
 
 /// FNV-1a over a canonical geometry description — the `geometry` component
 /// of a [`ScenarioSpec`]. Callers hash whatever uniquely names their
@@ -115,7 +111,8 @@ pub struct ScenarioEntry<const DIM: usize> {
     /// Pooled Krylov work vectors, reused across solves (LIFO, so repeat
     /// same-size solves are pointer-stable).
     scratch: RefCell<KrylovScratch>,
-    /// Resident-byte estimate used for LRU accounting.
+    /// Resident-byte estimate used for LRU accounting: mesh, CSR, Jacobi
+    /// diagonal and, when built, the multigrid hierarchy.
     pub bytes: usize,
 }
 
@@ -184,7 +181,7 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
                 &constrain,
             )
         });
-        let bytes = estimate_bytes(&dm, &csr);
+        let bytes = estimate_bytes(&dm, &csr) + mg.as_ref().map_or(0, Multigrid::resident_bytes);
         ScenarioEntry {
             spec,
             dm,
@@ -291,7 +288,7 @@ impl<const DIM: usize> ScenarioEntry<DIM> {
 }
 
 /// LRU scenario cache (recency-ordered, most recent last), byte-bounded by
-/// `CARVE_CACHE_BYTES`. The triplet builder is shared across builds so
+/// the budget it was made with. The triplet builder is shared across builds so
 /// repeated cache misses reuse its grown capacity.
 pub struct ScenarioCache<const DIM: usize> {
     entries: Vec<ScenarioEntry<DIM>>,
@@ -300,23 +297,8 @@ pub struct ScenarioCache<const DIM: usize> {
     stats: CacheStats,
 }
 
-impl<const DIM: usize> Default for ScenarioCache<DIM> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<const DIM: usize> ScenarioCache<DIM> {
-    /// Cache with the environment's byte budget (`CARVE_CACHE_BYTES`,
-    /// default 256 MiB).
-    pub fn new() -> Self {
-        let cap = std::env::var(CACHE_BYTES_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CACHE_BYTES);
-        Self::with_cap_bytes(cap)
-    }
-
+    /// Cache holding at most `cap_bytes` of resident scenarios.
     pub fn with_cap_bytes(cap_bytes: usize) -> Self {
         ScenarioCache {
             entries: Vec::new(),
@@ -614,6 +596,25 @@ mod tests {
             let e = cache.get_or_build(c, &domain, spec_b);
             assert!(e.bytes > 0);
             assert_eq!(cache.stats().misses, 3, "B rebuilt after eviction");
+        });
+    }
+
+    #[test]
+    fn entry_bytes_count_the_multigrid_hierarchy() {
+        run_spmd(1, |c| {
+            let (domain, plain) = sphere_spec(None);
+            let (_, with_mg) = sphere_spec(Some(2));
+            let mut cache = ScenarioCache::<2>::with_cap_bytes(usize::MAX);
+            let plain_bytes = cache.get_or_build(c, &domain, plain).bytes;
+            let mg_bytes = cache.get_or_build(c, &domain, with_mg).bytes;
+            // The hierarchy's coarsest grid has both levels lowered to 2;
+            // its dense LU alone holds n² f64 factors.
+            let n = carve_core::Mesh::<2>::build(&domain, Curve::Hilbert, 2, 2, 1).num_dofs();
+            assert!(
+                mg_bytes >= plain_bytes + n * n * 8,
+                "mg entry {mg_bytes} B vs plain {plain_bytes} B, coarse n = {n}"
+            );
+            assert_eq!(cache.resident_bytes(), plain_bytes + mg_bytes);
         });
     }
 

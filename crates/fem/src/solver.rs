@@ -12,10 +12,11 @@ use carve_core::{
 };
 use carve_geom::Subdomain;
 use carve_la::{
-    bicgstab, cg, default_ckpt_every, AsmPrecond, Checkpointer, CooBuilder, CsrMatrix, DenseMatrix,
-    JacobiPrecond, KrylovResult, LinOp, Precond, SolveCheckpoint, SolveOpts,
+    bicgstab, cg, AsmPrecond, Checkpointer, CooBuilder, CsrMatrix, DenseMatrix, JacobiPrecond,
+    KrylovResult, LinOp, Precond, SolveCheckpoint, SolveOpts,
 };
 use carve_sfc::Octant;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -26,10 +27,9 @@ type FaceMats<const DIM: usize> = HashMap<Octant<DIM>, (DenseMatrix, Vec<f64>)>;
 
 /// Assembly kernel for the Poisson system: the per-level stiffness matrix
 /// (shared across same-level leaves via [`StiffnessMatrixKernel`]) plus the
-/// element's precomputed SBM face matrix when it has one. `matrix_ref`
-/// hands the traversal a borrow — of the level matrix directly, or of a
-/// scratch sum for the few boundary elements with face terms — so the
-/// common path never clones.
+/// element's precomputed SBM face matrix when it has one. `matrix` lends
+/// the traversal a borrow — of the level matrix directly, or of a scratch
+/// sum for the few boundary elements with face terms — so no path clones.
 struct PoissonAssemblyKernel<'a, const DIM: usize> {
     levels: StiffnessMatrixKernel<DIM>,
     faces: &'a FaceMats<DIM>,
@@ -48,30 +48,15 @@ impl<'a, const DIM: usize> PoissonAssemblyKernel<'a, DIM> {
 }
 
 impl<const DIM: usize> AssemblyKernel<DIM> for PoissonAssemblyKernel<'_, DIM> {
-    fn matrix(&mut self, e: &Octant<DIM>) -> DenseMatrix {
-        let mut ke = self.levels.level_matrix(e.level).clone();
-        if let Some((fa, _)) = self.faces.get(e) {
-            for (x, y) in ke.data.iter_mut().zip(&fa.data) {
-                *x += y;
-            }
+    fn matrix(&mut self, e: &Octant<DIM>) -> Cow<'_, DenseMatrix> {
+        let Some((fa, _)) = self.faces.get(e) else {
+            return self.levels.matrix(e);
+        };
+        self.combined.clone_from(self.levels.level_matrix(e.level));
+        for (x, y) in self.combined.data.iter_mut().zip(&fa.data) {
+            *x += y;
         }
-        ke
-    }
-
-    fn matrix_ref(&mut self, e: &Octant<DIM>) -> Option<&DenseMatrix> {
-        if let Some((fa, _)) = self.faces.get(e) {
-            self.combined.clone_from(self.levels.level_matrix(e.level));
-            for (x, y) in self.combined.data.iter_mut().zip(&fa.data) {
-                *x += y;
-            }
-            Some(&self.combined)
-        } else {
-            Some(self.levels.level_matrix(e.level))
-        }
-    }
-
-    fn supports_panels(&self) -> bool {
-        true
+        Cow::Borrowed(&self.combined)
     }
 }
 
@@ -410,7 +395,8 @@ pub struct SupervisedSolve {
 /// policy. The ladder, climbed only as far as needed:
 ///
 /// 1. **`cg`** — preconditioned CG with periodic [`SolveCheckpoint`]
-///    snapshots (`CARVE_CKPT_EVERY` cadence by default).
+///    snapshots (every [`Supervisor::ckpt_every`] iterations, 25 by
+///    default).
 /// 2. **`cg_restart`** — restore the iterate from the newest checkpoint and
 ///    restart CG with a fresh Krylov space (recovers from stalls and from
 ///    divergence whose damage postdates the snapshot).
@@ -438,7 +424,7 @@ impl Default for Supervisor {
             rtol: 1e-12,
             atol: 1e-14,
             max_iter: 50_000,
-            ckpt_every: default_ckpt_every(),
+            ckpt_every: 25,
         }
     }
 }

@@ -342,22 +342,6 @@ pub(crate) fn park(pool: Option<&mut KrylovScratch>, bufs: impl IntoIterator<Ite
     }
 }
 
-/// Environment override for the checkpoint cadence (iterations between
-/// snapshots; default 25).
-const CKPT_EVERY_ENV: &str = "CARVE_CKPT_EVERY";
-
-const DEFAULT_CKPT_EVERY: usize = 25;
-
-/// Checkpoint cadence: `CARVE_CKPT_EVERY` when set to a positive integer,
-/// 25 otherwise.
-pub fn default_ckpt_every() -> usize {
-    std::env::var(CKPT_EVERY_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_CKPT_EVERY)
-}
-
 /// Restartable snapshot of a Krylov iteration: enough state to resume the
 /// solve (or hand it to a different method) after a rank kill or divergence,
 /// plus a residual-history tail for diagnostics. Serializable via

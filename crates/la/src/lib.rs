@@ -32,7 +32,6 @@ pub use condest::condest;
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::{DenseMatrix, LuFactors};
 pub use krylov::{
-    bicgstab, cg, cg_with, default_ckpt_every, AsmPrecond, Checkpointer, IdentityPrecond,
-    JacobiPrecond, KrylovResult, KrylovScratch, LinOp, LocalReduce, Precond, Reduce,
-    SolveCheckpoint, SolveOpts,
+    bicgstab, cg, cg_with, AsmPrecond, Checkpointer, IdentityPrecond, JacobiPrecond, KrylovResult,
+    KrylovScratch, LinOp, LocalReduce, Precond, Reduce, SolveCheckpoint, SolveOpts,
 };

@@ -244,6 +244,81 @@ fn distributed_matvec_is_one_sweep_for_any_kernel_source_threads_and_width() {
 }
 
 #[test]
+fn served_distributed_solve_reads_agree_across_rank_counts() {
+    // The serving path end to end: a carved 2-D scenario built through the
+    // byte-capped cache, `b = A u*` formed with the distributed traversal
+    // MATVEC, a warm Jacobi-CG solve, and point reads on the solved field.
+    // The operator is the pure-Neumann stiffness, so CG recovers `u*` up to
+    // a constant; the reads must not depend on the rank count.
+    use carve::fem::{coord_field, geometry_hash, ScenarioCache, ScenarioSpec, ServedField};
+    let exact = |x: &[f64; 2]| (2.1 * x[0]).sin() * (1.7 * x[1]).cos() + 0.3 * x[1];
+    // 40 points on a ring strictly between the carved disk (r = 0.2) and
+    // the cube's faces.
+    let pts: Vec<[f64; 2]> = (0..40)
+        .map(|k| {
+            let t = 2.0 * std::f64::consts::PI * (k as f64 + 0.37) / 40.0;
+            [0.5 + 0.33 * t.cos(), 0.5 + 0.33 * t.sin()]
+        })
+        .collect();
+    let serve = |ranks: usize| {
+        carve::comm::run_spmd(ranks, |c| {
+            let _on = carve::obs::force_enabled();
+            let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.2))]);
+            let spec = ScenarioSpec {
+                geometry: geometry_hash("carved-sphere2d:0.5,0.5,r0.2"),
+                curve: Curve::Hilbert,
+                base_level: 3,
+                boundary_level: 5,
+                order: 1,
+                scale: 1.0,
+                mg_min_level: None,
+            };
+            let mut cache = ScenarioCache::<2>::with_cap_bytes(64 << 20);
+            let e = cache.get_or_build(c, &domain, spec);
+            let u_star = coord_field(&e.dm, &exact);
+            let mut b = vec![0.0; u_star.len()];
+            e.dm.matvec_par(
+                c,
+                &u_star,
+                &mut b,
+                &mut TraversalWorkspace::with_threads(1),
+                GhostState::OwnedOnly,
+                &|| carve::fem::StiffnessKernel::<2>::new(1, 1.0),
+            );
+            let mut x = vec![0.0; b.len()];
+            let res = e.solve(c, &b, &mut x, 1e-12, 2000);
+            assert!(res.converged, "{ranks} ranks: {res:?}");
+            let before = carve::obs::thread_snapshot();
+            let reads = ServedField { entry: e, u: &x }.eval_points(c, &pts);
+            let misses: u64 = carve::obs::thread_snapshot()
+                .diff(&before)
+                .phases
+                .values()
+                .filter_map(|st| st.counters.get("eval_misses"))
+                .sum();
+            (reads, misses)
+        })
+    };
+    let one = serve(1).remove(0);
+    assert_eq!(one.1, 0, "1 rank: eval misses");
+    // The solve recovered `u*` up to a constant: read differences follow
+    // `u*` to within the p = 1 interpolation error.
+    for (k, (v, p)) in one.0.iter().zip(&pts).enumerate() {
+        let drift = (v - one.0[0]) - (exact(p) - exact(&pts[0]));
+        assert!(drift.abs() < 1e-2, "point {k} {p:?}: drift {drift}");
+    }
+    for (rank, (reads, misses)) in serve(2).into_iter().enumerate() {
+        assert_eq!(misses, 0, "2 ranks, rank {rank}: eval misses");
+        for (k, (a, b)) in one.0.iter().zip(&reads).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-8 * a.abs().max(1.0),
+                "rank {rank} point {k}: 1-rank {a} vs 2-rank {b}"
+            );
+        }
+    }
+}
+
+#[test]
 fn hanging_chain_matvec_equals_assembled_csr_and_e2n_baseline() {
     // A boundary-refined tree that skips the 2:1 balance pass: coarse
     // leaves meet leaves two and three levels finer, so the interpolation
