@@ -1210,6 +1210,87 @@ mod tests {
         }
     }
 
+    /// One rank's `n_global_dofs` and `(coord, owner, global id)` per node.
+    type Held = (usize, Vec<([u64; 2], u32, u32)>);
+
+    /// The ownership invariant of a finished mesh, checked from every rank's
+    /// `(coord, owner, global id)` triples: each coordinate any rank holds
+    /// has one owner and one global id that all its holders agree on, the
+    /// owner is one of the holders, and the global ids number the distinct
+    /// coordinates `0..n_global_dofs`.
+    fn check_one_owner_per_coord(at: &str, held: Vec<Held>) {
+        let mut agreed: HashMap<[u64; 2], (u32, u32, Vec<u32>)> = HashMap::new();
+        let mut n_global = None;
+        for (rank, (n_dofs, rows)) in held.iter().enumerate() {
+            assert_eq!(
+                *n_global.get_or_insert(*n_dofs),
+                *n_dofs,
+                "{at}: n_global_dofs"
+            );
+            for &(c, owner, gid) in rows {
+                let e = agreed.entry(c).or_insert((owner, gid, Vec::new()));
+                assert_eq!(
+                    (e.0, e.1),
+                    (owner, gid),
+                    "{at}: rank {rank} disagrees on {c:?}"
+                );
+                e.2.push(rank as u32);
+            }
+        }
+        for (c, (owner, _, holders)) in &agreed {
+            assert!(
+                holders.contains(owner),
+                "{at}: owner {owner} of {c:?} does not hold it"
+            );
+        }
+        assert_eq!(
+            n_global,
+            Some(agreed.len()),
+            "{at}: global DOFs vs distinct coords"
+        );
+        let mut ids: Vec<u32> = agreed.values().map(|v| v.1).collect();
+        ids.sort_unstable();
+        assert!(
+            ids.iter().enumerate().all(|(i, &g)| g == i as u32),
+            "{at}: ids"
+        );
+    }
+
+    #[test]
+    fn finish_elects_one_owner_per_coord() {
+        let disk = sphere_domain_2d();
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            // Boundary-refined and not 2:1-balanced: hanging sources that hang.
+            let chain = crate::construct::construct_boundary_refined(&disk, curve, 2, 5);
+            for p in [1u64, 2] {
+                for ranks in [1usize, 2, 3, 4, 5, 7] {
+                    let triples = |m: &DistMesh<2>| {
+                        let rows = (m.nodes.coords.iter().zip(&m.owner).zip(&m.global_id))
+                            .map(|((c, &o), &g)| (*c, o, g))
+                            .collect();
+                        (m.n_global_dofs, rows)
+                    };
+                    let built = run_spmd(ranks, |c| {
+                        triples(&DistMesh::<2>::build(c, &disk, curve, 4, 8, p))
+                    });
+                    check_one_owner_per_coord(
+                        &format!("disk {curve:?} p={p} ranks={ranks}"),
+                        built,
+                    );
+                    let sliced = run_spmd(ranks, |c| {
+                        let (r, n) = (c.rank(), c.size());
+                        let owned = chain[r * chain.len() / n..(r + 1) * chain.len() / n].to_vec();
+                        triples(&DistMesh::finish(c, &disk, curve, owned, p))
+                    });
+                    check_one_owner_per_coord(
+                        &format!("chain {curve:?} p={p} ranks={ranks}"),
+                        sliced,
+                    );
+                }
+            }
+        }
+    }
+
     fn toy_kernel<const DIM: usize>() -> impl FnMut(&Octant<DIM>, &[f64], &mut [f64]) {
         |e: &Octant<DIM>, u: &[f64], v: &mut [f64]| {
             let h = e.bounds_unit().1;
