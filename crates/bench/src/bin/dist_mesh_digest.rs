@@ -1,16 +1,15 @@
-//! Emits FNV-1a digests of every field `DistMesh::finish` and the
-//! `DistMesh::adapt` patch path produce, one row per rank, for the CI
-//! `mesh-digest` stage: the ghost layer, the needed node set, ownership,
-//! global ids, exchange plans and the interior/boundary split are a pure
-//! function of the owned leaves and the splitters, so a change to how they
-//! are computed must reproduce the committed `results/dist_mesh_digest.txt`
-//! byte for byte.
+//! Emits FNV-1a digests of every field `DistMesh::finish` produces, one row
+//! per rank, for the CI `mesh-digest` stage: the ghost layer, the needed
+//! node set, ownership, global ids, exchange plans and the
+//! interior/boundary split are a pure function of the owned leaves and the
+//! splitters, so a change to how they are computed must reproduce the
+//! committed `results/dist_mesh_digest.txt` byte for byte.
 //!
 //! Rows cover {2-D carved disk 4/8, 3-D carved sphere 4/6, channel 5/7, the
 //! unbalanced hanging-chain mesh of `matvec_digest`} × ranks {1, 2, 3, 4, 7}
 //! × {Morton, Hilbert} × p {1, 2}; two `DistMesh::adapt` steps on the disk
-//! (refine and coarsen, patch path with the interior ownership fast path);
-//! and a 4-leaf mesh on 5 ranks (one rank owns nothing).
+//! (refine and coarsen, each ending in `finish`, where a rank owns the nodes
+//! it brokers); and a 4-leaf mesh on 5 ranks (one rank owns nothing).
 //!
 //! Usage: `dist_mesh_digest [OUT.txt]` — writes to the path, or stdout.
 
@@ -129,7 +128,7 @@ fn main() {
         }
     }
 
-    // Two adapt steps through the incremental patch (never repartitioned):
+    // Two adapt steps, each ending in `finish` (never repartitioned):
     // a band around the disk is refined, everything else coarsened.
     let params = AdaptParams {
         repart_tol: f64::INFINITY,

@@ -6,8 +6,8 @@
 //! - leaf kernel: dense vs sum-factorized tensor vs quadrature on the fly;
 //! - the leaf kernel through SoA panels of widths 1, 4 and 8 (Fig. 12's
 //!   sweeps);
-//! - MATVEC: traversal vs e2n map vs assembled CSR, and Morton vs Hilbert
-//!   traversal;
+//! - MATVEC: traversal vs e2n map vs assembled CSR, Morton vs Hilbert
+//!   traversal, and the traversal with `StiffnessKernel` panels;
 //! - construction: proactive pruning vs build-then-filter, and balancing;
 //! - TreeSort vs a comparison sort.
 
@@ -16,9 +16,11 @@ use crate::{per_call, timed, Opts, Report};
 use carve_baseline::{build_then_filter, ImmersedMesh};
 use carve_bench::{analyze_partition, SphereWorkload};
 use carve_core::{construct_balanced, construct_boundary_refined, construct_uniform};
-use carve_core::{traversal_assemble_ws, traversal_matvec_ws, Mesh, TraversalWorkspace};
+use carve_core::{
+    traversal_assemble_ws, traversal_matvec_ws, LeafKernel, Mesh, TraversalWorkspace,
+};
 use carve_fem::poisson::reference_stiffness;
-use carve_fem::ElementCache;
+use carve_fem::{ElementCache, StiffnessKernel};
 use carve_geom::{CarvedSolids, FullDomain, RetainBox, Sphere, Subdomain};
 use carve_io::Table;
 use carve_la::CooBuilder;
@@ -126,9 +128,9 @@ fn panels(mesh1: &Mesh<3>, mesh2: &Mesh<3>) -> Table {
     table
 }
 
-/// Milliseconds per traversal MATVEC (§3.5, no element-to-node map).
-fn traversal_ms(mesh: &Mesh<3>, x: &[f64], p: usize) -> String {
-    let mut cache = ElementCache::<3>::new(p);
+/// Milliseconds per traversal MATVEC (§3.5, no element-to-node map) with
+/// `kernel`, on one thread.
+fn traversal_ms(mesh: &Mesh<3>, x: &[f64], kernel: &mut impl LeafKernel<3>) -> String {
     let mut ws = TraversalWorkspace::with_threads(1);
     let mut y = vec![0.0; x.len()];
     ms(per_call(10, || {
@@ -141,26 +143,35 @@ fn traversal_ms(mesh: &Mesh<3>, x: &[f64], p: usize) -> String {
             x,
             &mut y,
             &mut ws,
-            &mut |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
-                cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
-            },
+            kernel,
         );
         std::hint::black_box(&y);
     }))
 }
 
-/// The three MATVECs on one carved sphere mesh, same tensor kernel; and
-/// the traversal under each curve.
+/// The per-leaf tensor apply as a closure: the traversal feeds it panels of
+/// one element, as the e2n baseline calls it once per element.
+fn tensor_closure(p: usize) -> impl FnMut(&Octant<3>, &[f64], &mut [f64]) {
+    let mut cache = ElementCache::<3>::new(p);
+    move |e: &Octant<3>, u: &[f64], v: &mut [f64]| {
+        cache.apply_stiffness_tensor(e.bounds_unit().1, u, v);
+    }
+}
+
+/// The three MATVECs on one carved sphere mesh, same per-element tensor
+/// kernel; the traversal under each curve; and the traversal the solver
+/// runs, `StiffnessKernel` on panels of up to 8 leaves.
 fn matvecs() -> Table {
     let mut table = Table::new(
         "Ablation: MATVEC on the carved sphere (base 4, boundary 6), ms per apply",
         &[
             "order",
             "dofs",
-            "traversal (Hilbert)",
+            "traversal (Hilbert, width 1)",
             "e2n map",
             "assembled CSR",
-            "traversal (Morton)",
+            "traversal (Morton, width 1)",
+            "traversal (panels ≤ 8, StiffnessKernel)",
         ],
     );
     let domain = sphere();
@@ -169,7 +180,7 @@ fn matvecs() -> Table {
         let mesh = Mesh::build(&domain, Curve::Hilbert, 4, 6, order);
         let n = mesh.num_dofs();
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-        let traversal = traversal_ms(&mesh, &x, p);
+        let traversal = traversal_ms(&mesh, &x, &mut tensor_closure(p));
 
         let baseline = ImmersedMesh::from_mesh(&FullDomain, mesh.clone());
         let mut cache = ElementCache::<3>::new(p);
@@ -211,7 +222,8 @@ fn matvecs() -> Table {
             traversal,
             ms(e2n),
             ms(csr),
-            traversal_ms(&morton, &x, p),
+            traversal_ms(&morton, &x, &mut tensor_closure(p)),
+            traversal_ms(&mesh, &x, &mut StiffnessKernel::new(p, 1.0)),
         ]);
     }
     table

@@ -259,8 +259,8 @@ fn recovery_snapshots() -> Vec<Snapshot> {
 }
 
 /// Transient stage: the dynamic-AMR heat driver on a 2-D carved sphere —
-/// estimator-driven refine/coarsen with incremental ghost patching — so
-/// the `adapt/{mark,refine,repartition,patch}` phases and their counters
+/// estimator-driven refine/coarsen, each cycle rebuilt by `finish` — so
+/// the `adapt/{mark,refine,repartition,finish}` phases and their counters
 /// are on the record alongside the static workloads.
 fn transient_snapshots() -> Vec<Snapshot> {
     use carve_fem::{run_transient, TransientConfig};

@@ -159,15 +159,14 @@ fn smoke_report_is_deterministic_modulo_secs() {
     );
 
     // Transient adapt workload: the dynamic-AMR phases are on record, the
-    // marking and incremental-patch stages ran, and refine/coarsen both
-    // fired. `full_rebuilds` counts only repartitioning cycles, so the
-    // patch path (present below) really was incremental.
-    for p in ["adapt", "adapt/mark", "adapt/refine", "adapt/patch"] {
+    // marking and rebuild stages ran, refine/coarsen both fired, and the
+    // rebuild's ownership pass sent nodes to their brokers.
+    for p in ["adapt", "adapt/mark", "adapt/refine", "adapt/finish"] {
         assert!(calls(&a, "transient", p) > 0.0, "transient/{p} missing");
     }
     assert!(counter_sum(&a, "transient", "elements_refined") > 0.0);
     assert!(counter_sum(&a, "transient", "elements_coarsened") > 0.0);
-    assert!(counter_sum(&a, "transient", "nodes_interior_fast") > 0.0);
+    assert!(counter(&a, "transient", "adapt/finish/ownership", "nodes_brokered") > 0.0);
     assert!(counter_sum(&a, "transient", "iterations") > 0.0);
 
     // Serving workload: the scenario cache and block solver run a fixed

@@ -83,7 +83,9 @@ pub struct ExchangeHandle {
     /// Monotonic exchange-round counter, the frame sequence number. Both
     /// `post_read` and `accumulate` bump it; SPMD discipline keeps it
     /// identical across ranks, so sender and receiver agree on the expected
-    /// sequence without negotiation.
+    /// sequence without negotiation. A new handle starts at 0: every
+    /// exchange also takes a fresh collective tag and frames are matched on
+    /// `(tag, seq)`, so nothing needs to carry over from an older handle.
     rounds: u64,
 }
 
@@ -117,47 +119,6 @@ impl ExchangeHandle {
             neighbors: ranks.len(),
             rounds: 0,
         }
-    }
-
-    /// Rebuilds the lane structure *in place* from fresh plans while
-    /// preserving the monotonic round counter — the incremental adapt patch
-    /// path swaps neighbor lists without resetting frame sequence numbers,
-    /// so in-flight retransmit state and the SPMD sequence discipline carry
-    /// across mesh adaptations. Old lane payload buffers are recycled onto
-    /// new lanes for the same peer rank, keeping the steady-state
-    /// allocation-free property across adapts.
-    pub fn rebuild(&mut self, send_plan: &[Vec<u32>], recv_plan: &[Vec<u32>]) {
-        let mut spare: std::collections::HashMap<usize, Vec<f64>> =
-            std::collections::HashMap::new();
-        for lane in self.send.drain(..).chain(self.recv.drain(..)) {
-            spare.entry(lane.rank).or_insert(lane.buf);
-        }
-        let mut keep = |plans: &[Vec<u32>]| -> Vec<Lane> {
-            plans
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.is_empty())
-                .map(|(rank, p)| Lane {
-                    rank,
-                    idx: p.clone(),
-                    buf: spare
-                        .remove(&rank)
-                        .unwrap_or_else(|| Vec::with_capacity(p.len())),
-                })
-                .collect()
-        };
-        self.send = keep(send_plan);
-        self.recv = keep(recv_plan);
-        let mut ranks: Vec<usize> = self.send.iter().chain(&self.recv).map(|l| l.rank).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        self.neighbors = ranks.len();
-        // self.rounds deliberately untouched.
-    }
-
-    /// Exchange rounds completed so far (frame sequence counter).
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// Registers the posted-but-unmatched lane state with the watchdog: if a
@@ -432,42 +393,6 @@ mod tests {
         };
         for (r, got) in res.iter().enumerate() {
             assert!((got - expect(r)).abs() < 1e-12, "rank {r}: {got}");
-        }
-    }
-
-    #[test]
-    fn rebuild_preserves_rounds_and_swaps_neighbors() {
-        // Exchange on the forward ring, rebuild the handle onto the reverse
-        // ring in place, and keep exchanging: the round counter must carry
-        // across the rebuild (sequence numbers keep advancing, no stale
-        // frame is matched) and the new topology must deliver the reverse
-        // neighbor's value.
-        let res = run_spmd(4, |c| {
-            let p = c.size();
-            let (sp, rp) = ring_plans(c);
-            let mut ex = ExchangeHandle::new(&sp, &rp);
-            let mut v = [c.rank() as f64 + 1.0, 0.0];
-            ex.read(c, &mut v);
-            let forward_ghost = v[1];
-            let rounds_before = ex.rounds();
-            // Reverse ring: ghost the *previous* rank's value instead.
-            let next = (c.rank() + 1) % p;
-            let prev = (c.rank() + p - 1) % p;
-            let mut send = vec![Vec::new(); p];
-            let mut recv = vec![Vec::new(); p];
-            send[next] = vec![0];
-            recv[prev] = vec![1];
-            ex.rebuild(&send, &recv);
-            assert_eq!(ex.rounds(), rounds_before, "rebuild must not reset rounds");
-            assert_eq!(ex.neighbor_count(), 2);
-            let mut v2 = [c.rank() as f64 + 1.0, 0.0];
-            ex.read(c, &mut v2);
-            (forward_ghost, v2[1], ex.rounds())
-        });
-        for (r, (fwd, rev, rounds)) in res.iter().enumerate() {
-            assert_eq!(*fwd, ((r + 1) % 4) as f64 + 1.0, "rank {r} forward");
-            assert_eq!(*rev, ((r + 3) % 4) as f64 + 1.0, "rank {r} reverse");
-            assert_eq!(*rounds, 2, "rank {r} rounds");
         }
     }
 

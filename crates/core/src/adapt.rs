@@ -1,5 +1,5 @@
 //! Dynamic adaptation of a distributed mesh: the
-//! `mark → refine/coarsen → rebalance → repartition → patch` cycle that
+//! `mark → refine/coarsen → rebalance → repartition → finish` cycle that
 //! turns the static construction pipeline into a transient-capable AMR
 //! engine.
 //!
@@ -18,27 +18,21 @@
 //!    uniquely and consistently on every rank that generates it.
 //! 2. **repartition** — a collective load-imbalance check
 //!    ([`carve_comm::load_imbalance`]); only when the imbalance exceeds
-//!    `repart_tol` do elements migrate ([`rebalance_equal_counts`]) and the
-//!    mesh pays for a full [`DistMesh::finish`] rebuild (counted under
-//!    `full_rebuilds`).
-//! 3. **patch** — the common case: ghosts, nodes, ownership, and the
-//!    persistent [`carve_comm::ExchangeHandle`] neighbor lists are updated
-//!    *in place*. Node ownership uses the interior fast path (only
-//!    partition-surface nodes ride the broker protocol — counters
-//!    `nodes_interior_fast` / `nodes_brokered` record the split) and the
-//!    exchange handle is rebuilt lane-by-lane without resetting its frame
-//!    sequence counter. The patched state is field-for-field identical to
-//!    a from-scratch `finish` on the same owned elements.
+//!    `repart_tol` do elements migrate ([`rebalance_equal_counts`]; a rank
+//!    whose leaves changed counts `ranks_migrated`).
+//! 3. **finish** — every cycle, migrated or not, rebuilds ghosts, nodes,
+//!    ownership and the exchange plans with one [`DistMesh::finish`] on the
+//!    new owned leaves, so an adapted mesh is by construction the mesh
+//!    `finish` builds from scratch. The new exchange handle starts its
+//!    round counter at 0; that is safe because every exchange takes a
+//!    fresh collective tag and retransmits are matched on `(tag, seq)`.
 //!
 //! Every collective in the cycle is ordinary SPMD over the deterministic
 //! simulated transport, so adapt traces are bitwise-stable across thread
 //! counts and under chaos schedules.
 
 use crate::balance::{construct_balanced, debug_assert_2to1};
-use crate::dist::{
-    boundary_elem_flags, descendant_key_range, exchange_ghost_layer, needed_node_set,
-    node_ownership_plans, splitter_bin, DistMesh,
-};
+use crate::dist::{descendant_key_range, exchange_ghost_layer, splitter_bin, DistMesh};
 use crate::refine::{adapt_once, Adapt};
 use carve_comm::{load_imbalance, rebalance_equal_counts, Comm, ReduceOp};
 use carve_geom::Subdomain;
@@ -77,8 +71,8 @@ pub struct AdaptOutcome {
     /// Elements merged away (children replaced by their parent), summed
     /// over ranks.
     pub coarsened: u64,
-    /// Whether this step exceeded the imbalance tolerance and paid for a
-    /// migration + full rebuild instead of the incremental patch.
+    /// Whether this step exceeded the imbalance tolerance and migrated
+    /// elements before the rebuild.
     pub migrated: bool,
     /// Local owned-element count before/after the step.
     pub elems_before: usize,
@@ -91,9 +85,9 @@ impl<const DIM: usize> DistMesh<DIM> {
     /// One adaptation step driven by per-owned-element `decisions`
     /// (aligned with `self.elems[self.owned]`).
     ///
-    /// Opens the `refine` / `repartition` / `patch` obs phases; callers
+    /// Opens the `refine` / `repartition` / `finish` obs phases; callers
     /// wrap the whole step (marking included) in a `scope("adapt")` so the
-    /// phase tree reads `adapt/{mark,refine,repartition,patch}`.
+    /// phase tree reads `adapt/{mark,refine,repartition,finish}`.
     pub fn adapt(
         &mut self,
         comm: &Comm,
@@ -195,44 +189,21 @@ impl<const DIM: usize> DistMesh<DIM> {
             let imb = load_imbalance(comm, owned.len() as u64);
             if imb > params.repart_tol {
                 let before = std::mem::take(&mut owned);
-                let new_owned = rebalance_equal_counts(comm, before.clone());
-                if new_owned != before {
+                owned = rebalance_equal_counts(comm, before.clone());
+                if owned != before {
                     carve_obs::counter("ranks_migrated", 1);
                 }
-                carve_obs::counter("full_rebuilds", 1);
-                let order = self.order;
-                *self = DistMesh::finish(comm, domain, curve, new_owned, order);
                 true
             } else {
                 false
             }
         };
 
-        // --- Phase 3: incremental patch ----------------------------------
-        if !migrated {
-            let _obs = carve_obs::scope("patch");
-            let splitters: Vec<Option<Octant<DIM>>> = comm.all_gather(owned.first().copied());
-            let (elems, owned_range) = exchange_ghost_layer(comm, curve, &owned, &splitters);
-            debug_assert_2to1(&elems, "adapt patch (owned + ghost halo)");
-            let (nodes, slots) = needed_node_set(domain, &elems, owned_range.clone(), self.order);
-            let own = node_ownership_plans(comm, curve, &splitters, &nodes, true);
-            self.exchange
-                .borrow_mut()
-                .rebuild(&own.send_plan, &own.recv_plan);
-            let boundary_elem =
-                boundary_elem_flags(elems.len(), owned_range.clone(), &slots, &own.owner, my);
-            self.labels = elems
-                .iter()
-                .map(|e| crate::construct::classify_octant(domain, e))
-                .collect();
-            self.elems = elems;
-            self.owned = owned_range;
-            self.nodes = nodes;
-            self.owner = own.owner;
-            self.global_id = own.global_id;
-            self.n_owned_nodes = own.n_owned_nodes;
-            self.n_global_dofs = own.n_global_dofs;
-            self.boundary_elem = boundary_elem;
+        // --- Phase 3: rebuild ---------------------------------------------
+        {
+            let _obs = carve_obs::scope("finish");
+            *self = DistMesh::finish(comm, domain, curve, owned, self.order);
+            debug_assert_2to1(&self.elems, "adapt (owned + ghost halo)");
         }
 
         AdaptOutcome {
@@ -320,35 +291,49 @@ mod tests {
 
     #[test]
     fn adapted_mesh_equals_from_scratch_finish() {
-        // Satellite: after adapting (patch path), every mesh field must be
-        // bitwise identical to DistMesh::finish built from scratch on the
-        // same owned leaves — the incremental patch hides no state drift.
-        let res = run_spmd(3, |c| {
-            let domain = sphere_domain_2d();
-            let mut dm = DistMesh::<2>::build(c, &domain, Curve::Hilbert, 3, 5, 1);
-            let params = AdaptParams {
-                repart_tol: f64::INFINITY,
-                ..AdaptParams::default()
-            };
-            for step in 0..2 {
-                let d = band_decisions(&dm, 0.34 + 0.08 * step as f64, 0.05);
-                dm.adapt(c, &domain, &d, &params);
+        // After each adapt step every mesh field must be bitwise identical
+        // to DistMesh::finish built from scratch on the same owned leaves,
+        // at rank counts where nodes reached only through a hanging stencil
+        // cross the partition.
+        for curve in [Curve::Morton, Curve::Hilbert] {
+            for p in [1u64, 2] {
+                for ranks in [3usize, 5, 7] {
+                    let res = run_spmd(ranks, |c| {
+                        let domain = sphere_domain_2d();
+                        let mut dm = DistMesh::<2>::build(c, &domain, curve, 3, 6, p);
+                        let params = AdaptParams {
+                            repart_tol: f64::INFINITY,
+                            ..AdaptParams::default()
+                        };
+                        let mut dofs = Vec::new();
+                        for step in 0..2 {
+                            let d = band_decisions(&dm, 0.34 + 0.08 * step as f64, 0.05);
+                            dm.adapt(c, &domain, &d, &params);
+                            let owned: Vec<Octant<2>> = dm.elems[dm.owned.clone()].to_vec();
+                            let fresh = DistMesh::finish(c, &domain, curve, owned, p);
+                            let at = format!("{curve:?} p={p} ranks={ranks} step={step}");
+                            assert_eq!(
+                                dm.n_global_dofs, fresh.n_global_dofs,
+                                "{at}: adapted vs from-scratch global DOFs"
+                            );
+                            assert_eq!(dm.elems, fresh.elems, "{at}");
+                            assert_eq!(dm.owned, fresh.owned, "{at}");
+                            assert_eq!(dm.labels, fresh.labels, "{at}");
+                            assert_eq!(dm.nodes.coords, fresh.nodes.coords, "{at}");
+                            assert_eq!(dm.nodes.flags, fresh.nodes.flags, "{at}");
+                            assert_eq!(dm.owner, fresh.owner, "{at}");
+                            assert_eq!(dm.global_id, fresh.global_id, "{at}");
+                            assert_eq!(dm.n_owned_nodes, fresh.n_owned_nodes, "{at}");
+                            assert_eq!(dm.boundary_elem, fresh.boundary_elem, "{at}");
+                            assert_eq!(dm.exchange_lanes(), fresh.exchange_lanes(), "{at}");
+                            dofs.push(dm.n_global_dofs);
+                        }
+                        dofs
+                    });
+                    assert!(res.iter().all(|d| *d == res[0]), "{res:?}");
+                }
             }
-            let owned: Vec<Octant<2>> = dm.elems[dm.owned.clone()].to_vec();
-            let fresh = DistMesh::finish(c, &domain, Curve::Hilbert, owned, 1);
-            assert_eq!(dm.elems, fresh.elems);
-            assert_eq!(dm.owned, fresh.owned);
-            assert_eq!(dm.labels, fresh.labels);
-            assert_eq!(dm.nodes.coords, fresh.nodes.coords);
-            assert_eq!(dm.nodes.flags, fresh.nodes.flags);
-            assert_eq!(dm.owner, fresh.owner);
-            assert_eq!(dm.global_id, fresh.global_id);
-            assert_eq!(dm.n_owned_nodes, fresh.n_owned_nodes);
-            assert_eq!(dm.n_global_dofs, fresh.n_global_dofs);
-            assert_eq!(dm.boundary_elem, fresh.boundary_elem);
-            dm.n_global_dofs
-        });
-        assert_eq!(res[0], res[1]);
+        }
     }
 
     #[test]

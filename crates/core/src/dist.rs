@@ -98,7 +98,7 @@ pub struct DistMesh<const DIM: usize> {
     /// its lane buffers while the mesh stays logically immutable; the
     /// communicator is per-rank single-threaded by design, so no exchange
     /// ever runs concurrently with another on the same mesh.
-    pub(crate) exchange: RefCell<ExchangeHandle>,
+    exchange: RefCell<ExchangeHandle>,
     /// Per-element flag aligned with `elems`: `true` iff the element is
     /// owned and its stencil closure (direct or hanging) reads at least one
     /// ghost-owned node — i.e. it must wait for the ghost exchange in the
@@ -202,20 +202,9 @@ impl<const DIM: usize> DistMesh<DIM> {
             }
         }
         drop(_obs);
-        Self::build_from_seeds(comm, domain, curve, local, order)
-    }
-
-    /// Algorithm 4 distributed: balance the given distributed seed leaves
-    /// and build the mesh.
-    pub fn build_from_seeds(
-        comm: &Comm,
-        domain: &dyn Subdomain<DIM>,
-        curve: Curve,
-        local_seeds: Vec<Octant<DIM>>,
-        order: u64,
-    ) -> Self {
+        // --- Algorithm 4 over the distributed seeds ---------------------
         // T1 = DistributedConstructConstrained(seeds)
-        let t1 = dist_construct_constrained(comm, domain, curve, local_seeds);
+        let t1 = dist_construct_constrained(comm, domain, curve, local);
         // T2 = BottomUpConstrainNeighbors(T1)   (F not applied)
         let t2 = bottom_up_constrain_neighbors(&t1);
         // T3 = DistributedConstructConstrained(T2)
@@ -242,9 +231,7 @@ impl<const DIM: usize> DistMesh<DIM> {
         let (nodes, slots) = needed_node_set(domain, &elems, owned.clone(), order);
 
         // --- Ownership, global ids, exchange plans -------------------------
-        // The full (all-coords) broker protocol: the incremental patch path
-        // uses the interior fast path instead, which is provably identical.
-        let own = node_ownership_plans(comm, curve, &splitters, &nodes, false);
+        let own = node_ownership_plans(comm, curve, &splitters, &nodes);
 
         // --- Interior/boundary element split ------------------------------
         let boundary_elem = boundary_elem_flags(elems.len(), owned.clone(), &slots, &own.owner, my);
@@ -792,8 +779,8 @@ fn ghost_reply<const DIM: usize>(
 }
 
 /// Ghost-element exchange: the region-request protocol shared by
-/// [`DistMesh::finish`], the distributed balance fixpoint, and the
-/// incremental adapt patch. Request regions are the same-level neighbors of
+/// [`DistMesh::finish`] and the distributed balance fixpoint of
+/// [`DistMesh::adapt`]. Request regions are the same-level neighbors of
 /// each owned element and of its ancestors up to three levels (covers
 /// hanging-source chains); owners reply with every owned element overlapping
 /// or touching a requested region. Returns the merged, SFC-sorted
@@ -864,7 +851,7 @@ pub(crate) fn exchange_ghost_layer<const DIM: usize>(
 /// The lattice slots of the owned elements, resolved: owned element `i`
 /// reads the nodes `nodes[offsets[i]..offsets[i + 1]]` — its direct slots and
 /// the sources of its hanging ones, repeats included.
-pub(crate) struct OwnedSlots {
+struct OwnedSlots {
     offsets: Vec<u32>,
     nodes: Vec<u32>,
 }
@@ -874,7 +861,7 @@ pub(crate) struct OwnedSlots {
 /// Every owned slot is resolved once — by the enumeration's own sort where it
 /// is a node, by the hanging rule where it is not — and the indices come
 /// back re-numbered to the needed set for [`boundary_elem_flags`].
-pub(crate) fn needed_node_set<const DIM: usize>(
+fn needed_node_set<const DIM: usize>(
     domain: &dyn Subdomain<DIM>,
     elems: &[Octant<DIM>],
     owned: Range<usize>,
@@ -928,113 +915,78 @@ pub(crate) fn needed_node_set<const DIM: usize>(
 }
 
 /// Everything the broker protocol decides for a node set.
-pub(crate) struct OwnershipPlans {
-    pub owner: Vec<u32>,
-    pub global_id: Vec<u32>,
-    pub n_owned_nodes: usize,
-    pub n_global_dofs: usize,
-    pub send_plan: Vec<Vec<u32>>,
-    pub recv_plan: Vec<Vec<u32>>,
+struct OwnershipPlans {
+    owner: Vec<u32>,
+    global_id: Vec<u32>,
+    n_owned_nodes: usize,
+    n_global_dofs: usize,
+    send_plan: Vec<Vec<u32>>,
+    recv_plan: Vec<Vec<u32>>,
 }
 
 /// Node ownership election + global DOF ids + ghost exchange plans.
 ///
-/// With `fast_interior` set, a node whose adjacent finest cells *all* bin to
-/// this rank is owned locally without any broker traffic: such a node's
-/// broker is this rank (its primary cell bins here) and no other rank can
-/// use it (any user's element covers one of the adjacent cells, and an
-/// element covering a cell binned here is owned here — SFC subtree intervals
-/// are contiguous), so the full protocol would elect this rank anyway.
-/// Only *surface* nodes ride the two broker rounds, which is what makes the
-/// incremental adapt patch O(partition surface) in node traffic instead of
-/// O(volume). The elected owners and ids are bitwise identical either way.
-pub(crate) fn node_ownership_plans<const DIM: usize>(
+/// A node's *broker* is the [`splitter_bin`] of its finest containing cell.
+/// One rule elects every owner:
+/// - a node this rank brokers is owned here, with no round trip;
+/// - every other node goes to its broker;
+/// - the broker elects itself for any requested coordinate it holds, and
+///   otherwise the minimum requesting rank.
+///
+/// A broker is a user of a node exactly when the coordinate is in its needed
+/// node set, so the owner is the natural SFC owner when that rank uses the
+/// node, else the minimum user. Every holder hears the same verdict, and
+/// every ghost node exists on its owner.
+fn node_ownership_plans<const DIM: usize>(
     comm: &Comm,
     curve: Curve,
     splitters: &[Option<Octant<DIM>>],
     nodes: &NodeSet<DIM>,
-    fast_interior: bool,
 ) -> OwnershipPlans {
     let p = comm.size();
     let my = comm.rank();
     let order = nodes.order;
     let _obs = carve_obs::scope("ownership");
-    // Broker of a coord = splitter bin of its finest containing cell.
-    let broker_of = |c: &[u64; DIM]| -> usize {
-        let mut pt = [0u64; DIM];
-        for k in 0..DIM {
-            pt[k] = c[k] / order;
-        }
-        splitter_bin(splitters, curve, &finest_cell_of_point(&pt))
+    let broker_of = |c: &[u64; DIM]| {
+        let cell = finest_cell_of_point(&c.map(|x| x / order));
+        splitter_bin(splitters, curve, &cell)
     };
-    // Interior classification: every adjacent finest cell bins to this rank.
-    // Every user of a coord computes the same verdict from the shared
-    // splitters, so the broker rounds below stay globally consistent.
-    let is_interior = |c: &[u64; DIM]| -> bool {
-        let mut pt = [0u64; DIM];
-        for k in 0..DIM {
-            pt[k] = c[k] / order;
-        }
-        adjacent_cells_of_node(pt).all(|cell| splitter_bin(splitters, curve, &cell) == my)
-    };
-    let surface: Vec<bool> = if fast_interior {
-        let s: Vec<bool> = nodes.coords.iter().map(|c| !is_interior(c)).collect();
-        let n_surface = s.iter().filter(|&&x| x).count();
-        carve_obs::counter("nodes_interior_fast", (s.len() - n_surface) as u64);
-        carve_obs::counter("nodes_brokered", n_surface as u64);
-        s
-    } else {
-        vec![true; nodes.len()]
-    };
+    let brokers: Vec<usize> = nodes.coords.iter().map(broker_of).collect();
     let mut to_broker: Vec<Vec<[u64; DIM]>> = (0..p).map(|_| Vec::new()).collect();
-    for (c, &surf) in nodes.coords.iter().zip(&surface) {
-        if surf {
-            to_broker[broker_of(c)].push(*c);
+    for (c, &b) in nodes.coords.iter().zip(&brokers) {
+        if b != my {
+            to_broker[b].push(*c);
         }
     }
+    carve_obs::counter(
+        "nodes_brokered",
+        to_broker.iter().map(|lane| lane.len() as u64).sum(),
+    );
     let broker_in = comm.all_to_allv(to_broker);
-    // Elect owners: the broker rank itself when it is a user of the
-    // node (the natural SFC owner — the broker is the rank whose
-    // splitter range contains the node's cell), otherwise the minimum
-    // requesting rank.
-    let mut owner_map: HashMap<[u64; DIM], u32> = HashMap::new();
-    for (q, cs) in broker_in.iter().enumerate() {
-        for c in cs {
-            if q == my {
-                owner_map.insert(*c, my as u32);
-            } else {
-                owner_map
-                    .entry(*c)
-                    .and_modify(|o| {
-                        if *o != my as u32 {
-                            *o = (*o).min(q as u32)
-                        }
-                    })
-                    .or_insert(q as u32);
-            }
-        }
-    }
-    // Reply to each requester with owners, in request order.
-    let replies: Vec<Vec<u32>> = broker_in
-        .iter()
-        .map(|cs| cs.iter().map(|c| owner_map[c]).collect())
+    // Lanes arrive in rank order, so a coordinate's first requester is its
+    // minimum one. Replies go back in request order.
+    let mut first_requester: HashMap<[u64; DIM], u32> = HashMap::new();
+    let replies: Vec<Vec<u32>> = (broker_in.iter().enumerate())
+        .map(|(q, cs)| {
+            (cs.iter())
+                .map(|c| match nodes.find(c) {
+                    Some(_) => my as u32,
+                    None => *first_requester.entry(*c).or_insert(q as u32),
+                })
+                .collect()
+        })
         .collect();
     let owner_replies = comm.all_to_allv(replies);
-    // Scatter owner ranks back to node order (interior nodes are this
-    // rank's without a round trip).
-    let mut owner = vec![u32::MAX; nodes.len()];
-    {
-        let mut cursors = vec![0usize; p];
-        for (i, c) in nodes.coords.iter().enumerate() {
-            if !surface[i] {
-                owner[i] = my as u32;
-                continue;
+    let mut cursors = vec![0usize; p];
+    let owner: Vec<u32> = (brokers.iter())
+        .map(|&b| {
+            if b == my {
+                return my as u32;
             }
-            let b = broker_of(c);
-            owner[i] = owner_replies[b][cursors[b]];
             cursors[b] += 1;
-        }
-    }
+            owner_replies[b][cursors[b] - 1]
+        })
+        .collect();
 
     // --- Global ids ----------------------------------------------------
     let n_owned_nodes = owner.iter().filter(|&&o| o == my as u32).count();
@@ -1101,29 +1053,10 @@ pub(crate) fn node_ownership_plans<const DIM: usize>(
     }
 }
 
-/// The finest-level cells adjacent to cell point `pt` (up to `2^DIM`): the
-/// point's own finest cell plus every down-nudged combination along the
-/// axes. Nudges below the low edge are skipped; points on the high edge
-/// clamp inward inside `finest_cell_of_point`, so high-boundary duplicates
-/// collapse onto real cells.
-pub(crate) fn adjacent_cells_of_node<const DIM: usize>(
-    pt: [u64; DIM],
-) -> impl Iterator<Item = Octant<DIM>> {
-    (0..1usize << DIM).filter_map(move |combo| {
-        let mut pt2 = pt;
-        for (k, v) in pt2.iter_mut().enumerate() {
-            if (combo >> k) & 1 == 1 {
-                *v = v.checked_sub(1)?;
-            }
-        }
-        Some(finest_cell_of_point(&pt2))
-    })
-}
-
 /// Flags owned elements whose stencil closure (direct or hanging) reads at
 /// least one ghost-owned node — they must wait for the ghost exchange in
 /// the overlapped matvec. Ghost elements are always `false`.
-pub(crate) fn boundary_elem_flags(
+fn boundary_elem_flags(
     n_elems: usize,
     owned: Range<usize>,
     slots: &OwnedSlots,

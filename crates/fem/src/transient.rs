@@ -5,7 +5,7 @@
 //! conditions on the carved and cube boundaries, via distributed CG over
 //! the overlapped traversal MATVEC. Every `adapt_every` steps the
 //! energy-seminorm estimator marks elements, [`DistMesh::adapt`] carries
-//! the mesh through refine → rebalance → repartition-or-patch, and the
+//! the mesh through refine → rebalance → repartition → finish, and the
 //! field is transferred onto the new mesh by FE interpolation from the old
 //! one (prolongation onto refined children, restriction-by-interpolation
 //! onto merged parents).

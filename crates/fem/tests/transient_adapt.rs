@@ -2,8 +2,8 @@
 //! run on the carved sphere must complete several adapt cycles exercising
 //! both refinement and coarsening, produce a bitwise-identical serialized
 //! `carve-adapt-trace-v1` across traversal thread counts and under lossy
-//! chaos, and patch ghost/ownership state incrementally (no full rebuild
-//! on non-migrating cycles, interior fast-path active).
+//! chaos, and rebuild ghost/ownership state through one `DistMesh::finish`
+//! per cycle.
 
 use carve_comm::{run_spmd, run_spmd_with, FaultPlan, SpmdOptions};
 use carve_fem::{run_transient, AdaptiveTimeStepper, TransientConfig};
@@ -92,7 +92,7 @@ fn adapt_trace_bitwise_stable_across_threads_and_chaos() {
 }
 
 #[test]
-fn adapt_patches_exchange_incrementally() {
+fn every_adapt_cycle_rebuilds_through_finish() {
     let results = run_spmd(3, |c| {
         let _obs = carve_obs::force_enabled();
         let domain = sphere_domain();
@@ -101,37 +101,27 @@ fn adapt_patches_exchange_incrementally() {
         (res.trace, carve_obs::thread_snapshot())
     });
     let (trace, _) = &results[0];
-    let migrated = trace.cycles.iter().filter(|c| c.migrated).count() as u64;
+    let cycles = trace.cycles.len() as u64;
     assert!(
         trace.cycles.iter().any(|c| !c.migrated),
-        "every cycle migrated; the incremental patch path never ran"
+        "every cycle migrated; no cycle rebuilt without a migration"
     );
     for (_, snap) in &results {
-        let patch = snap
-            .phases
-            .iter()
-            .find(|(path, _)| path.contains("adapt/patch"))
-            .map(|(_, s)| s);
-        assert!(patch.is_some(), "no adapt/patch phase recorded");
-        // Non-migrating cycles must go through the in-place patch, never a
-        // full reconstruct: full_rebuilds counts exactly the migrations.
-        let full_rebuilds: u64 = snap
-            .phases
-            .values()
-            .map(|s| s.counters.get("full_rebuilds").copied().unwrap_or(0))
+        // Migrated or not, each cycle rebuilds with one DistMesh::finish.
+        let finishes: u64 = (snap.phases.iter())
+            .filter(|(path, _)| path.ends_with("adapt/finish"))
+            .map(|(_, s)| s.calls)
             .sum();
-        assert_eq!(
-            full_rebuilds, migrated,
-            "full rebuilds ({full_rebuilds}) != migrated cycles ({migrated})"
+        assert_eq!(finishes, cycles, "adapt/finish calls vs adapt cycles");
+        // Its ownership pass sends the nodes this rank does not broker.
+        let brokered: u64 = (snap.phases.iter())
+            .filter(|(path, _)| path.contains("adapt/finish"))
+            .map(|(_, s)| s.counters.get("nodes_brokered").copied().unwrap_or(0))
+            .sum();
+        assert!(
+            brokered > 0,
+            "no node crossed the partition in adapt/finish"
         );
-        // The patch ownership pass must use the interior fast path.
-        let interior_fast: u64 = snap
-            .phases
-            .iter()
-            .filter(|(path, _)| path.contains("adapt/patch"))
-            .map(|(_, s)| s.counters.get("nodes_interior_fast").copied().unwrap_or(0))
-            .sum();
-        assert!(interior_fast > 0, "interior ownership fast path unused");
         // Refine/coarsen activity is accounted under the refine phase.
         let refined_ctr: u64 = snap
             .phases

@@ -42,7 +42,7 @@ pub struct AdaptCycleRecord {
     /// Globally summed split / merge counts.
     pub refined: u64,
     pub coarsened: u64,
-    /// Whether this cycle repartitioned (full rebuild) instead of patching.
+    /// Whether this cycle migrated elements before its rebuild.
     pub migrated: bool,
     /// Global DOF count after the cycle.
     pub dofs: u64,

@@ -24,9 +24,10 @@
 #                      width is bitwise identical in every use of the
 #                      traversal sweep, and a changed summation order is
 #                      an explicit re-record (DESIGN.md §6h)
-#   mesh-digest        dist_mesh_digest (every DistMesh::finish / adapt-patch
-#                      field, per rank, over meshes x ranks {1,2,3,4,7} x
-#                      curves x orders, plus empty ranks) byte-compared with
+#   mesh-digest        dist_mesh_digest (every DistMesh::finish field, per
+#                      rank, over meshes x ranks {1,2,3,4,7} x curves x
+#                      orders, two adapt steps that end in finish, plus
+#                      empty ranks) byte-compared with
 #                      the committed results/dist_mesh_digest.txt: the ghost
 #                      layer, node set, ownership and plans are a pure
 #                      function of the owned leaves and the splitters
