@@ -19,12 +19,15 @@
 //! `results/matvec_digest.txt`: a change of summation order is an explicit
 //! re-record, never a silent pass.
 //!
-//! Every row is computed twice in one process, with leaf panels of width 1
-//! and of width 8 (`TraversalWorkspace::with_batch_width`); the binary exits
-//! 1 naming the first row whose two digests differ, so the panel width can
-//! never change a bit. Traversal threads come from `CARVE_PAR_THREADS`, so
-//! the stage reruns the binary at several thread budgets and byte-compares
-//! the documents.
+//! Every row is computed twice through one workspace: the cold apply
+//! records the traversal plan, the warm one only replays it (assembly walks
+//! twice over the pooled buckets); the binary exits 1 naming a row whose
+//! cold and warm digests differ. The whole document is computed with leaf
+//! panels of width 1 and of width 8 (`TraversalWorkspace::with_batch_width`)
+//! and the binary exits 1 naming the first row whose two digests differ, so
+//! neither the replay nor the panel width can change a bit. Traversal
+//! threads come from `CARVE_PAR_THREADS`, so the stage reruns the binary at
+//! several thread budgets and byte-compares the documents.
 //!
 //! Usage: `matvec_digest [OUT.txt]` — writes the document to the path, or
 //! stdout.
@@ -65,16 +68,28 @@ fn workspace<const DIM: usize>(width: usize) -> TraversalWorkspace<DIM> {
     TraversalWorkspace::new().with_batch_width(width)
 }
 
-fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> u64 {
+/// The `[cold, warm]` digests of a row computed twice through one
+/// workspace.
+type Twice = [u64; 2];
+
+/// The row's digest, once its cold and warm computations agree; exits 1
+/// naming the row otherwise.
+fn settled(row: &str, [cold, warm]: Twice) -> u64 {
+    if cold != warm {
+        eprintln!("matvec_digest: the warm pass changed {row}: cold {cold:016x}, warm {warm:016x}");
+        std::process::exit(1);
+    }
+    cold
+}
+
+fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let x: Vec<f64> = (0..n).map(field).collect();
-    let mut y = vec![0.0f64; n];
     let mut ws = workspace::<DIM>(width);
     let make_kernel = || StiffnessKernel::<DIM>::new(p, SCALE);
-    // Two rounds through the same workspace so arena/pool reuse is covered.
-    for _ in 0..2 {
-        y.iter_mut().for_each(|v| *v = 0.0);
+    [(); 2].map(|()| {
+        let mut y = vec![0.0f64; n];
         traversal_matvec_par(
             &mesh.elems,
             0..mesh.elems.len(),
@@ -85,63 +100,65 @@ fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> u64 {
             &mut ws,
             &make_kernel,
         );
-    }
-    fnv1a(y.iter().map(|v| v.to_bits()))
+        fnv1a(y.iter().map(|v| v.to_bits()))
+    })
 }
 
-fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> u64 {
+fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let ids: Vec<u32> = (0..n as u32).collect();
     let mut ws = workspace::<DIM>(width);
-    let mut coo = CooBuilder::new(n);
-    traversal_assemble_par(
-        &mesh.elems,
-        0..mesh.elems.len(),
-        mesh.curve,
-        &mesh.nodes,
-        &ids,
-        &mut coo,
-        &mut ws,
-        &|| StiffnessMatrixKernel::<DIM>::new(p, SCALE),
-    );
-    let a = coo.build();
-    fnv1a(
-        (a.row_ptr.iter().map(|&r| r as u64))
-            .chain(a.cols.iter().map(|&c| c as u64))
-            .chain(a.vals.iter().map(|v| v.to_bits())),
-    )
+    [(); 2].map(|()| {
+        let mut coo = CooBuilder::new(n);
+        traversal_assemble_par(
+            &mesh.elems,
+            0..mesh.elems.len(),
+            mesh.curve,
+            &mesh.nodes,
+            &ids,
+            &mut coo,
+            &mut ws,
+            &|| StiffnessMatrixKernel::<DIM>::new(p, SCALE),
+        );
+        let a = coo.build();
+        fnv1a(
+            (a.row_ptr.iter().map(|&r| r as u64))
+                .chain(a.cols.iter().map(|&c| c as u64))
+                .chain(a.vals.iter().map(|v| v.to_bits())),
+        )
+    })
 }
 
-/// Per-rank digests of the ghosted output of one 2-rank overlapped apply.
-fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize) -> Vec<u64> {
+/// Per-rank digests of the ghosted output of a 2-rank overlapped apply.
+fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize) -> Vec<Twice> {
     run_spmd(2, |c| {
         let dm = DistMesh::<DIM>::build(c, domain, Curve::Hilbert, 3, 5, p);
         let x: Vec<f64> = dm.global_id.iter().map(|&g| field(g as usize)).collect();
-        let mut y = vec![0.0f64; x.len()];
         let mut ws = workspace::<DIM>(width);
         let make_kernel = || StiffnessKernel::<DIM>::new(p as usize, SCALE);
-        for _ in 0..2 {
+        [(); 2].map(|()| {
+            let mut y = vec![0.0f64; x.len()];
             dm.matvec_par(c, &x, &mut y, &mut ws, GhostState::Ghosted, &make_kernel);
-        }
-        fnv1a(y.iter().map(|v| v.to_bits()))
+            fnv1a(y.iter().map(|v| v.to_bits()))
+        })
     })
 }
 
 fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize, out: &mut String) {
     let mesh = Mesh::<DIM>::build(domain, Curve::Hilbert, 3, 5, p);
     let tag = format!("dim={DIM} p={p}");
-    out.push_str(&format!(
-        "matvec {tag} digest={:016x}\n",
-        matvec_digest(&mesh, width)
-    ));
-    for (rank, d) in dist_digests(domain, p, width).iter().enumerate() {
-        out.push_str(&format!("dist {tag} ranks=2 rank={rank} digest={d:016x}\n"));
+    let row = format!("matvec {tag}");
+    let d = settled(&row, matvec_digest(&mesh, width));
+    out.push_str(&format!("{row} digest={d:016x}\n"));
+    for (rank, &d) in dist_digests(domain, p, width).iter().enumerate() {
+        let row = format!("dist {tag} ranks=2 rank={rank}");
+        let d = settled(&row, d);
+        out.push_str(&format!("{row} digest={d:016x}\n"));
     }
-    out.push_str(&format!(
-        "assemble {tag} digest={:016x}\n",
-        assemble_digest(&mesh, width)
-    ));
+    let row = format!("assemble {tag}");
+    let d = settled(&row, assemble_digest(&mesh, width));
+    out.push_str(&format!("{row} digest={d:016x}\n"));
 }
 
 /// The digest document with leaf panels of at most `width` leaves.
@@ -156,10 +173,11 @@ fn document(width: usize) -> String {
     rows(&d2, 3, width, &mut out);
     let unbalanced = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
     let chain = Mesh::from_balanced_elems(&d2, Curve::Hilbert, unbalanced, 2);
+    let row = "chain dim=2 p=2";
     out.push_str(&format!(
-        "chain dim=2 p=2 matvec={:016x} assemble={:016x}\n",
-        matvec_digest(&chain, width),
-        assemble_digest(&chain, width)
+        "{row} matvec={:016x} assemble={:016x}\n",
+        settled(&format!("{row} matvec"), matvec_digest(&chain, width)),
+        settled(&format!("{row} assemble"), assemble_digest(&chain, width))
     ));
     out
 }

@@ -19,7 +19,7 @@ use std::cmp::Ordering;
 pub struct MachineModel {
     /// Seconds per leaf elemental apply.
     pub t_leaf: f64,
-    /// Seconds per (node × level) bucket copy in top-down + bottom-up.
+    /// Seconds per (node × level) bucket copy merged bottom-up.
     pub t_copy: f64,
     /// Network latency per collective round (α): collectives cost
     /// α·ceil(log2 P), matching the tree-structured implementations in
@@ -67,6 +67,12 @@ pub fn copy_estimate<const DIM: usize>(elems: &[Octant<DIM>], order: u64) -> usi
 /// Measures `t_leaf` and `t_copy` by running the real traversal MATVEC with
 /// the sum-factorized Poisson kernel on the given mesh (α and β keep their
 /// modeled defaults). Returns the model and the measured per-MATVEC time.
+///
+/// One unmeasured apply records the traversal plan first; the `reps`
+/// measured ones replay it. A replay spends its time in two phases:
+/// `matvec/leaf` (gathers, kernels, scatters and the task-local merges),
+/// charged per leaf, and `matvec/bottom_up` (the ordered join up the
+/// spine), charged per bucket copy.
 pub fn calibrate<const DIM: usize>(mesh: &Mesh<DIM>, reps: usize) -> (MachineModel, f64) {
     let n = mesh.num_dofs();
     let p = mesh.order as usize;
@@ -74,11 +80,7 @@ pub fn calibrate<const DIM: usize>(mesh: &Mesh<DIM>, reps: usize) -> (MachineMod
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let mut y = vec![0.0; n];
     let mut ws = TraversalWorkspace::with_threads(1);
-    // Phase timings come from the observability layer; the thread-local
-    // snapshot diff is immune to concurrent activity on other threads.
-    let _e = carve_obs::force_enabled();
-    let before = carve_obs::thread_snapshot();
-    for _ in 0..reps.max(1) {
+    let mut apply = |y: &mut [f64]| {
         y.iter_mut().for_each(|v| *v = 0.0);
         traversal_matvec_ws(
             &mesh.elems,
@@ -86,27 +88,31 @@ pub fn calibrate<const DIM: usize>(mesh: &Mesh<DIM>, reps: usize) -> (MachineMod
             mesh.curve,
             &mesh.nodes,
             &x,
-            &mut y,
+            y,
             &mut ws,
             &mut |e: &Octant<DIM>, u: &[f64], v: &mut [f64]| {
                 let h = e.bounds_unit().1;
                 cache.apply_stiffness_tensor(h, u, v);
             },
         );
+    };
+    apply(&mut y);
+    // Phase timings come from the observability layer; the thread-local
+    // snapshot diff is immune to concurrent activity on other threads.
+    let _e = carve_obs::force_enabled();
+    let before = carve_obs::thread_snapshot();
+    for _ in 0..reps.max(1) {
+        apply(&mut y);
     }
     let d = carve_obs::thread_snapshot().diff(&before);
     let phase = |name: &str| d.phases.get(name).cloned().unwrap_or_default();
-    let (leaf, top_down, bottom_up) = (
-        phase("matvec/leaf"),
-        phase("matvec/top_down"),
-        phase("matvec/bottom_up"),
-    );
+    let (leaf, bottom_up) = (phase("matvec/leaf"), phase("matvec/bottom_up"));
     let leaves = leaf.counters.get("leaves").copied().unwrap_or(0);
     let wall = phase("matvec").secs / reps.max(1) as f64;
     let copies = copy_estimate(&mesh.elems, mesh.order) * reps.max(1);
     let model = MachineModel {
         t_leaf: leaf.secs / leaves.max(1) as f64,
-        t_copy: (top_down.secs + bottom_up.secs) / copies.max(1) as f64,
+        t_copy: bottom_up.secs / copies.max(1) as f64,
         ..MachineModel::default()
     };
     (model, wall)

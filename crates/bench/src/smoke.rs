@@ -72,8 +72,9 @@ fn dist_snapshots(case: &SmokeCase) -> Vec<Snapshot> {
             .map(|i| (i as f64 * 0.37).sin())
             .collect();
         let mut y = vec![0.0; dm.nodes.len()];
-        // One workspace across the three applies: the second and third run
-        // entirely from the bucket arena (`arena_reuse` in the report).
+        // One workspace across the three applies: the first records the
+        // traversal plan (`matvec/record` in the report), the second and
+        // third only replay it.
         let mut ws = carve_core::TraversalWorkspace::new();
         let make_kernel = || StiffnessKernel::<3>::new(1, scale);
         for _ in 0..3 {

@@ -87,18 +87,21 @@ fn smoke_report_is_deterministic_modulo_secs() {
     );
 
     // The acceptance phases: matvec breakdown and ghost-exchange bytes must
-    // be present and non-zero in both workloads.
+    // be present and non-zero in both workloads. The first apply records
+    // the traversal plan (`matvec/record`, with the top-down bucket fills);
+    // every apply replays it (`matvec/leaf`, then the `bottom_up` join).
     for w in ["channel", "carved_sphere"] {
         for p in [
             "matvec",
-            "matvec/top_down",
+            "matvec/record",
+            "matvec/record/top_down",
             "matvec/leaf",
             "matvec/bottom_up",
         ] {
             assert!(calls(&a, w, p) > 0.0, "{w}/{p} has zero calls");
         }
         assert!(counter(&a, w, "matvec/leaf", "leaves") > 0.0);
-        assert!(counter(&a, w, "matvec/top_down", "node_copies") > 0.0);
+        assert!(counter(&a, w, "matvec/record/top_down", "node_copies") > 0.0);
         // The leaf stage (DESIGN.md §6d): every leaf is in a run of width 1
         // or wider, each sibling group's parent bucket is swept once, and
         // on these 2:1-balanced meshes no hanging source hangs itself.
@@ -106,7 +109,7 @@ fn smoke_report_is_deterministic_modulo_secs() {
             counter_sum(&a, w, "batched_leaves") + counter_sum(&a, w, "scalar_leaves"),
             counter_sum(&a, w, "leaves")
         );
-        assert!(counter(&a, w, "matvec/leaf", "slot_sweep_hits") > 0.0);
+        assert!(counter(&a, w, "matvec/record/leaf", "slot_sweep_hits") > 0.0);
         assert_eq!(counter_sum(&a, w, "hanging_chain"), 0.0);
         // Overlapped exchange: the post happens under `ghost_read` (bytes and
         // per-neighbor messages counted at send time), while the payloads

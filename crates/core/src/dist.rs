@@ -342,9 +342,6 @@ impl<const DIM: usize> DistMesh<DIM> {
         K: LeafKernel<DIM>,
         F: Fn() -> K + Sync,
     {
-        let mut xg = ws.take_ghost_scratch();
-        xg.clear();
-        xg.extend_from_slice(x);
         y.iter_mut().for_each(|v| *v = 0.0);
         let tree = Tree {
             elems: &self.elems,
@@ -355,14 +352,18 @@ impl<const DIM: usize> DistMesh<DIM> {
         if comm.size() == 1 {
             // Zero-comm fast path: no exchange posted, no tag ticked (the
             // ghost rounds below are no-ops on one rank too).
-            matvec_driver(tree, Input::<fn(&mut [f64])>::Complete(&xg), y, ws, kernels);
+            matvec_driver(tree, Input::<fn(&mut [f64])>::Complete(x), y, ws, kernels);
         } else {
+            let mut xg = ws.take_ghost_scratch();
+            xg.clear();
+            xg.extend_from_slice(x);
             let mut ex = self.exchange.borrow_mut();
             let pending = {
                 let _obs = carve_obs::scope("ghost_read");
                 ex.post_read(comm, &xg)
             };
             let input = Input::InFlight {
+                x,
                 xg: &mut xg,
                 boundary_elem: &self.boundary_elem,
                 wait: move |v: &mut [f64]| {
@@ -370,8 +371,8 @@ impl<const DIM: usize> DistMesh<DIM> {
                 },
             };
             matvec_driver(tree, input, y, ws, kernels);
+            ws.restore_ghost_scratch(xg);
         }
-        ws.restore_ghost_scratch(xg);
         self.ghost_accumulate(comm, y);
         if matches!(ghost, GhostState::Ghosted) {
             self.ghost_read(comm, y);
@@ -1822,6 +1823,81 @@ mod tests {
         // deferred ghost path.
         assert!(splits.iter().any(|&(int, _)| int > 0), "{splits:?}");
         assert!(splits.iter().any(|&(_, bnd)| bnd > 0), "{splits:?}");
+    }
+
+    /// Panel twin of [`toy_kernel`]: each element's additions in the same
+    /// order over the SoA layout.
+    struct ToyPanel;
+
+    impl LeafKernel<2> for ToyPanel {
+        fn apply(&mut self, elems: &[Octant<2>], u: &[f64], v: &mut [f64]) {
+            let w = elems.len();
+            let npe = u.len() / w;
+            for (b, e) in elems.iter().enumerate() {
+                let scale = e.bounds_unit().1.powi(2);
+                let sum: f64 = (0..npe).map(|lin| u[lin * w + b]).sum();
+                for lin in 0..npe {
+                    v[lin * w + b] = scale * (2.0 * u[lin * w + b] + sum / npe as f64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_dist_matvec_equals_fresh_in_both_ghost_states() {
+        // Cold (record + replay) and warm (replay only) overlapped applies
+        // through one workspace, over threads × panel widths × split
+        // depths, must each equal a fresh sequential workspace's apply bit
+        // for bit — on 2 and 3 ranks, in either ghost state.
+        for ranks in [2usize, 3] {
+            run_spmd(ranks, |c| {
+                let domain = sphere_domain_2d();
+                let m = DistMesh::<2>::build(c, &domain, Curve::Hilbert, 3, 5, 2);
+                // The reference reads a consistent vector; the replays get
+                // stale ghost entries, as inside a Krylov loop, which the
+                // exchange overwrites with the same values — unless a task
+                // replays before the exchange lands and reads one.
+                let x_ref = keyed_field(&m);
+                let mut x = x_ref.clone();
+                for (xi, &o) in x.iter_mut().zip(&m.owner) {
+                    if o as usize != c.rank() {
+                        *xi = -7.0e3;
+                    }
+                }
+                let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
+                for ghost in [GhostState::OwnedOnly, GhostState::Ghosted] {
+                    let mut y_ref = vec![0.0; x.len()];
+                    m.matvec_ws(
+                        c,
+                        &x_ref,
+                        &mut y_ref,
+                        &mut TraversalWorkspace::with_threads(1),
+                        ghost,
+                        &mut toy_kernel::<2>(),
+                    );
+                    for (t, width, depth) in [1usize, 2, 8]
+                        .into_iter()
+                        .flat_map(|t| [1usize, 8].map(|w| (t, w)))
+                        .flat_map(|(t, w)| [1u8, 2, 3].map(|d| (t, w, d)))
+                    {
+                        let mut ws = TraversalWorkspace::with_threads(t)
+                            .with_batch_width(width)
+                            .with_split_depth(depth);
+                        for round in ["cold", "warm"] {
+                            let mut y = vec![0.0; x.len()];
+                            m.matvec_par(c, &x, &mut y, &mut ws, ghost, &|| ToyPanel);
+                            assert_eq!(
+                                bits(&y_ref),
+                                bits(&y),
+                                "ranks={ranks} rank={} {ghost:?} threads={t} width={width} \
+                                 depth={depth} {round}",
+                                c.rank()
+                            );
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Traversal-based matrix-free MATVEC (§3.5) and matrix assembly (§3.6).
 //!
-//! No element-to-node map exists anywhere. Instead, top-down traversal of
-//! the (incomplete) octree buckets nodal data into child subtrees — a node
-//! incident on several children is *duplicated* — down to the parents of
-//! the leaves; each leaf reads its elemental nodes out of its parent's
-//! bucket, the elemental operator is applied, and the results go straight
+//! Top-down traversal of the (incomplete) octree buckets nodes into child
+//! subtrees — a node incident on several children is *duplicated* — down to
+//! the parents of the leaves; each leaf reads its elemental nodes out of its
+//! parent's bucket, the elemental operator is applied, and the results go
 //! back into that bucket; the bottom-up phase accumulates duplicated
 //! contributions back to single values. Hanging lattice slots are
 //! interpolated from the parent bucket on the way in and transposed
@@ -15,21 +14,57 @@
 //! incomplete trees and distributed ownership need no special treatment —
 //! the property the paper calls "gracefully handles incomplete octrees".
 //!
-//! # One driver, six entry points (DESIGN.md §6d)
+//! # Record once, replay every apply (DESIGN.md §6d)
 //!
-//! The paper has one traversal, and so does this module: a private `sweep`
-//! that runs a selected set of subtree tasks. Everything public is a use of
-//! it —
+//! Which bucket entry a leaf slot reads, where its result lands, and which
+//! parent entry each child entry merges into depend on the tree alone, not
+//! on the vector. So the MATVEC is two passes:
 //!
-//! * [`traversal_matvec_ws`] / [`traversal_matvec_par`] — `y += A x`;
-//! * [`traversal_assemble_ws`] / [`traversal_assemble_par`] — the same
-//!   sweep carrying node ids instead of values, draining per-task triplet
-//!   logs in SFC order;
+//! * the **structure pass** walks the tree once per mesh (`grow` / `rec`,
+//!   `fill_child_bucket`, `sweep_half_lattice`) on node *indices* only and
+//!   records a plan (`Plan`) in sequential DFS order;
+//! * the **value pass** replays the plan on every apply: it reads `x`
+//!   directly through the plan, runs the kernel on the same SoA panels, and
+//!   performs the scatters and child-into-parent merges into an arena of
+//!   per-bucket accumulators, in exactly the order the walk would. An
+//!   accumulator is zeroed as it is merged, so the arena is zero between
+//!   applies.
+//!
+//! The plan stores, per task, one `(root node index, arena index)` pair per
+//! leaf lattice slot and per one-level interpolation source of a hanging
+//! slot (the weights come from the `Prolongation` table at replay time),
+//! one parent arena index per merged child-bucket entry, and the nested
+//! weights of hanging-source chains. On the benchmark's 2-rank meshes that
+//! is 9.4 MB per rank on `sphere_p1` (533K leaf slots, 286K hanging
+//! sources, 641K merge entries) and 9.0 MB on `channel_p2` (433K, 154K,
+//! 1.07M), plus 3.6 MB for the copy of the elements and node coordinates
+//! that keys it. The bucket pool of the structure pass is released once the
+//! plan exists.
+//!
+//! *Why no bit can move:* every accumulator receives the same additions, in
+//! the same order, as the walk's bucket `vout` did — the recorded order *is*
+//! the walk's — and each interpolated value is summed in the table's
+//! order. Top-down only ever copied values, so reading `x` at the recorded
+//! root index is the value the bucket would have held.
+//!
+//! The plan lives in the caller's [`TraversalWorkspace`] (the per-operator
+//! state held across Krylov applies) and is keyed by value — elements,
+//! owned range, curve, order, node coordinates, panel width and split
+//! depth — so a mesh freed and re-allocated at the same address re-records.
+//!
+//! # One walk, six entry points
+//!
+//! Everything public is a use of the one walk:
+//!
+//! * [`traversal_matvec_ws`] / [`traversal_matvec_par`] — `y += A x`,
+//!   recording on the first apply of a tree and replaying after;
+//! * [`traversal_assemble_ws`] / [`traversal_assemble_par`] — the walk
+//!   itself, resolving node ids and draining per-task triplet logs in SFC
+//!   order;
 //! * [`crate::DistMesh::matvec_ws`] / [`crate::DistMesh::matvec_par`] — the
-//!   matvec split in two sweeps around the ghost exchange: interior tasks,
-//!   with the wait for the ghost payloads running meanwhile on the calling
-//!   thread, then — input values refreshed — the boundary tasks
-//!   (DESIGN.md §6e).
+//!   replay split in two around the ghost exchange: interior tasks, with
+//!   the wait for the ghost payloads running meanwhile on the calling
+//!   thread, then the boundary tasks (DESIGN.md §6e).
 //!
 //! `_ws` and `_par` differ only in where the elemental kernel comes from:
 //! the caller's own `&mut K` (one worker, inline) or a `Fn() -> K + Sync`
@@ -37,25 +72,17 @@
 //!
 //! # Execution model
 //!
-//! The engine splits the tree at a fixed *spine* depth into SFC-contiguous
-//! subtree **tasks**. The spine buckets are built serially; the sweep then
-//! runs tasks either inline or fork-joined across scoped worker threads
-//! (`CARVE_PAR_THREADS` / `available_parallelism` via
-//! [`crate::par::thread_budget`]). A task owns its subtree's bucket stack;
-//! writes that would land in a shared ancestor bucket (a spine-level leaf's
-//! results, hanging-node scatters) are appended to a per-task **scatter
-//! log** and replayed on the main thread at join time, in SFC task order,
-//! interleaved with the bottom-up bucket merges exactly where the
-//! sequential traversal would have performed them. Every floating-point
-//! accumulation therefore happens in the *same order for any thread count*
-//! (and any split depth): results are bitwise identical across all six
-//! entry points by construction.
-//!
-//! All bucket vectors come from a [`TraversalWorkspace`] arena that pools
-//! them across recursion levels *and* across repeated calls (Krylov
-//! iterations). Observability: `par_workers`, `arena_alloc`, `arena_reuse`
-//! join `node_copies` (interior buckets only) and the leaf-stage counters
-//! below.
+//! The walk splits the tree at a fixed *spine* depth into SFC-contiguous
+//! subtree **tasks**. The spine buckets are built serially; tasks run either
+//! inline or fork-joined across scoped worker threads (`CARVE_PAR_THREADS` /
+//! `available_parallelism` via [`crate::par::thread_budget`]), both when
+//! recording and when replaying. A task owns its subtree's accumulators;
+//! additions that land in a shared spine bucket (a spine-level leaf's
+//! results, hanging-node scatters, the task's own bucket merging upward)
+//! are appended to a per-task **spine log** and applied on the calling
+//! thread at join, in SFC task order, interleaved with the spine's own
+//! merges exactly where the sequential walk performs them. Results are
+//! therefore bitwise identical for any thread count and split depth.
 //!
 //! # The leaf stage (DESIGN.md §6d, §6h)
 //!
@@ -65,22 +92,28 @@
 //! `p`-lattice — after which each leaf's `npe` slots are table look-ups
 //! into the parent bucket. A slot with no node behind it hangs: its value
 //! is interpolated from the parent's own lattice points (the even slots)
-//! with weights tabulated once per order (`nodes::Prolongation`);
-//! only a source that is itself hanging one level up takes the recursive
-//! coordinate path (`eval_coord` / `scatter_coord` / `stencil_coord`).
+//! with weights tabulated once per order (`nodes::Prolongation`); only a
+//! source that is itself hanging one level up is resolved by coordinate
+//! (`record_chain`), and its nested weights are recorded.
 //!
 //! Runs of SFC-consecutive sibling leaves are processed as one
 //! structure-of-arrays panel (`npe × width`, element lane innermost), up to
 //! the workspace's batch width (8) and the kernel's
-//! [`LeafKernel::panel_width`] wide (1 for a closure kernel): gathers first
-//! (they only read `vin`, which the traversal never writes), one kernel
-//! call, then per leaf in SFC order its hanging contributions in lattice
-//! order followed by its direct slots, all added straight into the parent
-//! bucket. That is the order in which a per-leaf bucket would have been
-//! scattered into and then merged upward, so the result is bitwise
-//! identical for any width, thread count and chaos schedule. Counters:
-//! `leaves` = `batched_leaves` + `scalar_leaves`, `batch_count`,
-//! `slot_sweep_hits` (per sibling group), `hanging_slots`, `hanging_chain`.
+//! [`LeafKernel::panel_width`] wide (1 for a closure kernel): gathers first,
+//! one kernel call, then per leaf in SFC order its hanging contributions in
+//! lattice order followed by its direct slots. That is the order in which a
+//! per-leaf bucket would have been scattered into and then merged upward,
+//! so the result is bitwise identical for any width, thread count and chaos
+//! schedule.
+//!
+//! # Observability
+//!
+//! The first apply of a tree records under `matvec/record` (`top_down` with
+//! `node_copies`, `leaf` with `slot_sweep_hits`, `arena_alloc` /
+//! `arena_reuse`). Every apply replays under `matvec/leaf` (one scope per
+//! worker share) and `matvec/bottom_up` (the join), and flushes the
+//! per-apply counters once per share: `leaves` = `batched_leaves` +
+//! `scalar_leaves`, `batch_count`, `hanging_slots`, `hanging_chain`.
 
 use crate::nodes::{
     half_lattice_coord, half_lattice_linear, hanging_sources, nodes_per_elem, NodeSet, Prolongation,
@@ -94,64 +127,65 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-// Phase taxonomy (see DESIGN.md §"Observability"): the traversal engine
-// reports through `carve-obs` under its caller's root scope — `"matvec"`
-// for the operator apply, `"assemble"` for sparse assembly — with nested
-// `top_down` / `leaf` / `bottom_up` phases (the Figs. 7–10 breakdown).
-// Worker threads record detached and are re-absorbed into the calling
-// rank's recorder (`carve_obs::absorb_rebased`), so per-rank snapshots
-// stay complete under fork-join execution.
-
-/// Scatter-log entry `(ancestor depth | row, bucket slot | col, value)`:
-/// the matvec path logs deferred ancestor-bucket accumulations, the
-/// assembly path reuses the same buffer for global `(row, col, val)`
-/// triplets. Either way the log is replayed in SFC task order.
+/// Triplet log `(row, col, val)` of one assembly task, drained in SFC task
+/// order.
 type OutLog = Vec<(u32, u32, f64)>;
 
-/// One level's worth of bucketed nodal data along the current traversal
-/// path. `parent_slot[i]` is the index of entry `i` in the parent bucket.
+/// Deferred additions `(spine arena index, value)` of one replayed task,
+/// applied at join in SFC task order.
+type SpineLog = Vec<(u32, f64)>;
+
+/// Sentinel for "no node at this lattice slot" (a hanging slot).
+const NO_SLOT: u32 = u32::MAX;
+
+/// Source of a recorded hanging interpolation source that is itself
+/// hanging: its arena field then indexes the task's chain nodes.
+const CHAIN: u32 = u32::MAX;
+
+/// Flag of an arena index that lies in the shared spine (logged at replay)
+/// rather than in the task's own accumulators.
+const SPINE: u32 = 1 << 31;
+
+/// One level's worth of bucketed nodes along the current walk path, as
+/// indices into the root node set (in its Morton order).
 #[derive(Default)]
-struct Bucket<const DIM: usize> {
-    coords: Vec<[u64; DIM]>,
+struct Bucket {
+    root: Vec<u32>,
+    /// `parent_slot[i]` is the index of entry `i` in the parent bucket.
     parent_slot: Vec<u32>,
-    ids: Vec<u32>,
-    vin: Vec<f64>,
-    vout: Vec<f64>,
+    /// Arena index of entry 0 in the value pass: in the spine for spine
+    /// buckets, task-local otherwise.
+    off: u32,
 }
 
-impl<const DIM: usize> Bucket<DIM> {
-    fn find(&self, coord: &[u64; DIM]) -> Option<usize> {
-        self.coords
-            .binary_search_by(|c| point_cmp_morton(c, coord))
-            .ok()
+impl Bucket {
+    fn len(&self) -> usize {
+        self.root.len()
     }
 
     /// Empties contents, keeping capacity (arena reuse).
     fn clear(&mut self) {
-        self.coords.clear();
+        self.root.clear();
         self.parent_slot.clear();
-        self.ids.clear();
-        self.vin.clear();
-        self.vout.clear();
+        self.off = 0;
     }
 }
 
-// --- Workspace arena ------------------------------------------------------
+// --- Workspace ------------------------------------------------------------
 
-/// Per-worker scratch: a bucket free-list for the task-local recursion, the
-/// depth stack container itself, and the leaf stage's buffers. Lives in the
-/// workspace so repeated matvecs (Krylov iterations) allocate nothing after
-/// warm-up.
+/// Per-worker scratch of the walk: a bucket free-list for the task-local
+/// recursion, the depth stack container itself, and the leaf stage's
+/// buffers.
 #[derive(Default)]
 struct WorkerScratch<const DIM: usize> {
-    buckets: Vec<Bucket<DIM>>,
-    own_stack: Vec<Bucket<DIM>>,
+    buckets: Vec<Bucket>,
+    own_stack: Vec<Bucket>,
     leaf: LeafScratch<DIM>,
     alloc: u64,
     reuse: u64,
 }
 
-/// Buffers of the leaf stage.
+/// Buffers of the walk's leaf stage.
 #[derive(Default)]
 struct LeafScratch<const DIM: usize> {
     /// Half-lattice maps (half-lattice slot → parent-bucket index), one
@@ -160,28 +194,37 @@ struct LeafScratch<const DIM: usize> {
     /// Parent-bucket index of every lattice slot of the current run
     /// (`npe` per leaf).
     slots: Vec<u32>,
-    bufs: PanelBufs<DIM>,
+    chain: ChainBufs<DIM>,
 }
 
-/// What a visitor may write while it walks a run: the SoA panel values
-/// (`npe × width`, element lane innermost) and the source stack of the
-/// hanging-chain fallback.
+/// The hanging-chain resolver's source stack, and the chain it resolves.
 #[derive(Default)]
-struct PanelBufs<const DIM: usize> {
+struct ChainBufs<const DIM: usize> {
+    srcs: Vec<([u64; DIM], f64)>,
+    nodes: Vec<ChainNode>,
+}
+
+/// Per-worker scratch of the value pass: the task-local accumulators and
+/// one SoA panel.
+#[derive(Default)]
+struct ReplayScratch {
+    arena: Vec<f64>,
     vin: Vec<f64>,
     vout: Vec<f64>,
-    srcs: Vec<([u64; DIM], f64)>,
 }
 
 /// Default panel width: one full sibling group in 3D (`2^3`), the longest
 /// run of sibling leaves a 3-D traversal forms.
 const DEFAULT_BATCH_WIDTH: usize = 8;
 
-/// Reusable arena for the traversal engine: bucket vectors, scatter logs,
-/// and per-worker scratch pooled across recursion levels and across calls.
-/// Also carries the intra-rank thread budget (`CARVE_PAR_THREADS` env or
-/// `available_parallelism`) and the spine split depth. Results never depend
-/// on either — see the module docs — only wall-clock does.
+/// Per-operator traversal state, held across calls (Krylov iterations): the
+/// recorded MATVEC plan of the last tree applied, the replay's
+/// accumulators and spine logs, and the walk's pooled buckets (released
+/// once a plan is recorded; assembly keeps them across calls). Also carries
+/// the intra-rank thread budget (`CARVE_PAR_THREADS` env or
+/// `available_parallelism`), the spine split depth and the panel width.
+/// Results never depend on any of them — see the module docs — only
+/// wall-clock does.
 pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
     /// 1: every depth-1 subtree is a task; tests sweep deeper splits.
@@ -189,9 +232,19 @@ pub struct TraversalWorkspace<const DIM: usize> {
     /// Maximum leaf-panel width (default 8; 1 makes every panel one
     /// leaf). Results never depend on it.
     batch_width: usize,
-    bucket_pool: Vec<Bucket<DIM>>,
+    bucket_pool: Vec<Bucket>,
     log_pool: Vec<OutLog>,
-    scratch: Vec<WorkerScratch<DIM>>,
+    walk: Vec<WorkerScratch<DIM>>,
+    plan: Option<Plan<DIM>>,
+    replay: Vec<ReplayScratch>,
+    /// One spine log per task of the plan.
+    logs: Vec<SpineLog>,
+    /// The spine's accumulators: the root bucket (`0..n`, the output) and
+    /// every interior spine bucket.
+    spine: Vec<f64>,
+    /// False while an apply is in flight: an apply that unwound (a panic
+    /// in a kernel or in the ghost wait) leaves accumulators to re-zero.
+    clean: bool,
     /// Persistent ghosted copy of the matvec input vector, so repeated
     /// applies (Krylov iterations) never re-allocate the `x.to_vec()` they
     /// used to. Borrowed via [`Self::take_ghost_scratch`].
@@ -219,7 +272,12 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
             batch_width: DEFAULT_BATCH_WIDTH,
             bucket_pool: Vec::new(),
             log_pool: Vec::new(),
-            scratch: Vec::new(),
+            walk: Vec::new(),
+            plan: None,
+            replay: Vec::new(),
+            logs: Vec::new(),
+            spine: Vec::new(),
+            clean: true,
             ghost_scratch: Vec::new(),
             task_flags: Vec::new(),
             prolongation: None,
@@ -241,7 +299,7 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     }
 
     /// Sets the spine split depth (tests only: the determinism tests sweep
-    /// it to cover the multi-level `refresh_vin` / `join_rec` paths).
+    /// it to cover multi-level spines and their ordered join).
     #[cfg(test)]
     pub(crate) fn with_split_depth(mut self, depth: u8) -> Self {
         self.split_depth = depth.max(1);
@@ -279,7 +337,7 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
         }
     }
 
-    fn acquire_bucket(&mut self) -> Bucket<DIM> {
+    fn acquire_bucket(&mut self) -> Bucket {
         match self.bucket_pool.pop() {
             Some(mut b) => {
                 b.clear();
@@ -299,22 +357,11 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
         l
     }
 
-    fn ensure_scratch(&mut self, n: usize) {
-        while self.scratch.len() < n {
-            self.scratch.push(WorkerScratch::default());
-        }
-    }
-
-    fn release_plan(&mut self, plan: SpinePlan<DIM>) {
-        for t in plan.tasks {
-            self.bucket_pool.push(t.bucket);
-            let mut log = t.out_log;
-            log.clear();
-            self.log_pool.push(log);
-        }
-        for n in plan.interior {
-            self.bucket_pool.push(n.bucket);
-        }
+    fn release_spine(&mut self, spine: Spine<DIM>) {
+        self.bucket_pool
+            .extend(spine.tasks.into_iter().map(|t| t.bucket));
+        self.bucket_pool
+            .extend(spine.interior.into_iter().map(|n| n.bucket));
     }
 
     /// Emits and resets the arena's alloc/reuse tallies (engine + workers)
@@ -322,7 +369,7 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
     fn emit_arena_counters(&mut self) {
         let mut a = std::mem::take(&mut self.alloc);
         let mut r = std::mem::take(&mut self.reuse);
-        for s in &mut self.scratch {
+        for s in &mut self.walk {
             a += std::mem::take(&mut s.alloc);
             r += std::mem::take(&mut s.reuse);
         }
@@ -333,6 +380,15 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
             carve_obs::counter("arena_reuse", r);
         }
     }
+
+    /// The plan of `tree`: the cached one if its key matches, else a fresh
+    /// recording (the stale plan is dropped first).
+    fn plan_for(&mut self, tree: &Tree<'_, DIM>, budget: usize) -> Plan<DIM> {
+        match self.plan.take() {
+            Some(plan) if plan.key.matches(tree, self.batch_width, self.split_depth) => plan,
+            _ => record(tree, self, budget),
+        }
+    }
 }
 
 impl<const DIM: usize> Default for TraversalWorkspace<DIM> {
@@ -341,18 +397,173 @@ impl<const DIM: usize> Default for TraversalWorkspace<DIM> {
     }
 }
 
+// --- The plan ---------------------------------------------------------------
+
+/// Everything a recorded plan depends on, by value.
+struct PlanKey<const DIM: usize> {
+    elems: Vec<Octant<DIM>>,
+    owned: Range<usize>,
+    curve: Curve,
+    order: u64,
+    coords: Vec<[u64; DIM]>,
+    batch: usize,
+    split_depth: u8,
+}
+
+impl<const DIM: usize> PlanKey<DIM> {
+    fn new(tree: &Tree<'_, DIM>, batch: usize, split_depth: u8) -> Self {
+        Self {
+            elems: tree.elems.to_vec(),
+            owned: tree.owned.clone(),
+            curve: tree.curve,
+            order: tree.nodes.order,
+            coords: tree.nodes.coords.clone(),
+            batch,
+            split_depth,
+        }
+    }
+
+    fn matches(&self, tree: &Tree<'_, DIM>, batch: usize, split_depth: u8) -> bool {
+        self.owned == tree.owned
+            && self.curve == tree.curve
+            && self.order == tree.nodes.order
+            && self.batch == batch
+            && self.split_depth == split_depth
+            && self.elems[..] == tree.elems[..]
+            && self.coords[..] == tree.nodes.coords[..]
+    }
+}
+
+/// One node of a hanging-source chain, in preorder: a node that resolves
+/// (`kids == 0`, read from `src`, scattered into `dst`) or a coordinate that
+/// hangs again and is interpolated from the `kids` subtrees that follow.
+#[derive(Clone, Copy)]
+struct ChainNode {
+    /// Weight on this node's value in its parent's interpolation (the
+    /// table's weight, for a chain's root).
+    w: f64,
+    src: u32,
+    dst: u32,
+    kids: u32,
+}
+
+/// One step of a task's recorded value program.
+#[derive(Clone, Copy)]
+enum Op {
+    /// `width` SFC-consecutive sibling leaves from element `first`; their
+    /// `npe` slots each are the next entries of [`Segment::slots`].
+    Run { first: u32, width: u32 },
+    /// Adds the `len` task-local accumulators from arena index `child` into
+    /// the next `len` targets of [`Segment::merge_dst`], zeroing them.
+    Merge { child: u32, len: u32 },
+}
+
+/// One step of the spine's join program.
+#[derive(Clone, Copy)]
+enum JoinOp {
+    /// Applies task `t`'s spine log.
+    Task(u32),
+    /// Adds the `len` spine accumulators from `child` into the next `len`
+    /// entries of [`Plan::join_dst`], zeroing them.
+    Merge { child: u32, len: u32 },
+}
+
+/// The recorded value program of one task.
+#[derive(Default)]
+struct Segment {
+    /// The task's element range (its ghost-exchange flag is derived from
+    /// it per apply).
+    range: Range<usize>,
+    ops: Vec<Op>,
+    /// `(root node index, arena index)` of every leaf lattice slot, or
+    /// `(NO_SLOT, NO_SLOT)` for a hanging one.
+    slots: Vec<(u32, u32)>,
+    /// `(root node index, arena index)` of every one-level source of every
+    /// hanging slot, in table order; `(CHAIN, i)` for a source resolved by
+    /// the chain rooted at `chain[i]`.
+    hang: Vec<(u32, u32)>,
+    merge_dst: Vec<u32>,
+    chain: Vec<ChainNode>,
+    /// Extent of the task-local accumulators.
+    arena_len: usize,
+    /// Hanging slots, and hanging sources resolved by a chain: the
+    /// task's share of every apply's `hanging_slots` / `hanging_chain`.
+    hanging: u64,
+    chained: u64,
+}
+
+impl Segment {
+    fn shrink(&mut self) {
+        self.ops.shrink_to_fit();
+        self.slots.shrink_to_fit();
+        self.hang.shrink_to_fit();
+        self.merge_dst.shrink_to_fit();
+        self.chain.shrink_to_fit();
+    }
+}
+
+/// The recorded MATVEC of one tree: per-task value programs in SFC task
+/// order and the spine's join program.
+struct Plan<const DIM: usize> {
+    key: PlanKey<DIM>,
+    tasks: Vec<Segment>,
+    join: Vec<JoinOp>,
+    join_dst: Vec<u32>,
+    spine_len: usize,
+}
+
+/// The leaf-stage counters of an apply or of an assembly run, kept in
+/// plain fields and flushed once.
+#[derive(Default)]
+struct LeafCounts {
+    leaves: u64,
+    batched_leaves: u64,
+    batch_count: u64,
+    scalar_leaves: u64,
+    hanging_slots: u64,
+    hanging_chain: u64,
+}
+
+impl LeafCounts {
+    fn panel(&mut self, width: usize) {
+        let w = width as u64;
+        self.leaves += w;
+        if w > 1 {
+            self.batched_leaves += w;
+            self.batch_count += 1;
+        } else {
+            self.scalar_leaves += 1;
+        }
+    }
+
+    /// Emits the non-zero counters under the open obs scope.
+    fn flush(&self) {
+        for (name, v) in [
+            ("leaves", self.leaves),
+            ("batched_leaves", self.batched_leaves),
+            ("batch_count", self.batch_count),
+            ("scalar_leaves", self.scalar_leaves),
+            ("hanging_slots", self.hanging_slots),
+            ("hanging_chain", self.hanging_chain),
+        ] {
+            if v > 0 {
+                carve_obs::counter(name, v);
+            }
+        }
+    }
+}
+
 // --- Task-local bucket stack view -----------------------------------------
 
-/// A task's view of the bucket stack: shared read-only ancestor prefix
-/// (spine buckets), the task's own base bucket, and the task-local stack of
-/// deeper buckets. Writes below the prefix boundary are deferred to the
-/// scatter log; everything else accumulates in place.
+/// A task's view of the bucket stack during the walk: shared read-only
+/// ancestor prefix (spine buckets), the task's own base bucket, and the
+/// task-local stack of deeper buckets.
 struct Ctx<'a, const DIM: usize> {
-    prefix: &'a [&'a Bucket<DIM>],
-    base: &'a mut Bucket<DIM>,
-    own: Vec<Bucket<DIM>>,
-    log: &'a mut OutLog,
-    free: &'a mut Vec<Bucket<DIM>>,
+    coords: &'a [[u64; DIM]],
+    prefix: &'a [&'a Bucket],
+    base: &'a Bucket,
+    own: Vec<Bucket>,
+    free: &'a mut Vec<Bucket>,
     alloc: &'a mut u64,
     reuse: &'a mut u64,
 }
@@ -364,7 +575,7 @@ impl<const DIM: usize> Ctx<'_, DIM> {
     }
 
     #[inline]
-    fn bucket(&self, depth: usize) -> &Bucket<DIM> {
+    fn bucket(&self, depth: usize) -> &Bucket {
         let pl = self.prefix.len();
         if depth < pl {
             self.prefix[depth]
@@ -376,26 +587,30 @@ impl<const DIM: usize> Ctx<'_, DIM> {
     }
 
     #[inline]
-    fn top_bucket(&self) -> &Bucket<DIM> {
+    fn top_bucket(&self) -> &Bucket {
         self.bucket(self.top_depth())
     }
 
-    /// Adds `val` into `vout[slot]` of the depth-`depth` bucket — directly
-    /// when the bucket is task-owned, via the scatter log when it is a
-    /// shared spine ancestor (replayed in order at join).
+    /// The arena index of entry `slot` of the depth-`depth` bucket: flagged
+    /// [`SPINE`] when the bucket is a shared spine ancestor.
     #[inline]
-    fn vout_add(&mut self, depth: usize, slot: usize, val: f64) {
-        let pl = self.prefix.len();
-        if depth < pl {
-            self.log.push((depth as u32, slot as u32, val));
-        } else if depth == pl {
-            self.base.vout[slot] += val;
+    fn target(&self, depth: usize, slot: usize) -> u32 {
+        let i = self.bucket(depth).off + slot as u32;
+        if depth < self.prefix.len() {
+            SPINE | i
         } else {
-            self.own[depth - pl - 1].vout[slot] += val;
+            i
         }
     }
 
-    fn acquire(&mut self) -> Bucket<DIM> {
+    fn find(&self, depth: usize, coord: &[u64; DIM]) -> Option<usize> {
+        self.bucket(depth)
+            .root
+            .binary_search_by(|&r| point_cmp_morton(&self.coords[r as usize], coord))
+            .ok()
+    }
+
+    fn acquire(&mut self) -> Bucket {
         match self.free.pop() {
             Some(mut b) => {
                 b.clear();
@@ -410,114 +625,120 @@ impl<const DIM: usize> Ctx<'_, DIM> {
     }
 }
 
-// --- Hanging-chain fallback -------------------------------------------------
+// --- Hanging chains ---------------------------------------------------------
 //
-// The leaf stage resolves a hanging slot from the prolongation table. These
-// three walk the bucket stack by coordinate instead, and are reached only
-// when a tabulated source is itself hanging at the parent's level (possible
-// on unbalanced or incomplete trees; absent from balanced meshes).
+// The leaf stage resolves a hanging slot from the prolongation table. A
+// tabulated source that is itself hanging at the parent's level (possible
+// on unbalanced or incomplete trees; absent from balanced meshes) is
+// resolved by coordinate up the bucket stack instead, into a chain.
 
-/// Evaluates the FE value at `coord` (p-lattice of the level-`depth`
-/// ancestor of `leaf`) from the bucket stack, resolving hanging chains.
-fn eval_coord<const DIM: usize>(
+/// Resolves `coord` (on the `p`-lattice of the level-`depth` ancestor of
+/// `leaf`) into a preorder chain pushed onto `bufs.nodes`, `w` being its
+/// weight in the caller's interpolation.
+fn record_chain<const DIM: usize>(
     ctx: &Ctx<'_, DIM>,
     leaf: &Octant<DIM>,
     depth: usize,
     coord: &[u64; DIM],
+    w: f64,
     p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-) -> f64 {
-    let b = ctx.bucket(depth);
-    if let Some(i) = b.find(coord) {
-        return b.vin[i];
+    bufs: &mut ChainBufs<DIM>,
+) {
+    if let Some(i) = ctx.find(depth, coord) {
+        bufs.nodes.push(ChainNode {
+            w,
+            src: ctx.bucket(depth).root[i],
+            dst: ctx.target(depth, i),
+            kids: 0,
+        });
+        return;
     }
     let oct = leaf.ancestor_at(depth as u8);
-    let base = srcs.len();
-    hanging_sources(&oct, coord, p, srcs);
-    let end = srcs.len();
+    let base = bufs.srcs.len();
+    hanging_sources(&oct, coord, p, &mut bufs.srcs);
+    let end = bufs.srcs.len();
+    bufs.nodes.push(ChainNode {
+        w,
+        src: NO_SLOT,
+        dst: NO_SLOT,
+        kids: (end - base) as u32,
+    });
+    for k in base..end {
+        let (src, w) = bufs.srcs[k];
+        record_chain(ctx, leaf, depth - 1, &src, w, p, bufs);
+    }
+    bufs.srcs.truncate(base);
+}
+
+/// The value of the chain rooted at `chain[i]`, and the index past it.
+fn chain_value(chain: &[ChainNode], i: usize, x: &[f64]) -> (f64, usize) {
+    let node = chain[i];
+    if node.kids == 0 {
+        return (x[node.src as usize], i + 1);
+    }
     let mut v = 0.0;
-    for k in base..end {
-        let (src, w) = srcs[k];
-        v += w * eval_coord(ctx, leaf, depth - 1, &src, p, srcs);
+    let mut j = i + 1;
+    for _ in 0..node.kids {
+        let (kid, next) = chain_value(chain, j, x);
+        v += chain[j].w * kid;
+        j = next;
     }
-    srcs.truncate(base);
-    v
+    (v, j)
 }
 
-/// Transpose of [`eval_coord`]: scatters `val` into the bucket stack.
-fn scatter_coord<const DIM: usize>(
-    ctx: &mut Ctx<'_, DIM>,
-    leaf: &Octant<DIM>,
-    depth: usize,
-    coord: &[u64; DIM],
-    val: f64,
-    p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
-) {
-    if let Some(i) = ctx.bucket(depth).find(coord) {
-        ctx.vout_add(depth, i, val);
-        return;
+/// Transpose of [`chain_value`]: scatters `val` down the chain.
+fn chain_scatter(chain: &[ChainNode], i: usize, val: f64, sink: &mut Sink<'_>) -> usize {
+    let node = chain[i];
+    if node.kids == 0 {
+        sink.add(node.dst, val);
+        return i + 1;
     }
-    let oct = leaf.ancestor_at(depth as u8);
-    let base = srcs.len();
-    hanging_sources(&oct, coord, p, srcs);
-    let end = srcs.len();
-    for k in base..end {
-        let (src, w) = srcs[k];
-        scatter_coord(ctx, leaf, depth - 1, &src, w * val, p, srcs);
+    let mut j = i + 1;
+    for _ in 0..node.kids {
+        j = chain_scatter(chain, j, chain[j].w * val, sink);
     }
-    srcs.truncate(base);
+    j
 }
 
-/// Resolves `coord` into a `(global id, weight)` stencil (assembly path).
-#[allow(clippy::too_many_arguments)]
-fn stencil_coord<const DIM: usize>(
-    ctx: &Ctx<'_, DIM>,
-    leaf: &Octant<DIM>,
-    depth: usize,
-    coord: &[u64; DIM],
+/// The chain as a `(global id, weight)` stencil (assembly path).
+fn chain_stencil(
+    chain: &[ChainNode],
+    i: usize,
     weight: f64,
-    p: u64,
-    srcs: &mut Vec<([u64; DIM], f64)>,
+    ids: &[u32],
     out: &mut Vec<(u32, f64)>,
-) {
-    let b = ctx.bucket(depth);
-    if let Some(i) = b.find(coord) {
-        out.push((b.ids[i], weight));
-        return;
+) -> usize {
+    let node = chain[i];
+    if node.kids == 0 {
+        out.push((ids[node.src as usize], weight));
+        return i + 1;
     }
-    let oct = leaf.ancestor_at(depth as u8);
-    let base = srcs.len();
-    hanging_sources(&oct, coord, p, srcs);
-    let end = srcs.len();
-    for k in base..end {
-        let (src, w) = srcs[k];
-        stencil_coord(ctx, leaf, depth - 1, &src, weight * w, p, srcs, out);
+    let mut j = i + 1;
+    for _ in 0..node.kids {
+        j = chain_stencil(chain, j, weight * chain[j].w, ids, out);
     }
-    srcs.truncate(base);
+    j
 }
 
 // --- Spine / task decomposition -------------------------------------------
 
-/// Immutable per-call traversal parameters.
+/// Immutable per-call walk parameters.
 struct Env<'a, const DIM: usize> {
     elems: &'a [Octant<DIM>],
     owned: Range<usize>,
     curve: Curve,
+    coords: &'a [[u64; DIM]],
     p: u64,
-    carry_values: bool,
-    carry_ids: bool,
-    /// Maximum leaf-panel width (workspace `batch_width`); the effective
-    /// width is additionally capped by the visitor's [`LeafVisitor::
-    /// panel_width`] and the natural sibling-run length.
+    /// Maximum leaf-run width (workspace `batch_width`); the replay cuts a
+    /// run further to the kernel's [`LeafKernel::panel_width`].
     batch: usize,
     table: &'a Prolongation,
 }
 
 /// A spine node: a bucket on the serial prefix of the tree, shared
 /// read-only by the tasks below it.
-struct SpineNode<const DIM: usize> {
-    bucket: Bucket<DIM>,
+struct SpineNode {
+    bucket: Bucket,
     kids: Vec<SpineChild>,
 }
 
@@ -537,13 +758,14 @@ struct Task<const DIM: usize> {
     ancestors: Vec<u32>,
     /// The task is itself a leaf element (no further descent).
     is_leaf: bool,
-    bucket: Bucket<DIM>,
-    out_log: OutLog,
+    bucket: Bucket,
 }
 
-struct SpinePlan<const DIM: usize> {
-    interior: Vec<SpineNode<DIM>>,
+struct Spine<const DIM: usize> {
+    interior: Vec<SpineNode>,
     tasks: Vec<Task<DIM>>,
+    /// Extent of the spine's accumulators.
+    len: usize,
 }
 
 /// Builds the spine buckets serially down to `split_depth` and carves the
@@ -551,31 +773,32 @@ struct SpinePlan<const DIM: usize> {
 fn build_spine<const DIM: usize>(
     env: &Env<'_, DIM>,
     split_depth: u8,
-    root_bucket: Bucket<DIM>,
+    root: Bucket,
     ws: &mut TraversalWorkspace<DIM>,
-) -> SpinePlan<DIM> {
-    let mut plan = SpinePlan {
-        interior: Vec::new(),
+) -> Spine<DIM> {
+    let mut spine = Spine {
+        len: root.len(),
+        interior: vec![SpineNode {
+            bucket: root,
+            kids: Vec::new(),
+        }],
         tasks: Vec::new(),
     };
     let all = 0..env.elems.len();
     if all.len() == 1 && env.elems[0] == Octant::ROOT {
-        // Degenerate single-element tree: the root bucket is the task.
-        plan.tasks.push(Task {
+        // Single-element tree: its one leaf is its own parent and reads
+        // the root bucket.
+        spine.tasks.push(Task {
             oct: Octant::ROOT,
             st: SfcState::ROOT,
             range: all,
-            ancestors: Vec::new(),
+            ancestors: vec![0],
             is_leaf: true,
-            bucket: root_bucket,
-            out_log: ws.acquire_log(),
+            bucket: ws.acquire_bucket(),
         });
-        return plan;
+        spine.interior[0].kids.push(SpineChild::Task(0));
+        return spine;
     }
-    plan.interior.push(SpineNode {
-        bucket: root_bucket,
-        kids: Vec::new(),
-    });
     let mut path = vec![0u32];
     grow(
         env,
@@ -585,10 +808,10 @@ fn build_spine<const DIM: usize>(
         SfcState::ROOT,
         all,
         &mut path,
-        &mut plan,
+        &mut spine,
         ws,
     );
-    plan
+    spine
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -600,7 +823,7 @@ fn grow<const DIM: usize>(
     st: SfcState,
     range: Range<usize>,
     path: &mut Vec<u32>,
-    plan: &mut SpinePlan<DIM>,
+    spine: &mut Spine<DIM>,
     ws: &mut TraversalWorkspace<DIM>,
 ) {
     let child_level = subtree.level + 1;
@@ -629,34 +852,36 @@ fn grow<const DIM: usize>(
         if !single_leaf {
             let _obs_td = carve_obs::scope("top_down");
             fill_child_bucket(
-                &plan.interior[node as usize].bucket,
+                &spine.interior[node as usize].bucket,
+                env.coords,
                 &child_oct,
                 env.p,
-                env.carry_values,
-                env.carry_ids,
                 &mut b,
             );
-            carve_obs::counter("node_copies", b.coords.len() as u64);
+            carve_obs::counter("node_copies", b.len() as u64);
         }
         if single_leaf || child_level >= split_depth {
-            let ti = plan.tasks.len() as u32;
-            plan.tasks.push(Task {
+            let ti = spine.tasks.len() as u32;
+            spine.tasks.push(Task {
                 oct: child_oct,
                 st: child_st,
                 range: lo..hi,
                 ancestors: path.clone(),
                 is_leaf: single_leaf,
                 bucket: b,
-                out_log: ws.acquire_log(),
             });
-            plan.interior[node as usize].kids.push(SpineChild::Task(ti));
+            spine.interior[node as usize]
+                .kids
+                .push(SpineChild::Task(ti));
         } else {
-            let ci = plan.interior.len() as u32;
-            plan.interior.push(SpineNode {
+            let ci = spine.interior.len() as u32;
+            b.off = spine.len as u32;
+            spine.len += b.len();
+            spine.interior.push(SpineNode {
                 bucket: b,
                 kids: Vec::new(),
             });
-            plan.interior[node as usize]
+            spine.interior[node as usize]
                 .kids
                 .push(SpineChild::Interior(ci));
             path.push(ci);
@@ -668,7 +893,7 @@ fn grow<const DIM: usize>(
                 child_st,
                 lo..hi,
                 path,
-                plan,
+                spine,
                 ws,
             );
             path.pop();
@@ -681,15 +906,15 @@ fn grow<const DIM: usize>(
 /// Buckets the parent's nodes incident on `child_oct`'s closed region into
 /// `out` (which the arena has already cleared).
 fn fill_child_bucket<const DIM: usize>(
-    parent: &Bucket<DIM>,
+    parent: &Bucket,
+    coords: &[[u64; DIM]],
     child_oct: &Octant<DIM>,
     p: u64,
-    carry_values: bool,
-    carry_ids: bool,
-    out: &mut Bucket<DIM>,
+    out: &mut Bucket,
 ) {
     let side = child_oct.side() as u64;
-    for (i, c) in parent.coords.iter().enumerate() {
+    for (i, &r) in parent.root.iter().enumerate() {
+        let c = &coords[r as usize];
         let mut incident = true;
         for (&ck, &ak) in c.iter().zip(&child_oct.anchor) {
             let a = ak as u64 * p;
@@ -699,18 +924,9 @@ fn fill_child_bucket<const DIM: usize>(
             }
         }
         if incident {
-            out.coords.push(*c);
+            out.root.push(r);
             out.parent_slot.push(i as u32);
-            if carry_ids {
-                out.ids.push(parent.ids[i]);
-            }
-            if carry_values {
-                out.vin.push(parent.vin[i]);
-            }
         }
-    }
-    if carry_values {
-        out.vout.resize(out.coords.len(), 0.0);
     }
 }
 
@@ -771,10 +987,18 @@ where
     }
 }
 
-// --- Task execution -------------------------------------------------------
+// --- The walk ---------------------------------------------------------------
 
-/// Sentinel for "no node at this lattice slot" (a hanging slot).
-const NO_SLOT: u32 = u32::MAX;
+/// Which block of the prolongation table `leaf` reads: its Morton corner in
+/// its parent, or `1 << DIM` for a root-only tree's leaf, which is its own
+/// parent.
+fn corner<const DIM: usize>(leaf: &Octant<DIM>) -> usize {
+    if leaf.level == 0 {
+        1 << DIM
+    } else {
+        leaf.child_number()
+    }
+}
 
 /// A sibling group: the parent octant whose bucket its leaf children read,
 /// where that bucket sits in the stack, and where the group's half-lattice
@@ -788,23 +1012,12 @@ struct Group<const DIM: usize> {
     swept: bool,
 }
 
-impl<const DIM: usize> Group<DIM> {
-    /// Which block of the prolongation table `leaf` reads: its Morton
-    /// corner in the parent, or `1 << DIM` for a root-only tree's leaf,
-    /// which is its own parent.
-    fn corner(&self, leaf: &Octant<DIM>) -> usize {
-        if *leaf == self.parent {
-            1 << DIM
-        } else {
-            leaf.child_number()
-        }
-    }
-}
-
 /// One run of SFC-consecutive sibling leaves as a visitor sees it: every
 /// lattice slot already resolved to a parent-bucket index or [`NO_SLOT`].
 struct LeafRun<'a, const DIM: usize> {
     group: Group<DIM>,
+    /// Element index of the first leaf.
+    first: usize,
     leaves: &'a [Octant<DIM>],
     /// The group's half-lattice map (slot → parent-bucket index).
     lattice: &'a [u32],
@@ -816,6 +1029,10 @@ struct LeafRun<'a, const DIM: usize> {
 }
 
 impl<const DIM: usize> LeafRun<'_, DIM> {
+    fn npe(&self) -> usize {
+        self.slots.len() / self.leaves.len()
+    }
+
     /// One-level sources of hanging slot `lin` of `leaf`, each as (parent
     /// bucket index or [`NO_SLOT`], half-lattice slot, weight).
     fn sources<'s>(
@@ -823,32 +1040,24 @@ impl<const DIM: usize> LeafRun<'_, DIM> {
         leaf: &Octant<DIM>,
         lin: usize,
     ) -> impl Iterator<Item = (u32, u32, f64)> + 's {
-        let srcs = self.table.sources(self.group.corner(leaf), lin);
+        let srcs = self.table.sources(corner(leaf), lin);
         assert!(!srcs.is_empty(), "hanging slot off the parent's boundary");
         srcs.iter().map(|&(h, w)| (self.lattice[h as usize], h, w))
     }
 
-    /// Coordinate of half-lattice slot `h` (the chain fallback works by
-    /// coordinate).
+    /// Coordinate of half-lattice slot `h` (chains resolve by coordinate).
     fn coord(&self, h: u32) -> [u64; DIM] {
         half_lattice_coord(&self.group.parent, self.table.order(), h as usize)
     }
 }
 
-/// What to do with a run of sibling leaves: read what the kernel needs out
-/// of the parent bucket, apply it, and write the results back (matvec) or
-/// log them (assembly).
+/// What the walk does with a run of sibling leaves (record it, or emit
+/// its triplets) and with a finished child bucket.
 trait LeafVisitor<const DIM: usize> {
-    /// Maximum run width this visitor takes as one panel.
-    fn panel_width(&self) -> usize;
+    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>);
 
-    /// Returns how many hanging sources took the chain fallback.
-    fn run(
-        &mut self,
-        run: &LeafRun<'_, DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        bufs: &mut PanelBufs<DIM>,
-    ) -> u64;
+    /// The walk is done below `child`, whose parent is at `depth`.
+    fn merge(&mut self, _ctx: &Ctx<'_, DIM>, _child: &Bucket, _depth: usize) {}
 }
 
 /// Maps `bucket` onto the half-spacing lattice of `parent`, pushing one
@@ -856,14 +1065,15 @@ trait LeafVisitor<const DIM: usize> {
 fn sweep_half_lattice<const DIM: usize>(
     parent: &Octant<DIM>,
     p: u64,
-    bucket: &Bucket<DIM>,
+    bucket: &Bucket,
+    coords: &[[u64; DIM]],
     lattice: &mut Vec<u32>,
 ) -> u64 {
     let base = lattice.len();
     lattice.resize(base + ((2 * p + 1) as usize).pow(DIM as u32), NO_SLOT);
     let mut hits = 0;
-    for (i, c) in bucket.coords.iter().enumerate() {
-        if let Some(h) = half_lattice_linear(parent, p, c) {
+    for (i, &r) in bucket.root.iter().enumerate() {
+        if let Some(h) = half_lattice_linear(parent, p, &coords[r as usize]) {
             lattice[base + h] = i as u32;
             hits += 1;
         }
@@ -871,66 +1081,54 @@ fn sweep_half_lattice<const DIM: usize>(
     hits
 }
 
-/// The leaf stage: runs the sibling leaves `env.elems[run]` of `group`
+/// The leaf stage: resolves the sibling leaves `env.elems[run]` of `group`
 /// against the parent bucket, sweeping it onto the half lattice first if
 /// no earlier run of the group has.
 fn leaf_run<const DIM: usize, V: LeafVisitor<DIM>>(
     env: &Env<'_, DIM>,
     group: &mut Group<DIM>,
     run: Range<usize>,
-    ctx: &mut Ctx<'_, DIM>,
+    ctx: &Ctx<'_, DIM>,
     scr: &mut LeafScratch<DIM>,
     visitor: &mut V,
 ) {
     let _obs = carve_obs::scope("leaf");
     if !group.swept {
         let bucket = ctx.bucket(group.depth);
-        let hits = sweep_half_lattice(&group.parent, env.p, bucket, &mut scr.lattice);
+        let hits = sweep_half_lattice(&group.parent, env.p, bucket, env.coords, &mut scr.lattice);
         carve_obs::counter("slot_sweep_hits", hits);
         group.swept = true;
     }
+    let first = run.start;
     let leaves = &env.elems[run];
-    let width = leaves.len() as u64;
-    carve_obs::counter("leaves", width);
-    if width > 1 {
-        carve_obs::counter("batched_leaves", width);
-        carve_obs::counter("batch_count", 1);
-    } else {
-        carve_obs::counter("scalar_leaves", 1);
-    }
     let lattice = &scr.lattice[group.lattice_at..];
     scr.slots.clear();
     for leaf in leaves {
-        let half_slots = env.table.half_slots(group.corner(leaf));
+        let half_slots = env.table.half_slots(corner(leaf));
         scr.slots
             .extend(half_slots.iter().map(|&h| lattice[h as usize]));
     }
     let view = LeafRun {
         group: *group,
+        first,
         leaves,
         lattice,
         slots: &scr.slots,
         hanging: scr.slots.iter().filter(|&&s| s == NO_SLOT).count(),
         table: env.table,
     };
-    let chained = visitor.run(&view, ctx, &mut scr.bufs);
-    if view.hanging > 0 {
-        carve_obs::counter("hanging_slots", view.hanging as u64);
-    }
-    if chained > 0 {
-        carve_obs::counter("hanging_chain", chained);
-    }
+    visitor.run(&view, ctx, &mut scr.chain);
 }
 
-/// Runs one task to completion against its ancestor prefix.
+/// Walks one task against its ancestor prefix.
 fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
     env: &Env<'_, DIM>,
-    task: &mut Task<DIM>,
-    interior: &[SpineNode<DIM>],
+    task: &Task<DIM>,
+    interior: &[SpineNode],
     scr: &mut WorkerScratch<DIM>,
     visitor: &mut V,
 ) {
-    let prefix: Vec<&Bucket<DIM>> = task
+    let prefix: Vec<&Bucket> = task
         .ancestors
         .iter()
         .map(|&i| &interior[i as usize].bucket)
@@ -943,26 +1141,26 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
         reuse,
     } = scr;
     let mut ctx = Ctx {
+        coords: env.coords,
         prefix: &prefix,
-        base: &mut task.bucket,
+        base: &task.bucket,
         own: std::mem::take(own_stack),
-        log: &mut task.out_log,
         free: buckets,
         alloc,
         reuse,
     };
+    let parent_depth = prefix.len() - 1;
     if task.is_leaf {
         if env.owned.contains(&task.range.start) {
             // A spine-level leaf reads the last spine bucket; a root-only
             // tree's single leaf is its own parent and reads the root's.
             let mut group = Group {
                 parent: task.oct.ancestor_at(task.oct.level.saturating_sub(1)),
-                depth: prefix.len().saturating_sub(1),
+                depth: parent_depth,
                 lattice_at: leaf.lattice.len(),
                 swept: false,
             };
-            let run = task.range.clone();
-            leaf_run(env, &mut group, run, &mut ctx, leaf, visitor);
+            leaf_run(env, &mut group, task.range.clone(), &ctx, leaf, visitor);
             leaf.lattice.truncate(group.lattice_at);
         }
     } else {
@@ -975,12 +1173,13 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
             leaf,
             visitor,
         );
+        visitor.merge(&ctx, &task.bucket, parent_depth);
     }
     debug_assert!(ctx.own.is_empty());
     *own_stack = ctx.own;
 }
 
-/// The recursive top-down / bottom-up sweep inside one task; `subtree` is
+/// The recursive top-down / bottom-up walk inside one task; `subtree` is
 /// never a leaf itself.
 fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     env: &Env<'_, DIM>,
@@ -995,7 +1194,6 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     // Partition the (SFC-sorted) element range by SFC child rank; the
     // runs are contiguous and in rank order.
     let child_level = subtree.level + 1;
-    let bw = env.batch.min(visitor.panel_width());
     let mut group = Group {
         parent: subtree,
         depth: ctx.top_depth(),
@@ -1020,11 +1218,11 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         // An element at exactly `child_level` IS one whole child of this
         // subtree: a leaf. Take it with the owned sibling leaves that
         // follow it (distinct, ascending SFC ranks) as one run of up to
-        // `bw`; the for-loop then naturally skips the ranks the run
+        // `env.batch`; the for-loop then naturally skips the ranks the run
         // covered, because runs are re-scanned from the advanced `lo`.
         if env.elems[lo].level == child_level {
             let mut q = lo + 1;
-            while q - lo < bw
+            while q - lo < env.batch
                 && q < range.end
                 && q < env.owned.end
                 && env.elems[q].level == child_level
@@ -1041,27 +1239,16 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         // Top-down: bucket nodes incident on the child's closed region.
         let obs_td = carve_obs::scope("top_down");
         let mut child = ctx.acquire();
-        fill_child_bucket(
-            ctx.top_bucket(),
-            &child_oct,
-            env.p,
-            env.carry_values,
-            env.carry_ids,
-            &mut child,
-        );
-        carve_obs::counter("node_copies", child.coords.len() as u64);
+        let top = ctx.top_bucket();
+        child.off = top.off + top.len() as u32;
+        fill_child_bucket(top, env.coords, &child_oct, env.p, &mut child);
+        carve_obs::counter("node_copies", child.len() as u64);
         drop(obs_td);
         ctx.own.push(child);
         rec(env, child_oct, child_st, lo..hi, ctx, scr, visitor);
-        // Bottom-up: accumulate duplicated node contributions.
-        let _obs_bu = carve_obs::scope("bottom_up");
+        // Bottom-up: duplicated entries merge back into the parent.
         let child = ctx.own.pop().expect("child bucket");
-        if env.carry_values {
-            let pd = ctx.top_depth();
-            for (i, &ps) in child.parent_slot.iter().enumerate() {
-                ctx.vout_add(pd, ps as usize, child.vout[i]);
-            }
-        }
+        visitor.merge(ctx, &child, ctx.top_depth());
         ctx.free.push(child);
         lo = hi;
     }
@@ -1069,131 +1256,73 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
     scr.lattice.truncate(group.lattice_at);
 }
 
-// --- Join (ordered merge) -------------------------------------------------
+// --- Visitors -----------------------------------------------------------------
 
-/// Replays each task's deferred ancestor writes and merges bucket `vout`s
-/// up the spine, walking the spine tree in DFS (SFC) order so every
-/// accumulation happens exactly where the sequential traversal would have
-/// performed it. Only meaningful for the matvec path (`carry_values`).
-fn join_spine<const DIM: usize>(plan: &mut SpinePlan<DIM>) {
-    if !plan.interior.is_empty() {
-        join_rec(plan, 0);
-    }
+/// Records a task's value program.
+struct Recorder<'s> {
+    seg: &'s mut Segment,
 }
 
-fn join_rec<const DIM: usize>(plan: &mut SpinePlan<DIM>, node: u32) {
-    let kids = std::mem::take(&mut plan.interior[node as usize].kids);
-    for k in &kids {
-        match *k {
-            SpineChild::Task(ti) => {
-                let _obs = carve_obs::scope("bottom_up");
-                let SpinePlan { interior, tasks } = plan;
-                let t = &mut tasks[ti as usize];
-                for &(d, slot, val) in t.out_log.iter() {
-                    let anc = t.ancestors[d as usize] as usize;
-                    interior[anc].bucket.vout[slot as usize] += val;
-                }
-                t.out_log.clear();
-                let pb = &mut interior[node as usize].bucket;
-                for (i, &ps) in t.bucket.parent_slot.iter().enumerate() {
-                    pb.vout[ps as usize] += t.bucket.vout[i];
-                }
-            }
-            SpineChild::Interior(ci) => {
-                join_rec(plan, ci);
-                let _obs = carve_obs::scope("bottom_up");
-                let b = std::mem::take(&mut plan.interior[ci as usize].bucket);
-                let pb = &mut plan.interior[node as usize].bucket;
-                for (i, &ps) in b.parent_slot.iter().enumerate() {
-                    pb.vout[ps as usize] += b.vout[i];
-                }
-                plan.interior[ci as usize].bucket = b;
-            }
-        }
-    }
-    plan.interior[node as usize].kids = kids;
-}
-
-// --- Leaf visitors --------------------------------------------------------
-
-struct MatvecVisitor<'k, K> {
-    kernel: &'k mut K,
-}
-
-impl<const DIM: usize, K> LeafVisitor<DIM> for MatvecVisitor<'_, K>
-where
-    K: LeafKernel<DIM>,
-{
-    fn panel_width(&self) -> usize {
-        self.kernel.panel_width()
-    }
-
-    fn run(
-        &mut self,
-        run: &LeafRun<'_, DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        bufs: &mut PanelBufs<DIM>,
-    ) -> u64 {
-        let PanelBufs { vin, vout, srcs } = bufs;
-        let (depth, p, width) = (run.group.depth, run.table.order(), run.leaves.len());
-        let npe = run.slots.len() / width;
-        vin.clear();
-        vin.resize(npe * width, 0.0);
-        vout.clear();
-        vout.resize(npe * width, 0.0);
-        let mut chained = 0;
-        // Gather — SoA: node `lin` of leaf `b` at `lin * width + b`.
+impl<const DIM: usize> LeafVisitor<DIM> for Recorder<'_> {
+    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>) {
+        let seg = &mut *self.seg;
+        let (depth, p, npe) = (run.group.depth, run.table.order(), run.npe());
         let parent = ctx.bucket(depth);
+        seg.ops.push(Op::Run {
+            first: run.first as u32,
+            width: run.leaves.len() as u32,
+        });
+        seg.hanging += run.hanging as u64;
+        let node = |s: u32| (parent.root[s as usize], ctx.target(depth, s as usize));
         for (b, leaf) in run.leaves.iter().enumerate() {
             for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
-                vin[lin * width + b] = if s != NO_SLOT {
-                    parent.vin[s as usize]
-                } else {
-                    let mut v = 0.0;
-                    for (s, h, w) in run.sources(leaf, lin) {
-                        v += w * if s != NO_SLOT {
-                            parent.vin[s as usize]
-                        } else {
-                            chained += 1;
-                            eval_coord(ctx, leaf, depth, &run.coord(h), p, srcs)
-                        };
-                    }
-                    v
-                };
-            }
-        }
-        self.kernel.apply(run.leaves, vin, vout);
-        // Scatter per leaf in SFC order, hanging slots before direct ones:
-        // the order of "scatter into a leaf bucket (hanging slots bypass
-        // it), then merge that bucket upward".
-        for (b, leaf) in run.leaves.iter().enumerate() {
-            let slots = &run.slots[b * npe..(b + 1) * npe];
-            if run.hanging > 0 {
-                for (lin, _) in slots.iter().enumerate().filter(|(_, &s)| s == NO_SLOT) {
-                    let val = vout[lin * width + b];
-                    for (s, h, w) in run.sources(leaf, lin) {
-                        if s != NO_SLOT {
-                            ctx.vout_add(depth, s as usize, w * val);
-                        } else {
-                            scatter_coord(ctx, leaf, depth, &run.coord(h), w * val, p, srcs);
-                        }
-                    }
-                }
-            }
-            for (lin, &s) in slots.iter().enumerate() {
                 if s != NO_SLOT {
-                    ctx.vout_add(depth, s as usize, vout[lin * width + b]);
+                    seg.slots.push(node(s));
+                    continue;
+                }
+                seg.slots.push((NO_SLOT, NO_SLOT));
+                for (s, h, w) in run.sources(leaf, lin) {
+                    if s != NO_SLOT {
+                        seg.hang.push(node(s));
+                    } else {
+                        seg.chained += 1;
+                        seg.hang.push((CHAIN, seg.chain.len() as u32));
+                        bufs.nodes.clear();
+                        record_chain(ctx, leaf, depth, &run.coord(h), w, p, bufs);
+                        seg.chain.extend_from_slice(&bufs.nodes);
+                    }
                 }
             }
         }
-        chained
+    }
+
+    fn merge(&mut self, ctx: &Ctx<'_, DIM>, child: &Bucket, depth: usize) {
+        if child.len() == 0 {
+            return;
+        }
+        let seg = &mut *self.seg;
+        seg.ops.push(Op::Merge {
+            child: child.off,
+            len: child.len() as u32,
+        });
+        seg.merge_dst.extend(
+            child
+                .parent_slot
+                .iter()
+                .map(|&ps| ctx.target(depth, ps as usize)),
+        );
+        seg.arena_len = seg.arena_len.max(child.off as usize + child.len());
+        assert!(seg.arena_len < SPINE as usize, "task accumulators overflow");
     }
 }
 
+/// Emits each leaf's `W^T K_e W` triplets into its task's log.
 struct AssemblyVisitor<'k, K> {
     kernel: &'k mut K,
+    global_ids: &'k [u32],
     /// `(global id, weight)` stencil of each lattice slot of one leaf.
-    stencils: Vec<Vec<(u32, f64)>>,
+    stencils: &'k mut [Vec<(u32, f64)>],
+    log: &'k mut OutLog,
 }
 
 /// Emits `W^T K_e W` into the triplet log: every (row stencil) × (col
@@ -1221,45 +1350,42 @@ impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, K>
 where
     K: AssemblyKernel<DIM>,
 {
-    fn panel_width(&self) -> usize {
-        usize::MAX
-    }
-
-    fn run(
-        &mut self,
-        run: &LeafRun<'_, DIM>,
-        ctx: &mut Ctx<'_, DIM>,
-        bufs: &mut PanelBufs<DIM>,
-    ) -> u64 {
-        let (depth, p) = (run.group.depth, run.table.order());
-        let npe = self.stencils.len();
-        let mut chained = 0;
+    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>) {
+        let (depth, p, npe) = (run.group.depth, run.table.order(), run.npe());
+        let ids = self.global_ids;
+        let parent = ctx.bucket(depth);
+        let id = |s: u32| ids[parent.root[s as usize] as usize];
+        let mut counts = LeafCounts {
+            hanging_slots: run.hanging as u64,
+            ..LeafCounts::default()
+        };
+        counts.panel(run.leaves.len());
         for (b, leaf) in run.leaves.iter().enumerate() {
-            let parent = ctx.bucket(depth);
             for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
                 let stencil = &mut self.stencils[lin];
                 stencil.clear();
                 if s != NO_SLOT {
-                    stencil.push((parent.ids[s as usize], 1.0));
+                    stencil.push((id(s), 1.0));
                     continue;
                 }
                 for (s, h, w) in run.sources(leaf, lin) {
                     if s != NO_SLOT {
-                        stencil.push((parent.ids[s as usize], w));
+                        stencil.push((id(s), w));
                     } else {
-                        chained += 1;
-                        let c = run.coord(h);
-                        stencil_coord(ctx, leaf, depth, &c, w, p, &mut bufs.srcs, stencil);
+                        counts.hanging_chain += 1;
+                        bufs.nodes.clear();
+                        record_chain(ctx, leaf, depth, &run.coord(h), w, p, bufs);
+                        chain_stencil(&bufs.nodes, 0, w, ids, stencil);
                     }
                 }
             }
-            emit_triplets(&self.stencils, &self.kernel.matrix(leaf), ctx.log);
+            emit_triplets(self.stencils, &self.kernel.matrix(leaf), self.log);
         }
-        chained
+        counts.flush();
     }
 }
 
-// --- The traversal driver ---------------------------------------------------
+// --- Drivers ------------------------------------------------------------------
 
 /// The tree one traversal walks: SFC-sorted leaf elements (owned + ghost in
 /// the distributed case), the `owned` sub-range whose leaves apply their
@@ -1280,18 +1406,30 @@ pub(crate) enum Kernels<'a, K, F> {
     Make(&'a F),
 }
 
+impl<K, F> Kernels<'_, K, F> {
+    /// How many workers this kernel source may use under `threads`.
+    fn budget(&self, threads: usize) -> usize {
+        match self {
+            Kernels::Held(_) => 1,
+            Kernels::Make(_) => threads,
+        }
+    }
+}
+
 /// The matvec input vector: complete up front, or — the overlapped exchange
 /// of §3.5 — with its ghost entries still in flight.
 pub(crate) enum Input<'a, W> {
     Complete(&'a [f64]),
     /// The caller has already *posted* the nonblocking ghost read of `xg`'s
-    /// owned entries. Tasks none of whose owned elements is a
-    /// `boundary_elem` (stencil closure rank-local) sweep against the stale
-    /// vector while `wait` completes the exchange into `xg`; the rest sweep
-    /// afterwards. `wait` is invoked exactly once on every path, including
-    /// empty-owned ranks — it carries the exchange's collective tag
-    /// discipline.
+    /// owned entries; `x` is the input as it was before (equal to `xg` on
+    /// every rank-owned node). Tasks none of whose owned elements is a
+    /// `boundary_elem` (stencil closure rank-local) replay against `x`
+    /// while `wait` completes the exchange into `xg`; the rest replay
+    /// against `xg` afterwards. `wait` is invoked exactly once on every
+    /// path, including empty-owned ranks — it carries the exchange's
+    /// collective tag discipline.
     InFlight {
+        x: &'a [f64],
         xg: &'a mut [f64],
         boundary_elem: &'a [bool],
         wait: W,
@@ -1321,50 +1459,47 @@ fn join_worker<T>(h: std::thread::ScopedJoinHandle<'_, T>) -> T {
     }
 }
 
-/// Runs the tasks of `plan` selected by `pick` (task index → run it?) and
-/// returns the worker count used. `run(kernel, spine, tasks, scratch)` walks
-/// one worker's SFC-contiguous share with its kernel. A held kernel runs the
-/// share inline; a factory forks up to `ws.threads()` scoped workers, each
+/// Runs the `items` selected by `pick` (index → run it?) on up to `budget`
+/// workers and returns the worker count used. `run(kernel, share, scratch)`
+/// processes one worker's SFC-contiguous share with its kernel. A held
+/// kernel runs the share inline; a factory forks scoped workers, each
 /// building its own kernel and recording obs detached (re-absorbed under
 /// the caller's open scope). Either way `meanwhile` runs exactly once on
 /// the calling thread — while the workers are busy, when there are any.
-fn sweep<const DIM: usize, K, F, R>(
-    plan: &mut SpinePlan<DIM>,
+fn sweep<T, S, K, F, R>(
+    items: &mut [T],
     pick: impl Fn(usize) -> bool,
-    ws: &mut TraversalWorkspace<DIM>,
+    budget: usize,
+    scratch: &mut Vec<S>,
     kernels: &mut Kernels<'_, K, F>,
     run: &R,
     meanwhile: impl FnOnce(),
 ) -> usize
 where
+    T: Send,
+    S: Send + Default,
     F: Fn() -> K + Sync,
-    R: Fn(&mut K, &[SpineNode<DIM>], &mut [&mut Task<DIM>], &mut WorkerScratch<DIM>) + Sync,
+    R: Fn(&mut K, &mut [&mut T], &mut S) + Sync,
 {
-    let SpinePlan { interior, tasks } = plan;
-    let interior: &[SpineNode<DIM>] = interior;
-    let mut picked: Vec<&mut Task<DIM>> = tasks
+    let mut picked: Vec<&mut T> = items
         .iter_mut()
         .enumerate()
         .filter(|(i, _)| pick(*i))
         .map(|(_, t)| t)
         .collect();
-    let budget = match kernels {
-        Kernels::Held(_) => 1,
-        Kernels::Make(_) => ws.threads,
-    };
     let (chunk, workers) = chunking(picked.len(), budget);
-    ws.ensure_scratch(workers);
+    scratch.resize_with(scratch.len().max(workers), S::default);
     match kernels {
         Kernels::Make(make) if workers > 1 => {
             let make: &F = make;
             let snaps: Vec<carve_obs::Snapshot> = std::thread::scope(|s| {
                 let handles: Vec<_> = picked
                     .chunks_mut(chunk)
-                    .zip(ws.scratch.iter_mut())
+                    .zip(scratch.iter_mut())
                     .map(|(share, scr)| {
                         s.spawn(move || {
                             carve_obs::detach_thread();
-                            run(&mut make(), interior, share, scr);
+                            run(&mut make(), share, scr);
                             carve_obs::thread_snapshot()
                         })
                     })
@@ -1381,10 +1516,10 @@ where
         }
         _ => {
             if !picked.is_empty() {
-                let scr = &mut ws.scratch[0];
+                let scr = &mut scratch[0];
                 match kernels {
-                    Kernels::Held(kernel) => run(kernel, interior, &mut picked, scr),
-                    Kernels::Make(make) => run(&mut make(), interior, &mut picked, scr),
+                    Kernels::Held(kernel) => run(kernel, &mut picked, scr),
+                    Kernels::Make(make) => run(&mut make(), &mut picked, scr),
                 }
             }
             meanwhile();
@@ -1393,65 +1528,259 @@ where
     workers
 }
 
-// --- MATVEC -----------------------------------------------------------------
-
-/// True iff any *owned* element in the task's range touches a ghost node
-/// (per the caller's element classification): such a task must not run
-/// until the ghost exchange has landed.
-fn task_touches_ghosts<const DIM: usize>(
-    t: &Task<DIM>,
-    owned: &Range<usize>,
-    boundary_elem: &[bool],
-) -> bool {
-    let lo = t.range.start.max(owned.start);
-    let hi = t.range.end.min(owned.end);
-    lo < hi && boundary_elem[lo..hi].iter().any(|&b| b)
+/// A walk's per-task outputs, paired with their tasks for [`sweep`].
+fn task_items<'a, const DIM: usize, O>(
+    spine: &'a Spine<DIM>,
+    outs: &'a mut [O],
+) -> Vec<(&'a Task<DIM>, &'a mut O)> {
+    spine.tasks.iter().zip(outs.iter_mut()).collect()
 }
 
-/// Re-seeds the input values (`vin`) of the spine buckets and the flagged
-/// boundary-task base buckets from the now-complete ghosted vector `xg`,
-/// walking the spine in pre-order (parents precede children by
-/// construction). Only `vin` is touched: interior tasks have already run
-/// and their pending output lives in `vout`s and scatter logs, which this
-/// pass never reads or writes — so the subsequent boundary sweep + ordered
-/// join reproduce the sequential result bit for bit.
-fn refresh_vin<const DIM: usize>(plan: &mut SpinePlan<DIM>, xg: &[f64], flags: &[bool]) {
-    if plan.interior.is_empty() {
-        // Degenerate single-root-element plan: the lone task IS the root
-        // bucket, seeded directly from the input vector.
-        if flags[0] {
-            plan.tasks[0].bucket.vin.copy_from_slice(xg);
+// --- Recording --------------------------------------------------------------
+
+/// The structure pass: walks `tree` once on up to `budget` workers and
+/// records its MATVEC plan, then releases the walk's buckets.
+fn record<const DIM: usize>(
+    tree: &Tree<'_, DIM>,
+    ws: &mut TraversalWorkspace<DIM>,
+    budget: usize,
+) -> Plan<DIM> {
+    let _obs = carve_obs::scope("record");
+    let nodes = tree.nodes;
+    let table = ws.prolongation(nodes.order);
+    let env = Env {
+        elems: tree.elems,
+        owned: tree.owned.clone(),
+        curve: tree.curve,
+        coords: &nodes.coords,
+        p: nodes.order,
+        batch: ws.batch_width,
+        table: &table,
+    };
+    let mut root = ws.acquire_bucket();
+    root.root.extend(0..nodes.len() as u32);
+    let spine = build_spine(&env, ws.split_depth, root, ws);
+    assert!(spine.len < SPINE as usize, "spine accumulators overflow");
+    let mut segs: Vec<Segment> = spine
+        .tasks
+        .iter()
+        .map(|t| Segment {
+            range: t.range.clone(),
+            ..Segment::default()
+        })
+        .collect();
+    let mut items = task_items(&spine, &mut segs);
+    let run = |_: &mut (), share: &mut [&mut (&Task<DIM>, &mut Segment)], scr: &mut _| {
+        for (task, seg) in share.iter_mut() {
+            run_task(&env, task, &spine.interior, scr, &mut Recorder { seg });
+            seg.shrink();
         }
-        return;
+    };
+    sweep(
+        &mut items,
+        |_| true,
+        budget,
+        &mut ws.walk,
+        &mut Kernels::Make(&|| ()),
+        &run,
+        || (),
+    );
+    let mut plan = Plan {
+        key: PlanKey::new(tree, ws.batch_width, ws.split_depth),
+        tasks: segs,
+        join: Vec::new(),
+        join_dst: Vec::new(),
+        spine_len: spine.len,
+    };
+    record_join(&spine.interior, 0, &mut plan);
+    plan.join.shrink_to_fit();
+    plan.join_dst.shrink_to_fit();
+    ws.release_spine(spine);
+    ws.emit_arena_counters();
+    ws.bucket_pool = Vec::new();
+    ws.walk = Vec::new();
+    plan
+}
+
+/// Records the spine's join in DFS order: each task's log where the task
+/// finishes, each interior bucket's merge into its parent after its own
+/// subtree — exactly where the sequential walk performs them.
+fn record_join<const DIM: usize>(interior: &[SpineNode], node: usize, plan: &mut Plan<DIM>) {
+    for kid in &interior[node].kids {
+        match *kid {
+            SpineChild::Task(t) => plan.join.push(JoinOp::Task(t)),
+            SpineChild::Interior(ci) => {
+                record_join(interior, ci as usize, plan);
+                let b = &interior[ci as usize].bucket;
+                let parent = interior[node].bucket.off;
+                plan.join.push(JoinOp::Merge {
+                    child: b.off,
+                    len: b.len() as u32,
+                });
+                plan.join_dst
+                    .extend(b.parent_slot.iter().map(|&ps| parent + ps));
+            }
+        }
     }
-    plan.interior[0].bucket.vin.copy_from_slice(xg);
-    for node in 0..plan.interior.len() {
-        let kids = std::mem::take(&mut plan.interior[node].kids);
-        for k in &kids {
-            match *k {
-                SpineChild::Interior(ci) => {
-                    let mut b = std::mem::take(&mut plan.interior[ci as usize].bucket);
-                    let pb = &plan.interior[node].bucket;
-                    for (i, &ps) in b.parent_slot.iter().enumerate() {
-                        b.vin[i] = pb.vin[ps as usize];
+}
+
+// --- Replay -------------------------------------------------------------------
+
+/// Where a replayed task's additions go: its own accumulators, or — for a
+/// [`SPINE`] target — its spine log.
+struct Sink<'a> {
+    arena: &'a mut [f64],
+    log: &'a mut SpineLog,
+}
+
+impl Sink<'_> {
+    #[inline]
+    fn add(&mut self, dst: u32, v: f64) {
+        if dst & SPINE != 0 {
+            self.log.push((dst & !SPINE, v));
+        } else {
+            self.arena[dst as usize] += v;
+        }
+    }
+}
+
+/// Immutable per-apply replay parameters.
+struct Replay<'a, const DIM: usize> {
+    elems: &'a [Octant<DIM>],
+    table: &'a Prolongation,
+    npe: usize,
+}
+
+impl<const DIM: usize> Replay<'_, DIM> {
+    /// Replays one task's program against `x`.
+    fn task<K: LeafKernel<DIM>>(
+        &self,
+        seg: &Segment,
+        x: &[f64],
+        kernel: &mut K,
+        scr: &mut ReplayScratch,
+        log: &mut SpineLog,
+        counts: &mut LeafCounts,
+    ) {
+        let kw = kernel.panel_width().max(1);
+        let ReplayScratch { arena, vin, vout } = scr;
+        if arena.len() < seg.arena_len {
+            arena.resize(seg.arena_len, 0.0);
+        }
+        let mut sink = Sink { arena, log };
+        counts.hanging_slots += seg.hanging;
+        counts.hanging_chain += seg.chained;
+        let (mut slot_at, mut hang_at, mut merge_at) = (0, 0, 0);
+        for op in &seg.ops {
+            match *op {
+                Op::Run { first, width } => {
+                    let (first, width) = (first as usize, width as usize);
+                    let mut b0 = 0;
+                    while b0 < width {
+                        let w = kw.min(width - b0);
+                        let leaves = &self.elems[first + b0..first + b0 + w];
+                        let slots = &seg.slots[slot_at..slot_at + w * self.npe];
+                        hang_at = self
+                            .panel(leaves, slots, seg, hang_at, x, kernel, vin, vout, &mut sink);
+                        counts.panel(w);
+                        slot_at += w * self.npe;
+                        b0 += w;
                     }
-                    plan.interior[ci as usize].bucket = b;
                 }
-                SpineChild::Task(ti) => {
-                    if !flags[ti as usize] {
-                        continue;
+                Op::Merge { child, len } => {
+                    let (child, len) = (child as usize, len as usize);
+                    for (i, &dst) in seg.merge_dst[merge_at..merge_at + len].iter().enumerate() {
+                        let v = std::mem::take(&mut sink.arena[child + i]);
+                        sink.add(dst, v);
                     }
-                    let SpinePlan { interior, tasks } = plan;
-                    let t = &mut tasks[ti as usize];
-                    let pb = &interior[node].bucket;
-                    for (i, &ps) in t.bucket.parent_slot.iter().enumerate() {
-                        t.bucket.vin[i] = pb.vin[ps as usize];
-                    }
+                    merge_at += len;
                 }
             }
         }
-        plan.interior[node].kids = kids;
+        debug_assert!(sink.arena[..seg.arena_len].iter().all(|&v| v == 0.0));
     }
+
+    /// One SoA panel: gather from `x`, apply, scatter; returns the hanging
+    /// cursor past the panel's sources.
+    #[allow(clippy::too_many_arguments)]
+    fn panel<K: LeafKernel<DIM>>(
+        &self,
+        leaves: &[Octant<DIM>],
+        slots: &[(u32, u32)],
+        seg: &Segment,
+        hang_at: usize,
+        x: &[f64],
+        kernel: &mut K,
+        vin: &mut Vec<f64>,
+        vout: &mut Vec<f64>,
+        sink: &mut Sink<'_>,
+    ) -> usize {
+        let (width, npe) = (leaves.len(), self.npe);
+        vin.clear();
+        vin.resize(npe * width, 0.0);
+        vout.clear();
+        vout.resize(npe * width, 0.0);
+        let mut hanging = 0;
+        // Gather — SoA: node `lin` of leaf `b` at `lin * width + b`.
+        let mut h = hang_at;
+        for (b, leaf) in leaves.iter().enumerate() {
+            for (lin, &(src, _)) in slots[b * npe..(b + 1) * npe].iter().enumerate() {
+                vin[lin * width + b] = if src != NO_SLOT {
+                    x[src as usize]
+                } else {
+                    hanging += 1;
+                    let mut v = 0.0;
+                    for &(_, w) in self.table.sources(corner(leaf), lin) {
+                        let (s, i) = seg.hang[h];
+                        h += 1;
+                        v += w * if s != CHAIN {
+                            x[s as usize]
+                        } else {
+                            chain_value(&seg.chain, i as usize, x).0
+                        };
+                    }
+                    v
+                };
+            }
+        }
+        kernel.apply(leaves, vin, vout);
+        // Scatter per leaf in SFC order, hanging slots before direct ones:
+        // the order of "scatter into a leaf bucket (hanging slots bypass
+        // it), then merge that bucket upward".
+        let mut h = hang_at;
+        for (b, leaf) in leaves.iter().enumerate() {
+            let row = &slots[b * npe..(b + 1) * npe];
+            if hanging > 0 {
+                for (lin, _) in row.iter().enumerate().filter(|(_, s)| s.0 == NO_SLOT) {
+                    let val = vout[lin * width + b];
+                    for &(_, w) in self.table.sources(corner(leaf), lin) {
+                        let (s, i) = seg.hang[h];
+                        h += 1;
+                        if s != CHAIN {
+                            sink.add(i, w * val);
+                        } else {
+                            chain_scatter(&seg.chain, i as usize, w * val, sink);
+                        }
+                    }
+                }
+            }
+            for (lin, &(src, dst)) in row.iter().enumerate() {
+                if src != NO_SLOT {
+                    sink.add(dst, vout[lin * width + b]);
+                }
+            }
+        }
+        h
+    }
+}
+
+/// True iff any *owned* element in `range` touches a ghost node (per the
+/// caller's element classification): such a task must not replay until the
+/// ghost exchange has landed.
+fn touches_ghosts(range: &Range<usize>, owned: &Range<usize>, boundary_elem: &[bool]) -> bool {
+    let lo = range.start.max(owned.start);
+    let hi = range.end.min(owned.end);
+    lo < hi && boundary_elem[lo..hi].iter().any(|&b| b)
 }
 
 fn ghost_wait<W: FnOnce(&mut [f64])>(wait: W, xg: &mut [f64]) {
@@ -1459,24 +1788,46 @@ fn ghost_wait<W: FnOnce(&mut [f64])>(wait: W, xg: &mut [f64]) {
     wait(xg);
 }
 
-fn finish_matvec<const DIM: usize>(plan: &mut SpinePlan<DIM>, y: &mut [f64]) {
-    join_spine(plan);
-    let root_vout = if plan.interior.is_empty() {
-        &plan.tasks[0].bucket.vout
-    } else {
-        &plan.interior[0].bucket.vout
-    };
-    for (yi, vo) in y.iter_mut().zip(root_vout) {
-        *yi += vo;
+/// Applies every task's spine log and the spine's merges in recorded
+/// order, then adds the root accumulators into `y`, zeroing the spine.
+fn join<const DIM: usize>(
+    plan: &Plan<DIM>,
+    logs: &mut [SpineLog],
+    spine: &mut [f64],
+    y: &mut [f64],
+) {
+    let _obs = carve_obs::scope("bottom_up");
+    let mut at = 0;
+    for op in &plan.join {
+        match *op {
+            JoinOp::Task(t) => {
+                let log = &mut logs[t as usize];
+                for &(i, v) in log.iter() {
+                    spine[i as usize] += v;
+                }
+                log.clear();
+            }
+            JoinOp::Merge { child, len } => {
+                let (child, len) = (child as usize, len as usize);
+                for (i, &dst) in plan.join_dst[at..at + len].iter().enumerate() {
+                    let v = std::mem::take(&mut spine[child + i]);
+                    spine[dst as usize] += v;
+                }
+                at += len;
+            }
+        }
+    }
+    for (yi, s) in y.iter_mut().zip(spine.iter_mut()) {
+        *yi += std::mem::take(s);
     }
 }
 
-/// `y += A x` by one traversal: bucket the input down the spine, sweep the
-/// tasks, join in SFC order. With an [`Input::InFlight`] vector the sweep
-/// splits in two around the exchange — interior tasks against the stale
-/// vector while `wait` blocks under a `ghost_wait` sub-phase, then
-/// [`refresh_vin`], then the boundary tasks. The ordered join is the same,
-/// so the result is bitwise identical to a plain sweep over the
+/// `y += A x`: the tree's plan (recorded on its first apply) replayed task
+/// by task, then joined in SFC order. With an [`Input::InFlight`] vector
+/// the replay splits in two around the exchange — interior tasks against
+/// the pre-exchange `x` while `wait` blocks under a `ghost_wait` sub-phase,
+/// then the boundary tasks against the completed `xg`. The ordered join is
+/// the same, so the result is bitwise identical to a plain replay over the
 /// post-exchange vector, for either kernel source and any thread count.
 pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
     tree: Tree<'_, DIM>,
@@ -1489,18 +1840,13 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
     F: Fn() -> K + Sync,
     W: FnOnce(&mut [f64]),
 {
-    let Tree {
-        elems,
-        owned,
-        curve,
-        nodes,
-    } = tree;
+    let nodes = tree.nodes;
     assert_eq!(input.values().len(), nodes.len());
     assert_eq!(y.len(), nodes.len());
     if let Input::InFlight { boundary_elem, .. } = &input {
-        assert_eq!(boundary_elem.len(), elems.len());
+        assert_eq!(boundary_elem.len(), tree.elems.len());
     }
-    if elems.is_empty() || owned.is_empty() {
+    if tree.elems.is_empty() || tree.owned.is_empty() {
         if let Input::InFlight { xg, wait, .. } = input {
             let _obs = carve_obs::scope("matvec");
             ghost_wait(wait, xg);
@@ -1508,34 +1854,48 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
         return;
     }
     let _obs = carve_obs::scope("matvec");
+    let budget = kernels.budget(ws.threads);
+    let plan = ws.plan_for(&tree, budget);
+    if !ws.clean {
+        // The previous apply unwound mid-way: start from zero.
+        ws.replay.iter_mut().for_each(|s| s.arena.fill(0.0));
+        ws.logs.iter_mut().for_each(Vec::clear);
+        ws.spine.fill(0.0);
+    }
+    ws.clean = false;
+    ws.spine.resize(plan.spine_len, 0.0);
+    ws.logs.resize_with(plan.tasks.len(), Vec::new);
     let table = ws.prolongation(nodes.order);
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        p: nodes.order,
-        carry_values: true,
-        carry_ids: false,
-        batch: ws.batch_width,
+    let replay = Replay {
+        elems: tree.elems,
         table: &table,
+        npe: nodes_per_elem::<DIM>(nodes.order),
     };
-    let mut root = ws.acquire_bucket();
-    root.coords.extend_from_slice(&nodes.coords);
-    root.vin.extend_from_slice(input.values());
-    root.vout.resize(nodes.len(), 0.0);
-    let mut plan = build_spine(&env, ws.split_depth, root, ws);
-    let run = |kernel: &mut K,
-               interior: &[SpineNode<DIM>],
-               tasks: &mut [&mut Task<DIM>],
-               scr: &mut WorkerScratch<DIM>| {
-        let mut vis = MatvecVisitor { kernel };
-        for t in tasks.iter_mut() {
-            run_task(&env, t, interior, scr, &mut vis);
+    let share = |x: &[f64],
+                 kernel: &mut K,
+                 items: &mut [&mut (&Segment, &mut SpineLog)],
+                 scr: &mut ReplayScratch| {
+        let _obs = carve_obs::scope("leaf");
+        let mut counts = LeafCounts::default();
+        for (seg, log) in items.iter_mut() {
+            replay.task(seg, x, kernel, scr, log, &mut counts);
         }
+        counts.flush();
     };
+    let mut items: Vec<(&Segment, &mut SpineLog)> =
+        plan.tasks.iter().zip(ws.logs.iter_mut()).collect();
     let workers = match input {
-        Input::Complete(_) => sweep(&mut plan, |_| true, ws, &mut kernels, &run, || ()),
+        Input::Complete(x) => sweep(
+            &mut items,
+            |_| true,
+            budget,
+            &mut ws.replay,
+            &mut kernels,
+            &|k: &mut K, it: &mut [_], s: &mut _| share(x, k, it, s),
+            || (),
+        ),
         Input::InFlight {
+            x,
             xg,
             boundary_elem,
             wait,
@@ -1545,31 +1905,42 @@ pub(crate) fn matvec_driver<const DIM: usize, K, F, W>(
             flags.extend(
                 plan.tasks
                     .iter()
-                    .map(|t| task_touches_ghosts(t, &env.owned, boundary_elem)),
+                    .map(|t| touches_ghosts(&t.range, &tree.owned, boundary_elem)),
             );
             let interior = sweep(
-                &mut plan,
+                &mut items,
                 |i| !flags[i],
-                ws,
+                budget,
+                &mut ws.replay,
                 &mut kernels,
-                &run,
+                &|k: &mut K, it: &mut [_], s: &mut _| share(x, k, it, s),
                 || ghost_wait(wait, xg),
             );
-            refresh_vin(&mut plan, xg, &flags);
-            let boundary = sweep(&mut plan, |i| flags[i], ws, &mut kernels, &run, || ());
+            let xg: &[f64] = xg;
+            let boundary = sweep(
+                &mut items,
+                |i| flags[i],
+                budget,
+                &mut ws.replay,
+                &mut kernels,
+                &|k: &mut K, it: &mut [_], s: &mut _| share(xg, k, it, s),
+                || (),
+            );
             ws.task_flags = flags;
             interior.max(boundary)
         }
     };
+    drop(items);
     carve_obs::counter("par_workers", workers as u64);
-    finish_matvec(&mut plan, y);
-    ws.release_plan(plan);
-    ws.emit_arena_counters();
+    join(&plan, &mut ws.logs, &mut ws.spine, y);
+    ws.plan = Some(plan);
+    ws.clean = true;
 }
 
 /// Applies the global operator `y += A x` matrix-free via octree traversal,
-/// sequentially, with the caller's `kernel` and `ws`'s bucket arena (hold
-/// the workspace across Krylov iterations: warm applies allocate nothing).
+/// sequentially, with the caller's `kernel`. Hold `ws` across Krylov
+/// iterations: the first apply of a tree records its plan, the following
+/// ones only replay it.
 ///
 /// * `elems` — SFC-sorted leaf elements (owned + ghost in the distributed
 ///   case); `owned` restricts which leaves apply their elemental kernel.
@@ -1606,9 +1977,9 @@ pub fn traversal_matvec_ws<const DIM: usize, K>(
 
 /// Fork-join matvec: subtree tasks are partitioned SFC-contiguously across
 /// up to `ws.threads()` scoped workers, each building its kernel from
-/// `make_kernel`. Deferred ancestor writes replay in SFC order at join, so
-/// the output is **bitwise identical for any thread count** (and equal to
-/// [`traversal_matvec_ws`]).
+/// `make_kernel`. Deferred spine additions are applied in SFC order at
+/// join, so the output is **bitwise identical for any thread count** (and
+/// equal to [`traversal_matvec_ws`]).
 #[allow(clippy::too_many_arguments)]
 pub fn traversal_matvec_par<const DIM: usize, K, F>(
     elems: &[Octant<DIM>],
@@ -1639,19 +2010,11 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
 
 // --- Assembly ---------------------------------------------------------------
 
-/// Moves one task's triplet buffer into the builder.
-fn drain_log(log: &mut OutLog, coo: &mut CooBuilder) {
-    for &(ri, cj, v) in log.iter() {
-        coo.add(ri as usize, cj as usize, v);
-    }
-    log.clear();
-}
-
-/// Sparse assembly by the same traversal carrying node *ids* instead of
-/// values: the sweep leaves each task's `(row, col, val)` triplets in its
-/// log, and the logs drain into `coo` in SFC task order — so the emitted
-/// triplet sequence, and hence the built CSR, is identical for either
-/// kernel source and any thread count. No bottom-up phase.
+/// Sparse assembly by the walk itself, resolving node *ids*: each task
+/// leaves its `(row, col, val)` triplets in its log, and the logs drain
+/// into `coo` in SFC task order — so the emitted triplet sequence, and
+/// hence the built CSR, is identical for either kernel source and any
+/// thread count.
 fn assemble_driver<const DIM: usize, K, F>(
     tree: Tree<'_, DIM>,
     global_ids: &[u32],
@@ -1678,38 +2041,52 @@ fn assemble_driver<const DIM: usize, K, F>(
         elems,
         owned,
         curve,
+        coords: &nodes.coords,
         p: nodes.order,
-        carry_values: false,
-        carry_ids: true,
         batch: ws.batch_width,
         table: &table,
     };
     let npe = nodes_per_elem::<DIM>(env.p);
     let mut root = ws.acquire_bucket();
-    root.coords.extend_from_slice(&nodes.coords);
-    root.ids.extend_from_slice(global_ids);
-    let mut plan = build_spine(&env, ws.split_depth, root, ws);
+    root.root.extend(0..nodes.len() as u32);
+    let spine = build_spine(&env, ws.split_depth, root, ws);
     // Capacity hint for the triplet stream: `owned leaves × npe²`.
     let owned_leaves = (env.owned.end.min(elems.len())).saturating_sub(env.owned.start);
     coo.reserve(owned_leaves * npe * npe);
-    let run = |kernel: &mut K,
-               interior: &[SpineNode<DIM>],
-               tasks: &mut [&mut Task<DIM>],
-               scr: &mut WorkerScratch<DIM>| {
-        let mut vis = AssemblyVisitor {
-            kernel,
-            stencils: vec![Vec::new(); npe],
-        };
-        for t in tasks.iter_mut() {
-            run_task(&env, t, interior, scr, &mut vis);
+    let mut logs: Vec<OutLog> = spine.tasks.iter().map(|_| ws.acquire_log()).collect();
+    let mut items = task_items(&spine, &mut logs);
+    let run = |kernel: &mut K, share: &mut [&mut (&Task<DIM>, &mut OutLog)], scr: &mut _| {
+        let mut stencils = vec![Vec::new(); npe];
+        for (task, log) in share.iter_mut() {
+            let mut vis = AssemblyVisitor {
+                kernel: &mut *kernel,
+                global_ids,
+                stencils: &mut stencils,
+                log,
+            };
+            run_task(&env, task, &spine.interior, scr, &mut vis);
         }
     };
-    let workers = sweep(&mut plan, |_| true, ws, &mut kernels, &run, || ());
+    let budget = kernels.budget(ws.threads);
+    let workers = sweep(
+        &mut items,
+        |_| true,
+        budget,
+        &mut ws.walk,
+        &mut kernels,
+        &run,
+        || (),
+    );
     carve_obs::counter("par_workers", workers as u64);
-    for t in plan.tasks.iter_mut() {
-        drain_log(&mut t.out_log, coo);
+    drop(items);
+    for mut log in logs {
+        for &(ri, cj, v) in log.iter() {
+            coo.add(ri as usize, cj as usize, v);
+        }
+        log.clear();
+        ws.log_pool.push(log);
     }
-    ws.release_plan(plan);
+    ws.release_spine(spine);
     ws.emit_arena_counters();
 }
 
@@ -1993,26 +2370,32 @@ mod tests {
             &mut toy_kernel::<2>(1),
         );
         let d = carve_obs::thread_snapshot().diff(&before);
-        // A closure kernel takes panels of one element: one `leaf` call
-        // per element.
+        // The replay opens one `leaf` scope per worker share and flushes
+        // its counters there once; a closure kernel takes panels of one
+        // element.
         let leaf = &d.phases["matvec/leaf"];
-        assert_eq!(leaf.calls, elems.len() as u64);
+        assert_eq!(leaf.calls, 1);
         assert_eq!(leaf.counters["leaves"], elems.len() as u64);
         assert_eq!(leaf.counters["scalar_leaves"], elems.len() as u64);
-        // One half-lattice sweep per sibling group: 4^3 level-3 parents,
-        // each with the 3 × 3 nodes of its closed region in its bucket.
-        assert_eq!(leaf.counters["slot_sweep_hits"], 64 * 9);
         // A uniform mesh has no hanging slot, let alone a chain.
         assert!(!leaf.counters.contains_key("hanging_slots"), "{leaf:?}");
         assert!(!leaf.counters.contains_key("hanging_chain"), "{leaf:?}");
+        // The structure counters belong to the recording: one half-lattice
+        // sweep per sibling group, 4^3 level-3 parents, each with the 3 × 3
+        // nodes of its closed region in its bucket.
+        let rec_leaf = &d.phases["matvec/record/leaf"];
+        assert_eq!(rec_leaf.counters["slot_sweep_hits"], 64 * 9);
+        assert!(!rec_leaf.counters.contains_key("leaves"), "{rec_leaf:?}");
         // `node_copies` counts interior buckets only (levels 1 to 3 here):
         // the leaves read their parent's bucket and copy nothing.
-        let td = &d.phases["matvec/top_down"];
+        let td = &d.phases["matvec/record/top_down"];
         assert_eq!(td.counters["node_copies"], 4 * 81 + 16 * 25 + 64 * 9);
+        assert!(!d.phases.contains_key("matvec/top_down"));
         assert_eq!(d.phases["matvec"].calls, 1);
+        assert_eq!(d.phases["matvec/record"].calls, 1);
         assert_eq!(d.phases["matvec"].counters["par_workers"], 1);
-        assert!(d.phases["matvec"].counters["arena_alloc"] > 0);
-        assert!(d.phases.contains_key("matvec/bottom_up"));
+        assert!(d.phases["matvec/record"].counters["arena_alloc"] > 0);
+        assert_eq!(d.phases["matvec/bottom_up"].calls, 1);
     }
 
     #[test]
@@ -2308,6 +2691,8 @@ mod tests {
             );
             carve_obs::thread_snapshot().diff(&before)
         };
+        let sweep_hits =
+            |d: &carve_obs::Snapshot| d.phases["matvec/record/leaf"].counters["slot_sweep_hits"];
         let d = run(4);
         let leaf = &d.phases["matvec/leaf"].counters;
         assert!(leaf["batched_leaves"] > 0, "no panels fired: {leaf:?}");
@@ -2324,7 +2709,7 @@ mod tests {
         assert_eq!(leaf1["leaves"], leaf["leaves"]);
         // The half-lattice sweep runs once per sibling group, however the
         // group's leaves are cut into runs.
-        assert_eq!(leaf1["slot_sweep_hits"], leaf["slot_sweep_hits"]);
+        assert_eq!(sweep_hits(&d1), sweep_hits(&d));
     }
 
     /// Leaf-stage counters of one matvec and one assembly of `elems`.
@@ -2428,7 +2813,10 @@ mod tests {
                     assert_eq!(leaf.contains_key("hanging_slots"), hangs, "{leaf:?}");
                     // No leaf was given a bucket on the way: the only one
                     // ever filled is the graded tree's refined quadrant.
-                    let fills = d.phases.get("matvec/top_down").map_or(0, |td| td.calls);
+                    let fills = d
+                        .phases
+                        .get("matvec/record/top_down")
+                        .map_or(0, |td| td.calls);
                     assert_eq!(fills, u64::from(hangs), "depth={depth}");
                     outs.push(y);
                 }
@@ -2455,9 +2843,11 @@ mod tests {
 
     #[test]
     fn workspace_reuse_allocates_no_new_buckets() {
-        // Two consecutive matvecs through one workspace: the second must be
-        // served entirely from the arena (`arena_alloc` absent, only
-        // `arena_reuse`), for both the sequential and fork-join paths.
+        // Two consecutive matvecs through one workspace: the cold one
+        // records (and allocates its buckets under `matvec/record`), the
+        // warm one only replays — no recording, no bucket arena at all —
+        // and its accumulators, panels and logs are the cold apply's
+        // allocations, for both the sequential and fork-join paths.
         let _e = carve_obs::force_enabled();
         let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
         let t = construct_boundary_refined(&domain, Curve::Hilbert, 2, 4);
@@ -2465,6 +2855,15 @@ mod tests {
         let nodes = enumerate_nodes(&domain, &elems, 1);
         let n = nodes.len();
         let x = vec![1.0; n];
+        let buffers = |ws: &TraversalWorkspace<2>| -> Vec<(usize, usize)> {
+            let scratch = ws.replay.iter().flat_map(|s| [&s.arena, &s.vin, &s.vout]);
+            let logs = ws.logs.iter().map(|l| (l.as_ptr() as usize, l.capacity()));
+            scratch
+                .map(|v| (v.as_ptr() as usize, v.capacity()))
+                .chain(logs)
+                .chain([(ws.spine.as_ptr() as usize, ws.spine.capacity())])
+                .collect()
+        };
         for threads in [1usize, 4] {
             let mut ws = TraversalWorkspace::with_threads(threads);
             let run = |ws: &mut TraversalWorkspace<2>| {
@@ -2484,19 +2883,175 @@ mod tests {
             };
             let d1 = run(&mut ws);
             assert!(
-                d1.phases["matvec"].counters["arena_alloc"] > 0,
+                d1.phases["matvec/record"].counters["arena_alloc"] > 0,
                 "cold workspace must allocate (threads={threads})"
             );
+            assert!(ws.bucket_pool.is_empty() && ws.walk.is_empty());
+            assert!(ws.plan.is_some());
+            let cold = buffers(&ws);
             let d2 = run(&mut ws);
-            let c2 = &d2.phases["matvec"].counters;
             assert!(
-                !c2.contains_key("arena_alloc"),
-                "warm workspace allocated bucket vectors (threads={threads}): {c2:?}"
+                !d2.phases.keys().any(|k| k.starts_with("matvec/record")),
+                "warm workspace recorded again (threads={threads})"
             );
             assert!(
-                c2["arena_reuse"] > 0,
-                "warm workspace must reuse the arena (threads={threads})"
+                !d2.phases["matvec"].counters.contains_key("arena_alloc"),
+                "warm workspace allocated bucket vectors (threads={threads})"
             );
+            assert_eq!(
+                cold,
+                buffers(&ws),
+                "warm apply reallocated (threads={threads})"
+            );
+        }
+    }
+
+    /// Asserts `y` equals `y_ref` bit for bit.
+    fn assert_bits(y_ref: &[f64], y: &[f64], tag: &str) {
+        for (i, (a, b)) in y_ref.iter().zip(y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag} node {i}: {a} vs {b}");
+        }
+    }
+
+    /// One apply of `elems` through a fresh sequential workspace with the
+    /// width-1 closure kernel: the reference every replay must equal.
+    fn fresh_apply<const DIM: usize>(
+        elems: &[Octant<DIM>],
+        curve: Curve,
+        nodes: &NodeSet<DIM>,
+        x: &[f64],
+    ) -> Vec<f64> {
+        let mut y = vec![0.0; nodes.len()];
+        traversal_matvec_ws(
+            elems,
+            0..elems.len(),
+            curve,
+            nodes,
+            x,
+            &mut y,
+            &mut TraversalWorkspace::with_threads(1),
+            &mut toy_kernel::<DIM>(nodes.order),
+        );
+        y
+    }
+
+    /// Cold (record + replay) and warm (replay only) applies through one
+    /// workspace, over threads × panel widths × split depths, must each
+    /// equal a fresh workspace's apply bit for bit.
+    fn check_replay_matches_fresh<const DIM: usize>(
+        elems: &[Octant<DIM>],
+        nodes: &NodeSet<DIM>,
+        seed: u64,
+    ) {
+        let n = nodes.len();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let y_ref = fresh_apply(elems, Curve::Hilbert, nodes, &x);
+        for threads in [1usize, 2, 8] {
+            for width in [1usize, 8] {
+                for depth in [1u8, 2, 3] {
+                    let mut ws = TraversalWorkspace::with_threads(threads)
+                        .with_batch_width(width)
+                        .with_split_depth(depth);
+                    for round in ["cold", "warm"] {
+                        let mut y = vec![0.0; n];
+                        traversal_matvec_par(
+                            elems,
+                            0..elems.len(),
+                            Curve::Hilbert,
+                            nodes,
+                            &x,
+                            &mut y,
+                            &mut ws,
+                            &|| ToyBatchKernel::<DIM>,
+                        );
+                        let tag = format!(
+                            "DIM={DIM} p={} threads={threads} width={width} depth={depth} {round}",
+                            nodes.order
+                        );
+                        assert_bits(&y_ref, &y, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replay_equals_cold_and_fresh_on_carved_and_chain_meshes() {
+        let d2 = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        let d3 = CarvedSolids::<3>::new(vec![Box::new(Sphere::new([0.5; 3], 0.3))]);
+        let raw2 = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
+        let raw3 = construct_boundary_refined(&d3, Curve::Hilbert, 2, 4);
+        let e2 = construct_balanced(&d2, Curve::Hilbert, &raw2);
+        let e3 = construct_balanced(&d3, Curve::Hilbert, &raw3);
+        for p in [1u64, 2] {
+            check_replay_matches_fresh(&e2, &enumerate_nodes(&d2, &e2, p), 41 + p);
+            check_replay_matches_fresh(&e3, &enumerate_nodes(&d3, &e3, p), 43 + p);
+        }
+        // Not 2:1-balanced: hanging sources that hang again replay from
+        // their recorded chains.
+        check_replay_matches_fresh(&raw2, &enumerate_nodes(&d2, &raw2, 2), 47);
+    }
+
+    #[test]
+    fn a_plan_never_serves_another_tree() {
+        // The same carved sphere under Morton and under Hilbert: equal
+        // element and node counts and equal node coordinates, different
+        // element order. Alternating one workspace between them records
+        // on every switch, and every apply equals a fresh workspace's.
+        let _e = carve_obs::force_enabled();
+        let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        let trees: Vec<(Curve, Vec<Octant<2>>)> = [Curve::Morton, Curve::Hilbert]
+            .into_iter()
+            .map(|c| {
+                let t = construct_boundary_refined(&domain, c, 2, 5);
+                (c, construct_balanced(&domain, c, &t))
+            })
+            .collect();
+        let (nodes_m, nodes_h) = (
+            enumerate_nodes(&domain, &trees[0].1, 2),
+            enumerate_nodes(&domain, &trees[1].1, 2),
+        );
+        assert_eq!(trees[0].1.len(), trees[1].1.len());
+        assert_eq!(nodes_m.coords, nodes_h.coords);
+        assert_ne!(trees[0].1, trees[1].1);
+        let n = nodes_m.len();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).cos()).collect();
+        let refs: Vec<Vec<f64>> = trees
+            .iter()
+            .map(|(c, e)| fresh_apply(e, *c, &nodes_m, &x))
+            .collect();
+        let mut ws = TraversalWorkspace::with_threads(2);
+        for round in 0..6 {
+            let k = round % 2;
+            let (curve, elems) = &trees[k];
+            let before = carve_obs::thread_snapshot();
+            let mut y = vec![0.0; n];
+            traversal_matvec_par(
+                elems,
+                0..elems.len(),
+                *curve,
+                &nodes_m,
+                &x,
+                &mut y,
+                &mut ws,
+                &|| ToyBatchKernel::<2>,
+            );
+            let d = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(d.phases["matvec/record"].calls, 1, "round {round}");
+            assert_bits(&refs[k], &y, &format!("{curve:?} round {round}"));
+        }
+        // A different owned range of the same tree is another plan too.
+        let (curve, elems) = &trees[1];
+        let mid = elems.len() / 2;
+        let mut y = vec![0.0; n];
+        for range in [0..mid, mid..elems.len()] {
+            traversal_matvec_par(elems, range, *curve, &nodes_m, &x, &mut y, &mut ws, &|| {
+                ToyBatchKernel::<2>
+            });
+        }
+        for (a, b) in refs[1].iter().zip(&y) {
+            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));
         }
     }
 }

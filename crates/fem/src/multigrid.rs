@@ -157,13 +157,14 @@ struct Level<const DIM: usize> {
 }
 
 /// Mutable solver state shared by the `&self` operator applications: the
-/// panel-capable stiffness kernel (tensor-apply scratch is `&mut`) and the
-/// traversal workspace. One lock per V-cycle smoother apply is noise next
-/// to the traversal itself, and it spares every apply a cache + bucket
-/// rebuild.
+/// panel-capable stiffness kernel (tensor-apply scratch is `&mut`) and one
+/// traversal workspace per level, each holding its level's recorded
+/// traversal plan. One lock per V-cycle smoother apply is noise next to the
+/// traversal itself, and it spares every apply a cache rebuild and a
+/// re-recording.
 struct MgWork<const DIM: usize> {
     kernel: StiffnessKernel<DIM>,
-    ws: TraversalWorkspace<DIM>,
+    ws: Vec<TraversalWorkspace<DIM>>,
     /// Constrained-input scratch: `apply` masks Dirichlet entries of `x`
     /// before the traversal, and recycling this buffer keeps the smoother's
     /// inner loop free of per-apply allocation.
@@ -294,6 +295,7 @@ impl<const DIM: usize> Multigrid<DIM> {
         }
         let coarse_lu = a.lu().expect("coarse operator invertible");
         let coarse_constrained = coarse.constrained.clone();
+        let n_levels = levels.len();
         Multigrid {
             levels,
             coarse_lu,
@@ -303,7 +305,9 @@ impl<const DIM: usize> Multigrid<DIM> {
             omega: 0.7,
             work: Mutex::new(MgWork {
                 kernel: StiffnessKernel::new(order as usize, scale),
-                ws,
+                ws: (0..n_levels)
+                    .map(|_| TraversalWorkspace::with_threads(1))
+                    .collect(),
                 xf: Vec::new(),
             }),
         }
@@ -388,7 +392,7 @@ impl<const DIM: usize> Multigrid<DIM> {
             &lev.mesh.nodes,
             xf,
             y,
-            ws,
+            &mut ws[l],
             kernel,
         );
         drop(guard);

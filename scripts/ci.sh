@@ -18,7 +18,8 @@
 #   leaf-kernel-determinism
 #                      matvec_digest (1-rank matvec, 2-rank overlapped
 #                      matvec, assembled CSR, hanging-chain mesh; each
-#                      row at panel widths 1 and 8 in one process)
+#                      row cold and warm through one workspace, at panel
+#                      widths 1 and 8, in one process)
 #                      byte-compared over threads {1,4} and against the
 #                      committed results/matvec_digest.txt: every panel
 #                      width is bitwise identical in every use of the
@@ -106,11 +107,13 @@ run_stage() {
       done
       echo "ci: adapt trace bitwise-identical over threads {1,4} x {clean,lossy}"
       ;;
-    # The SoA leaf panels (DESIGN.md §6h) must give the same bits at every
-    # width and thread budget: matvec_digest digests the output bits of all
-    # three uses of the traversal sweep (1-rank matvec, 2-rank overlapped
-    # matvec, assembly) at panel widths 1 and 8 and exits 1 naming a row
-    # that differs; the documents of the thread budgets are byte-compared
+    # The SoA leaf panels (DESIGN.md §6h) and the recorded-plan replay
+    # (§6d) must give the same bits at every width and thread budget, cold
+    # or warm: matvec_digest digests the output bits of all three uses of
+    # the traversal (1-rank matvec, 2-rank overlapped matvec, assembly),
+    # each computed twice through one workspace, at panel widths 1 and 8,
+    # and exits 1 naming a row that differs; the documents of the thread
+    # budgets are byte-compared
     # with each other and with the committed reference, so a change of
     # accumulation order has to re-record results/matvec_digest.txt on
     # purpose.
