@@ -19,10 +19,13 @@
 //! `results/matvec_digest.txt`: a change of summation order is an explicit
 //! re-record, never a silent pass.
 //!
-//! Every row is computed twice through one workspace: the cold apply
-//! records the traversal plan, the warm one only replays it (assembly walks
-//! twice over the pooled buckets); the binary exits 1 naming a row whose
-//! cold and warm digests differ. The whole document is computed with leaf
+//! Every row is computed twice. A `matvec` or `dist` row goes through one
+//! workspace: the cold apply records the traversal plan, the warm one only
+//! replays it. An `assemble` row's cold pass records in a fresh workspace;
+//! its warm pass replays the plan the `matvec` row of the same mesh and
+//! width left in its workspace, so the one plan both uses share is
+//! digested. The binary exits 1 naming a row whose cold and warm digests
+//! differ. The whole document is computed with leaf
 //! panels of width 1 and of width 8 (`TraversalWorkspace::with_batch_width`)
 //! and the binary exits 1 naming the first row whose two digests differ, so
 //! neither the replay nor the panel width can change a bit. Traversal
@@ -82,11 +85,11 @@ fn settled(row: &str, [cold, warm]: Twice) -> u64 {
     cold
 }
 
-fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
+/// Cold and warm applies through `ws`, which keeps the recorded plan.
+fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, ws: &mut TraversalWorkspace<DIM>) -> Twice {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let x: Vec<f64> = (0..n).map(field).collect();
-    let mut ws = workspace::<DIM>(width);
     let make_kernel = || StiffnessKernel::<DIM>::new(p, SCALE);
     [(); 2].map(|()| {
         let mut y = vec![0.0f64; n];
@@ -97,19 +100,25 @@ fn matvec_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
             &mesh.nodes,
             &x,
             &mut y,
-            &mut ws,
+            ws,
             &make_kernel,
         );
         fnv1a(y.iter().map(|v| v.to_bits()))
     })
 }
 
-fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
+/// A cold assembly through a fresh workspace (record, then replay) and a
+/// warm one through `recorded`, the workspace a `matvec` row of this mesh
+/// and width recorded its plan in (replay only).
+fn assemble_digest<const DIM: usize>(
+    mesh: &Mesh<DIM>,
+    width: usize,
+    recorded: &mut TraversalWorkspace<DIM>,
+) -> Twice {
     let p = mesh.order as usize;
     let n = mesh.num_dofs();
     let ids: Vec<u32> = (0..n as u32).collect();
-    let mut ws = workspace::<DIM>(width);
-    [(); 2].map(|()| {
+    [&mut workspace::<DIM>(width), recorded].map(|ws| {
         let mut coo = CooBuilder::new(n);
         traversal_assemble_par(
             &mesh.elems,
@@ -118,7 +127,7 @@ fn assemble_digest<const DIM: usize>(mesh: &Mesh<DIM>, width: usize) -> Twice {
             &mesh.nodes,
             &ids,
             &mut coo,
-            &mut ws,
+            ws,
             &|| StiffnessMatrixKernel::<DIM>::new(p, SCALE),
         );
         let a = coo.build();
@@ -148,8 +157,9 @@ fn dist_digests<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usi
 fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize, out: &mut String) {
     let mesh = Mesh::<DIM>::build(domain, Curve::Hilbert, 3, 5, p);
     let tag = format!("dim={DIM} p={p}");
+    let mut ws = workspace::<DIM>(width);
     let row = format!("matvec {tag}");
-    let d = settled(&row, matvec_digest(&mesh, width));
+    let d = settled(&row, matvec_digest(&mesh, &mut ws));
     out.push_str(&format!("{row} digest={d:016x}\n"));
     for (rank, &d) in dist_digests(domain, p, width).iter().enumerate() {
         let row = format!("dist {tag} ranks=2 rank={rank}");
@@ -157,7 +167,7 @@ fn rows<const DIM: usize>(domain: &CarvedSolids<DIM>, p: u64, width: usize, out:
         out.push_str(&format!("{row} digest={d:016x}\n"));
     }
     let row = format!("assemble {tag}");
-    let d = settled(&row, assemble_digest(&mesh, width));
+    let d = settled(&row, assemble_digest(&mesh, width, &mut ws));
     out.push_str(&format!("{row} digest={d:016x}\n"));
 }
 
@@ -174,10 +184,14 @@ fn document(width: usize) -> String {
     let unbalanced = construct_boundary_refined(&d2, Curve::Hilbert, 2, 5);
     let chain = Mesh::from_balanced_elems(&d2, Curve::Hilbert, unbalanced, 2);
     let row = "chain dim=2 p=2";
+    let mut ws = workspace::<2>(width);
     out.push_str(&format!(
         "{row} matvec={:016x} assemble={:016x}\n",
-        settled(&format!("{row} matvec"), matvec_digest(&chain, width)),
-        settled(&format!("{row} assemble"), assemble_digest(&chain, width))
+        settled(&format!("{row} matvec"), matvec_digest(&chain, &mut ws)),
+        settled(
+            &format!("{row} assemble"),
+            assemble_digest(&chain, width, &mut ws)
+        )
     ));
     out
 }

@@ -105,7 +105,7 @@ impl<const DIM: usize> DistMesh<DIM> {
         let elems_before = self.owned.len();
 
         // --- Phase 1: local refine/coarsen + distributed rebalance -------
-        let (mut owned, refined_local, coarsened_local, balance_rounds) = {
+        let (mut owned, exchanged, refined_local, coarsened_local, balance_rounds) = {
             let _obs = carve_obs::scope("refine");
             let owned_slice = &self.elems[self.owned.clone()];
             // Level caps degrade out-of-range decisions to Keep.
@@ -152,19 +152,21 @@ impl<const DIM: usize> DistMesh<DIM> {
             // fixpoint any two touching leaves (possibly on different
             // ranks) are within one level, because a touching foreign leaf
             // is always inside the halo and a violation would have changed
-            // the clipped tree.
+            // the clipped tree. The converged round exchanged the final
+            // leaves' ghost layer, which the rebuild takes over.
             let mut owned = adapted;
             let mut balance_rounds = 0u32;
             loop {
                 balance_rounds += 1;
                 let splitters: Vec<Option<Octant<DIM>>> = comm.all_gather(owned.first().copied());
-                let (all, _owned_range) = exchange_ghost_layer(comm, curve, &owned, &splitters);
+                let ghosted = exchange_ghost_layer(comm, curve, &owned, &splitters);
+                let all = &ghosted.0;
                 let new_owned: Vec<Octant<DIM>> = if owned.is_empty() {
                     // An empty rank owns no splitter interval; construct
                     // from nothing would fabricate the root.
                     Vec::new()
                 } else {
-                    construct_balanced(domain, curve, &all)
+                    construct_balanced(domain, curve, all)
                         .into_iter()
                         .filter(|o| {
                             splitter_bin(&splitters, curve, &descendant_key_range(o).0) == my
@@ -174,10 +176,15 @@ impl<const DIM: usize> DistMesh<DIM> {
                 let changed = (new_owned != owned) as u64;
                 owned = new_owned;
                 if comm.all_reduce_u64(changed, ReduceOp::Max) == 0 {
-                    break;
+                    break (
+                        owned,
+                        (splitters, ghosted),
+                        refined_local,
+                        coarsened_local,
+                        balance_rounds,
+                    );
                 }
             }
-            (owned, refined_local, coarsened_local, balance_rounds)
         };
 
         let refined = comm.all_reduce_u64(refined_local, ReduceOp::Sum);
@@ -200,9 +207,16 @@ impl<const DIM: usize> DistMesh<DIM> {
         };
 
         // --- Phase 3: rebuild ---------------------------------------------
+        // Without migration the leaves are the converged round's, so its
+        // splitters and ghost layer stand.
         {
             let _obs = carve_obs::scope("finish");
-            *self = DistMesh::finish(comm, domain, curve, owned, self.order);
+            *self = if migrated {
+                DistMesh::finish(comm, domain, curve, owned, self.order)
+            } else {
+                let (splitters, ghosted) = exchanged;
+                DistMesh::finish_exchanged(comm, domain, curve, &splitters, ghosted, self.order)
+            };
             debug_assert_2to1(&self.elems, "adapt (owned + ghost halo)");
         }
 
@@ -435,6 +449,37 @@ mod tests {
         let clean = run(None);
         assert_eq!(run(Some(FaultPlan::lossy(29))), clean, "lossy seed 29");
         assert_eq!(run(Some(FaultPlan::chaos(11))), clean, "chaos seed 11");
+    }
+
+    #[test]
+    fn a_non_migrating_cycle_reuses_the_converged_ghost_layer() {
+        // The converged rebalance round exchanged the final leaves' ghost
+        // layer: a cycle that does not migrate enters `ghost_elems` once
+        // per balance round and not again in `finish`. A migrating cycle
+        // exchanges the moved leaves' layer in `finish`.
+        let _e = carve_obs::force_enabled();
+        for (repart_tol, migrates) in [(f64::INFINITY, false), (0.5, true)] {
+            run_spmd(3, |c| {
+                let domain = sphere_domain_2d();
+                let mut dm = DistMesh::<2>::build(c, &domain, Curve::Hilbert, 3, 5, 1);
+                let params = AdaptParams {
+                    repart_tol,
+                    ..AdaptParams::default()
+                };
+                let d = band_decisions(&dm, 0.34, 0.05);
+                let before = carve_obs::thread_snapshot();
+                let out = {
+                    let _adapt = carve_obs::scope("adapt");
+                    dm.adapt(c, &domain, &d, &params)
+                };
+                let delta = carve_obs::thread_snapshot().diff(&before);
+                assert_eq!(out.migrated, migrates);
+                let calls = |ph: &str| delta.phases.get(ph).map_or(0, |p| p.calls);
+                let rounds = u64::from(out.balance_rounds);
+                assert_eq!(calls("adapt/refine/ghost_elems"), rounds);
+                assert_eq!(calls("adapt/finish/ghost_elems"), u64::from(migrates));
+            });
+        }
     }
 
     #[test]

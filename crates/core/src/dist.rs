@@ -221,17 +221,29 @@ impl<const DIM: usize> DistMesh<DIM> {
         owned_elems: Vec<Octant<DIM>>,
         order: u64,
     ) -> Self {
-        let my = comm.rank();
         let splitters: Vec<Option<Octant<DIM>>> = comm.all_gather(owned_elems.first().copied());
+        let ghosted = exchange_ghost_layer(comm, curve, &owned_elems, &splitters);
+        Self::finish_exchanged(comm, domain, curve, &splitters, ghosted, order)
+    }
 
-        // --- Ghost element exchange --------------------------------------
-        let (elems, owned) = exchange_ghost_layer(comm, curve, &owned_elems, &splitters);
+    /// [`Self::finish`] past the ghost element exchange, for a caller that
+    /// already holds the owned leaves' `splitters` and their
+    /// [`exchange_ghost_layer`] result `(elems, owned)`.
+    pub(crate) fn finish_exchanged(
+        comm: &Comm,
+        domain: &dyn Subdomain<DIM>,
+        curve: Curve,
+        splitters: &[Option<Octant<DIM>>],
+        (elems, owned): (Vec<Octant<DIM>>, Range<usize>),
+        order: u64,
+    ) -> Self {
+        let my = comm.rank();
 
         // --- Nodes --------------------------------------------------------
         let (nodes, slots) = needed_node_set(domain, &elems, owned.clone(), order);
 
         // --- Ownership, global ids, exchange plans -------------------------
-        let own = node_ownership_plans(comm, curve, &splitters, &nodes);
+        let own = node_ownership_plans(comm, curve, splitters, &nodes);
 
         // --- Interior/boundary element split ------------------------------
         let boundary_elem = boundary_elem_flags(elems.len(), owned.clone(), &slots, &own.owner, my);

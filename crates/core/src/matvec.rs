@@ -38,8 +38,7 @@
 //! is 9.4 MB per rank on `sphere_p1` (533K leaf slots, 286K hanging
 //! sources, 641K merge entries) and 9.0 MB on `channel_p2` (433K, 154K,
 //! 1.07M), plus 3.6 MB for the copy of the elements and node coordinates
-//! that keys it. The bucket pool of the structure pass is released once the
-//! plan exists.
+//! that keys it. The structure pass's buckets live only inside `record`.
 //!
 //! *Why no bit can move:* every accumulator receives the same additions, in
 //! the same order, as the walk's bucket `vout` did — the recorded order *is*
@@ -52,19 +51,24 @@
 //! owned range, curve, order, node coordinates, panel width and split
 //! depth — so a mesh freed and re-allocated at the same address re-records.
 //!
-//! # One walk, six entry points
+//! # The walk only records; the matvec and assembly both replay
 //!
-//! Everything public is a use of the one walk:
+//! The walk (`build_spine` / `run_task` / `rec`) runs only inside `record`.
+//! Everything public replays its plan:
 //!
-//! * [`traversal_matvec_ws`] / [`traversal_matvec_par`] — `y += A x`,
-//!   recording on the first apply of a tree and replaying after;
-//! * [`traversal_assemble_ws`] / [`traversal_assemble_par`] — the walk
-//!   itself, resolving node ids and draining per-task triplet logs in SFC
-//!   order;
+//! * [`traversal_matvec_ws`] / [`traversal_matvec_par`] — `y += A x`;
+//! * [`traversal_assemble_ws`] / [`traversal_assemble_par`] — §3.6's "same
+//!   traversal carrying ids": every leaf's recorded slots and hanging
+//!   sources become `(global id, weight)` stencils, its `W^T K_e W`
+//!   triplets go to one log per worker share, and the logs drain in share
+//!   (SFC task) order — the walk's own triplet sequence;
 //! * [`crate::DistMesh::matvec_ws`] / [`crate::DistMesh::matvec_par`] — the
 //!   replay split in two around the ghost exchange: interior tasks, with
 //!   the wait for the ghost payloads running meanwhile on the calling
 //!   thread, then the boundary tasks (DESIGN.md §6e).
+//!
+//! Whichever use meets a tree first records its plan into the workspace,
+//! and the other replays it: an assembly followed by solves records once.
 //!
 //! `_ws` and `_par` differ only in where the elemental kernel comes from:
 //! the caller's own `&mut K` (one worker, inline) or a `Fn() -> K + Sync`
@@ -108,12 +112,15 @@
 //!
 //! # Observability
 //!
-//! The first apply of a tree records under `matvec/record` (`top_down` with
-//! `node_copies`, `leaf` with `slot_sweep_hits`, `arena_alloc` /
-//! `arena_reuse`). Every apply replays under `matvec/leaf` (one scope per
-//! worker share) and `matvec/bottom_up` (the join), and flushes the
-//! per-apply counters once per share: `leaves` = `batched_leaves` +
-//! `scalar_leaves`, `batch_count`, `hanging_slots`, `hanging_chain`.
+//! The first use of a tree records under `matvec/record` or
+//! `assemble/record` (`top_down` with `node_copies`, `leaf` with
+//! `slot_sweep_hits`, `arena_alloc` / `arena_reuse`). Every apply replays
+//! under `matvec/leaf` (one scope per worker share) and `matvec/bottom_up`
+//! (the join), and every assembly under `assemble/leaf`; each flushes the
+//! leaf counters once per share: `leaves` = `batched_leaves` +
+//! `scalar_leaves`, `batch_count`, `hanging_slots`, `hanging_chain`. An
+//! assembly counts a recorded run as one panel; an apply cuts it to the
+//! kernel's [`LeafKernel::panel_width`].
 
 use crate::nodes::{
     half_lattice_coord, half_lattice_linear, hanging_sources, nodes_per_elem, NodeSet, Prolongation,
@@ -127,8 +134,8 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Triplet log `(row, col, val)` of one assembly task, drained in SFC task
-/// order.
+/// Triplet log `(row, col, val)` of one worker share of an assembly,
+/// drained in share (SFC task) order.
 type OutLog = Vec<(u32, u32, f64)>;
 
 /// Deferred additions `(spine arena index, value)` of one replayed task,
@@ -173,9 +180,9 @@ impl Bucket {
 
 // --- Workspace ------------------------------------------------------------
 
-/// Per-worker scratch of the walk: a bucket free-list for the task-local
-/// recursion, the depth stack container itself, and the leaf stage's
-/// buffers.
+/// Per-worker scratch of the walk (local to `record`): a bucket free-list
+/// for the task-local recursion, the depth stack container itself, the
+/// leaf stage's buffers, and the free-list's alloc/reuse tallies.
 #[derive(Default)]
 struct WorkerScratch<const DIM: usize> {
     buckets: Vec<Bucket>,
@@ -191,9 +198,6 @@ struct LeafScratch<const DIM: usize> {
     /// Half-lattice maps (half-lattice slot → parent-bucket index), one
     /// `(2p+1)^DIM` frame per sibling group open along the recursion path.
     lattice: Vec<u32>,
-    /// Parent-bucket index of every lattice slot of the current run
-    /// (`npe` per leaf).
-    slots: Vec<u32>,
     chain: ChainBufs<DIM>,
 }
 
@@ -213,18 +217,26 @@ struct ReplayScratch {
     vout: Vec<f64>,
 }
 
+/// Per-worker output of an assembly replay: the share's triplet log, and
+/// the `(global id, weight)` stencil of each lattice slot of one leaf.
+#[derive(Default)]
+struct TripletShare {
+    log: OutLog,
+    stencils: Vec<Vec<(u32, f64)>>,
+}
+
 /// Default panel width: one full sibling group in 3D (`2^3`), the longest
 /// run of sibling leaves a 3-D traversal forms.
 const DEFAULT_BATCH_WIDTH: usize = 8;
 
 /// Per-operator traversal state, held across calls (Krylov iterations): the
-/// recorded MATVEC plan of the last tree applied, the replay's
-/// accumulators and spine logs, and the walk's pooled buckets (released
-/// once a plan is recorded; assembly keeps them across calls). Also carries
-/// the intra-rank thread budget (`CARVE_PAR_THREADS` env or
-/// `available_parallelism`), the spine split depth and the panel width.
-/// Results never depend on any of them — see the module docs — only
-/// wall-clock does.
+/// recorded plan of the last tree applied or assembled, which the matvec
+/// and assembly both replay, the replay's accumulators and spine logs, and
+/// the ghosted-input scratch. It keeps no walk state: the walk's buckets
+/// live only inside the recording. Also carries the intra-rank thread
+/// budget (`CARVE_PAR_THREADS` env or `available_parallelism`), the spine
+/// split depth and the panel width. Results never depend on any of them —
+/// see the module docs — only wall-clock does.
 pub struct TraversalWorkspace<const DIM: usize> {
     threads: usize,
     /// 1: every depth-1 subtree is a task; tests sweep deeper splits.
@@ -232,9 +244,6 @@ pub struct TraversalWorkspace<const DIM: usize> {
     /// Maximum leaf-panel width (default 8; 1 makes every panel one
     /// leaf). Results never depend on it.
     batch_width: usize,
-    bucket_pool: Vec<Bucket>,
-    log_pool: Vec<OutLog>,
-    walk: Vec<WorkerScratch<DIM>>,
     plan: Option<Plan<DIM>>,
     replay: Vec<ReplayScratch>,
     /// One spine log per task of the plan.
@@ -253,8 +262,6 @@ pub struct TraversalWorkspace<const DIM: usize> {
     task_flags: Vec<bool>,
     /// Hanging-node prolongation table of the order last traversed.
     prolongation: Option<Arc<Prolongation>>,
-    alloc: u64,
-    reuse: u64,
 }
 
 impl<const DIM: usize> TraversalWorkspace<DIM> {
@@ -270,9 +277,6 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
             threads: threads.max(1),
             split_depth: 1,
             batch_width: DEFAULT_BATCH_WIDTH,
-            bucket_pool: Vec::new(),
-            log_pool: Vec::new(),
-            walk: Vec::new(),
             plan: None,
             replay: Vec::new(),
             logs: Vec::new(),
@@ -281,8 +285,6 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
             ghost_scratch: Vec::new(),
             task_flags: Vec::new(),
             prolongation: None,
-            alloc: 0,
-            reuse: 0,
         }
     }
 
@@ -334,50 +336,6 @@ impl<const DIM: usize> TraversalWorkspace<DIM> {
                 self.prolongation = Some(Arc::clone(&t));
                 t
             }
-        }
-    }
-
-    fn acquire_bucket(&mut self) -> Bucket {
-        match self.bucket_pool.pop() {
-            Some(mut b) => {
-                b.clear();
-                self.reuse += 1;
-                b
-            }
-            None => {
-                self.alloc += 1;
-                Bucket::default()
-            }
-        }
-    }
-
-    fn acquire_log(&mut self) -> OutLog {
-        let mut l = self.log_pool.pop().unwrap_or_default();
-        l.clear();
-        l
-    }
-
-    fn release_spine(&mut self, spine: Spine<DIM>) {
-        self.bucket_pool
-            .extend(spine.tasks.into_iter().map(|t| t.bucket));
-        self.bucket_pool
-            .extend(spine.interior.into_iter().map(|n| n.bucket));
-    }
-
-    /// Emits and resets the arena's alloc/reuse tallies (engine + workers)
-    /// under the currently open obs scope.
-    fn emit_arena_counters(&mut self) {
-        let mut a = std::mem::take(&mut self.alloc);
-        let mut r = std::mem::take(&mut self.reuse);
-        for s in &mut self.walk {
-            a += std::mem::take(&mut s.alloc);
-            r += std::mem::take(&mut s.reuse);
-        }
-        if a > 0 {
-            carve_obs::counter("arena_alloc", a);
-        }
-        if r > 0 {
-            carve_obs::counter("arena_reuse", r);
         }
     }
 
@@ -770,12 +728,7 @@ struct Spine<const DIM: usize> {
 
 /// Builds the spine buckets serially down to `split_depth` and carves the
 /// remaining subtrees into tasks (SFC order).
-fn build_spine<const DIM: usize>(
-    env: &Env<'_, DIM>,
-    split_depth: u8,
-    root: Bucket,
-    ws: &mut TraversalWorkspace<DIM>,
-) -> Spine<DIM> {
+fn build_spine<const DIM: usize>(env: &Env<'_, DIM>, split_depth: u8, root: Bucket) -> Spine<DIM> {
     let mut spine = Spine {
         len: root.len(),
         interior: vec![SpineNode {
@@ -794,7 +747,7 @@ fn build_spine<const DIM: usize>(
             range: all,
             ancestors: vec![0],
             is_leaf: true,
-            bucket: ws.acquire_bucket(),
+            bucket: Bucket::default(),
         });
         spine.interior[0].kids.push(SpineChild::Task(0));
         return spine;
@@ -809,7 +762,6 @@ fn build_spine<const DIM: usize>(
         all,
         &mut path,
         &mut spine,
-        ws,
     );
     spine
 }
@@ -824,7 +776,6 @@ fn grow<const DIM: usize>(
     range: Range<usize>,
     path: &mut Vec<u32>,
     spine: &mut Spine<DIM>,
-    ws: &mut TraversalWorkspace<DIM>,
 ) {
     let child_level = subtree.level + 1;
     let mut lo = range.start;
@@ -847,7 +798,7 @@ fn grow<const DIM: usize>(
         let child_oct = subtree.child(m);
         let child_st = st.child(env.curve, DIM, r);
         let single_leaf = hi - lo == 1 && env.elems[lo] == child_oct;
-        let mut b = ws.acquire_bucket();
+        let mut b = Bucket::default();
         // A leaf reads its parent's bucket and gets none of its own.
         if !single_leaf {
             let _obs_td = carve_obs::scope("top_down");
@@ -894,7 +845,6 @@ fn grow<const DIM: usize>(
                 lo..hi,
                 path,
                 spine,
-                ws,
             );
             path.pop();
         }
@@ -1004,60 +954,11 @@ fn corner<const DIM: usize>(leaf: &Octant<DIM>) -> usize {
 /// where that bucket sits in the stack, and where the group's half-lattice
 /// map starts in [`LeafScratch::lattice`] once its first run has `swept`
 /// the bucket onto it.
-#[derive(Clone, Copy)]
 struct Group<const DIM: usize> {
     parent: Octant<DIM>,
     depth: usize,
     lattice_at: usize,
     swept: bool,
-}
-
-/// One run of SFC-consecutive sibling leaves as a visitor sees it: every
-/// lattice slot already resolved to a parent-bucket index or [`NO_SLOT`].
-struct LeafRun<'a, const DIM: usize> {
-    group: Group<DIM>,
-    /// Element index of the first leaf.
-    first: usize,
-    leaves: &'a [Octant<DIM>],
-    /// The group's half-lattice map (slot → parent-bucket index).
-    lattice: &'a [u32],
-    /// `npe` parent-bucket indices per leaf.
-    slots: &'a [u32],
-    /// Number of [`NO_SLOT`] entries in `slots`.
-    hanging: usize,
-    table: &'a Prolongation,
-}
-
-impl<const DIM: usize> LeafRun<'_, DIM> {
-    fn npe(&self) -> usize {
-        self.slots.len() / self.leaves.len()
-    }
-
-    /// One-level sources of hanging slot `lin` of `leaf`, each as (parent
-    /// bucket index or [`NO_SLOT`], half-lattice slot, weight).
-    fn sources<'s>(
-        &'s self,
-        leaf: &Octant<DIM>,
-        lin: usize,
-    ) -> impl Iterator<Item = (u32, u32, f64)> + 's {
-        let srcs = self.table.sources(corner(leaf), lin);
-        assert!(!srcs.is_empty(), "hanging slot off the parent's boundary");
-        srcs.iter().map(|&(h, w)| (self.lattice[h as usize], h, w))
-    }
-
-    /// Coordinate of half-lattice slot `h` (chains resolve by coordinate).
-    fn coord(&self, h: u32) -> [u64; DIM] {
-        half_lattice_coord(&self.group.parent, self.table.order(), h as usize)
-    }
-}
-
-/// What the walk does with a run of sibling leaves (record it, or emit
-/// its triplets) and with a finished child bucket.
-trait LeafVisitor<const DIM: usize> {
-    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>);
-
-    /// The walk is done below `child`, whose parent is at `depth`.
-    fn merge(&mut self, _ctx: &Ctx<'_, DIM>, _child: &Bucket, _depth: usize) {}
 }
 
 /// Maps `bucket` onto the half-spacing lattice of `parent`, pushing one
@@ -1081,52 +982,95 @@ fn sweep_half_lattice<const DIM: usize>(
     hits
 }
 
-/// The leaf stage: resolves the sibling leaves `env.elems[run]` of `group`
-/// against the parent bucket, sweeping it onto the half lattice first if
-/// no earlier run of the group has.
-fn leaf_run<const DIM: usize, V: LeafVisitor<DIM>>(
+/// The leaf stage: records the sibling leaves `env.elems[run]` of `group`
+/// into `seg`, sweeping the parent bucket onto the half lattice first if no
+/// earlier run of the group has. Per leaf, in lattice order, a direct slot
+/// records its `(root, arena)` pair; a hanging one records `(NO_SLOT,
+/// NO_SLOT)` and then each one-level source in table order — a node of the
+/// parent bucket, or a chain for a source that hangs again.
+fn leaf_run<const DIM: usize>(
     env: &Env<'_, DIM>,
     group: &mut Group<DIM>,
     run: Range<usize>,
     ctx: &Ctx<'_, DIM>,
     scr: &mut LeafScratch<DIM>,
-    visitor: &mut V,
+    seg: &mut Segment,
 ) {
     let _obs = carve_obs::scope("leaf");
+    let (depth, p) = (group.depth, env.p);
+    let parent = ctx.bucket(depth);
     if !group.swept {
-        let bucket = ctx.bucket(group.depth);
-        let hits = sweep_half_lattice(&group.parent, env.p, bucket, env.coords, &mut scr.lattice);
+        let hits = sweep_half_lattice(&group.parent, p, parent, env.coords, &mut scr.lattice);
         carve_obs::counter("slot_sweep_hits", hits);
         group.swept = true;
     }
-    let first = run.start;
-    let leaves = &env.elems[run];
+    seg.ops.push(Op::Run {
+        first: run.start as u32,
+        width: run.len() as u32,
+    });
     let lattice = &scr.lattice[group.lattice_at..];
-    scr.slots.clear();
-    for leaf in leaves {
-        let half_slots = env.table.half_slots(corner(leaf));
-        scr.slots
-            .extend(half_slots.iter().map(|&h| lattice[h as usize]));
+    let node = |s: u32| (parent.root[s as usize], ctx.target(depth, s as usize));
+    for leaf in &env.elems[run] {
+        let c = corner(leaf);
+        for (lin, &h) in env.table.half_slots(c).iter().enumerate() {
+            let s = lattice[h as usize];
+            if s != NO_SLOT {
+                seg.slots.push(node(s));
+                continue;
+            }
+            seg.hanging += 1;
+            seg.slots.push((NO_SLOT, NO_SLOT));
+            let srcs = env.table.sources(c, lin);
+            assert!(!srcs.is_empty(), "hanging slot off the parent's boundary");
+            for &(h, w) in srcs {
+                let s = lattice[h as usize];
+                if s != NO_SLOT {
+                    seg.hang.push(node(s));
+                    continue;
+                }
+                seg.chained += 1;
+                seg.hang.push((CHAIN, seg.chain.len() as u32));
+                let coord = half_lattice_coord(&group.parent, p, h as usize);
+                scr.chain.nodes.clear();
+                record_chain(ctx, leaf, depth, &coord, w, p, &mut scr.chain);
+                seg.chain.extend_from_slice(&scr.chain.nodes);
+            }
+        }
     }
-    let view = LeafRun {
-        group: *group,
-        first,
-        leaves,
-        lattice,
-        slots: &scr.slots,
-        hanging: scr.slots.iter().filter(|&&s| s == NO_SLOT).count(),
-        table: env.table,
-    };
-    visitor.run(&view, ctx, &mut scr.chain);
 }
 
-/// Walks one task against its ancestor prefix.
-fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
+/// Records the bottom-up merge of `child`, whose parent is at `depth`: each
+/// entry's accumulator adds into its parent entry's.
+fn record_merge<const DIM: usize>(
+    seg: &mut Segment,
+    ctx: &Ctx<'_, DIM>,
+    child: &Bucket,
+    depth: usize,
+) {
+    if child.len() == 0 {
+        return;
+    }
+    seg.ops.push(Op::Merge {
+        child: child.off,
+        len: child.len() as u32,
+    });
+    seg.merge_dst.extend(
+        child
+            .parent_slot
+            .iter()
+            .map(|&ps| ctx.target(depth, ps as usize)),
+    );
+    seg.arena_len = seg.arena_len.max(child.off as usize + child.len());
+    assert!(seg.arena_len < SPINE as usize, "task accumulators overflow");
+}
+
+/// Walks one task against its ancestor prefix, recording it into `seg`.
+fn run_task<const DIM: usize>(
     env: &Env<'_, DIM>,
     task: &Task<DIM>,
     interior: &[SpineNode],
     scr: &mut WorkerScratch<DIM>,
-    visitor: &mut V,
+    seg: &mut Segment,
 ) {
     let prefix: Vec<&Bucket> = task
         .ancestors
@@ -1160,7 +1104,7 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
                 lattice_at: leaf.lattice.len(),
                 swept: false,
             };
-            leaf_run(env, &mut group, task.range.clone(), &ctx, leaf, visitor);
+            leaf_run(env, &mut group, task.range.clone(), &ctx, leaf, seg);
             leaf.lattice.truncate(group.lattice_at);
         }
     } else {
@@ -1171,9 +1115,9 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
             task.range.clone(),
             &mut ctx,
             leaf,
-            visitor,
+            seg,
         );
-        visitor.merge(&ctx, &task.bucket, parent_depth);
+        record_merge(seg, &ctx, &task.bucket, parent_depth);
     }
     debug_assert!(ctx.own.is_empty());
     *own_stack = ctx.own;
@@ -1181,14 +1125,14 @@ fn run_task<const DIM: usize, V: LeafVisitor<DIM>>(
 
 /// The recursive top-down / bottom-up walk inside one task; `subtree` is
 /// never a leaf itself.
-fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
+fn rec<const DIM: usize>(
     env: &Env<'_, DIM>,
     subtree: Octant<DIM>,
     st: SfcState,
     range: Range<usize>,
     ctx: &mut Ctx<'_, DIM>,
     scr: &mut LeafScratch<DIM>,
-    visitor: &mut V,
+    seg: &mut Segment,
 ) {
     debug_assert!(!range.is_empty());
     // Partition the (SFC-sorted) element range by SFC child rank; the
@@ -1229,7 +1173,7 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
             {
                 q += 1;
             }
-            leaf_run(env, &mut group, lo..q, ctx, scr, visitor);
+            leaf_run(env, &mut group, lo..q, ctx, scr, seg);
             lo = q;
             continue;
         }
@@ -1245,144 +1189,15 @@ fn rec<const DIM: usize, V: LeafVisitor<DIM>>(
         carve_obs::counter("node_copies", child.len() as u64);
         drop(obs_td);
         ctx.own.push(child);
-        rec(env, child_oct, child_st, lo..hi, ctx, scr, visitor);
+        rec(env, child_oct, child_st, lo..hi, ctx, scr, seg);
         // Bottom-up: duplicated entries merge back into the parent.
         let child = ctx.own.pop().expect("child bucket");
-        visitor.merge(ctx, &child, ctx.top_depth());
+        record_merge(seg, ctx, &child, ctx.top_depth());
         ctx.free.push(child);
         lo = hi;
     }
     debug_assert_eq!(lo, range.end, "elements not fully bucketed");
     scr.lattice.truncate(group.lattice_at);
-}
-
-// --- Visitors -----------------------------------------------------------------
-
-/// Records a task's value program.
-struct Recorder<'s> {
-    seg: &'s mut Segment,
-}
-
-impl<const DIM: usize> LeafVisitor<DIM> for Recorder<'_> {
-    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>) {
-        let seg = &mut *self.seg;
-        let (depth, p, npe) = (run.group.depth, run.table.order(), run.npe());
-        let parent = ctx.bucket(depth);
-        seg.ops.push(Op::Run {
-            first: run.first as u32,
-            width: run.leaves.len() as u32,
-        });
-        seg.hanging += run.hanging as u64;
-        let node = |s: u32| (parent.root[s as usize], ctx.target(depth, s as usize));
-        for (b, leaf) in run.leaves.iter().enumerate() {
-            for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
-                if s != NO_SLOT {
-                    seg.slots.push(node(s));
-                    continue;
-                }
-                seg.slots.push((NO_SLOT, NO_SLOT));
-                for (s, h, w) in run.sources(leaf, lin) {
-                    if s != NO_SLOT {
-                        seg.hang.push(node(s));
-                    } else {
-                        seg.chained += 1;
-                        seg.hang.push((CHAIN, seg.chain.len() as u32));
-                        bufs.nodes.clear();
-                        record_chain(ctx, leaf, depth, &run.coord(h), w, p, bufs);
-                        seg.chain.extend_from_slice(&bufs.nodes);
-                    }
-                }
-            }
-        }
-    }
-
-    fn merge(&mut self, ctx: &Ctx<'_, DIM>, child: &Bucket, depth: usize) {
-        if child.len() == 0 {
-            return;
-        }
-        let seg = &mut *self.seg;
-        seg.ops.push(Op::Merge {
-            child: child.off,
-            len: child.len() as u32,
-        });
-        seg.merge_dst.extend(
-            child
-                .parent_slot
-                .iter()
-                .map(|&ps| ctx.target(depth, ps as usize)),
-        );
-        seg.arena_len = seg.arena_len.max(child.off as usize + child.len());
-        assert!(seg.arena_len < SPINE as usize, "task accumulators overflow");
-    }
-}
-
-/// Emits each leaf's `W^T K_e W` triplets into its task's log.
-struct AssemblyVisitor<'k, K> {
-    kernel: &'k mut K,
-    global_ids: &'k [u32],
-    /// `(global id, weight)` stencil of each lattice slot of one leaf.
-    stencils: &'k mut [Vec<(u32, f64)>],
-    log: &'k mut OutLog,
-}
-
-/// Emits `W^T K_e W` into the triplet log: every (row stencil) × (col
-/// stencil) product, skipping structural zeros.
-fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, log: &mut OutLog) {
-    let npe = stencils.len();
-    debug_assert_eq!(ke.rows, npe);
-    debug_assert_eq!(ke.cols, npe);
-    for i in 0..npe {
-        for j in 0..npe {
-            let v = ke[(i, j)];
-            if v == 0.0 {
-                continue;
-            }
-            for &(ri, rw) in &stencils[i] {
-                for &(cj, cw) in &stencils[j] {
-                    log.push((ri, cj, rw * cw * v));
-                }
-            }
-        }
-    }
-}
-
-impl<const DIM: usize, K> LeafVisitor<DIM> for AssemblyVisitor<'_, K>
-where
-    K: AssemblyKernel<DIM>,
-{
-    fn run(&mut self, run: &LeafRun<'_, DIM>, ctx: &Ctx<'_, DIM>, bufs: &mut ChainBufs<DIM>) {
-        let (depth, p, npe) = (run.group.depth, run.table.order(), run.npe());
-        let ids = self.global_ids;
-        let parent = ctx.bucket(depth);
-        let id = |s: u32| ids[parent.root[s as usize] as usize];
-        let mut counts = LeafCounts {
-            hanging_slots: run.hanging as u64,
-            ..LeafCounts::default()
-        };
-        counts.panel(run.leaves.len());
-        for (b, leaf) in run.leaves.iter().enumerate() {
-            for (lin, &s) in run.slots[b * npe..(b + 1) * npe].iter().enumerate() {
-                let stencil = &mut self.stencils[lin];
-                stencil.clear();
-                if s != NO_SLOT {
-                    stencil.push((id(s), 1.0));
-                    continue;
-                }
-                for (s, h, w) in run.sources(leaf, lin) {
-                    if s != NO_SLOT {
-                        stencil.push((id(s), w));
-                    } else {
-                        counts.hanging_chain += 1;
-                        bufs.nodes.clear();
-                        record_chain(ctx, leaf, depth, &run.coord(h), w, p, bufs);
-                        chain_stencil(&bufs.nodes, 0, w, ids, stencil);
-                    }
-                }
-            }
-            emit_triplets(self.stencils, &self.kernel.matrix(leaf), self.log);
-        }
-        counts.flush();
-    }
 }
 
 // --- Drivers ------------------------------------------------------------------
@@ -1528,18 +1343,11 @@ where
     workers
 }
 
-/// A walk's per-task outputs, paired with their tasks for [`sweep`].
-fn task_items<'a, const DIM: usize, O>(
-    spine: &'a Spine<DIM>,
-    outs: &'a mut [O],
-) -> Vec<(&'a Task<DIM>, &'a mut O)> {
-    spine.tasks.iter().zip(outs.iter_mut()).collect()
-}
-
 // --- Recording --------------------------------------------------------------
 
 /// The structure pass: walks `tree` once on up to `budget` workers and
-/// records its MATVEC plan, then releases the walk's buckets.
+/// records its plan. The walk's buckets and per-worker scratch are local:
+/// nothing of the walk outlives the recording.
 fn record<const DIM: usize>(
     tree: &Tree<'_, DIM>,
     ws: &mut TraversalWorkspace<DIM>,
@@ -1557,9 +1365,9 @@ fn record<const DIM: usize>(
         batch: ws.batch_width,
         table: &table,
     };
-    let mut root = ws.acquire_bucket();
+    let mut root = Bucket::default();
     root.root.extend(0..nodes.len() as u32);
-    let spine = build_spine(&env, ws.split_depth, root, ws);
+    let spine = build_spine(&env, ws.split_depth, root);
     assert!(spine.len < SPINE as usize, "spine accumulators overflow");
     let mut segs: Vec<Segment> = spine
         .tasks
@@ -1569,22 +1377,35 @@ fn record<const DIM: usize>(
             ..Segment::default()
         })
         .collect();
-    let mut items = task_items(&spine, &mut segs);
+    let mut items: Vec<(&Task<DIM>, &mut Segment)> = spine.tasks.iter().zip(&mut segs).collect();
     let run = |_: &mut (), share: &mut [&mut (&Task<DIM>, &mut Segment)], scr: &mut _| {
         for (task, seg) in share.iter_mut() {
-            run_task(&env, task, &spine.interior, scr, &mut Recorder { seg });
+            run_task(&env, task, &spine.interior, scr, seg);
             seg.shrink();
         }
     };
+    let mut walk: Vec<WorkerScratch<DIM>> = Vec::new();
     sweep(
         &mut items,
         |_| true,
         budget,
-        &mut ws.walk,
+        &mut walk,
         &mut Kernels::Make(&|| ()),
         &run,
         || (),
     );
+    // Every spine bucket is a fresh allocation; the workers' free-lists
+    // tally their own.
+    let mut alloc = (spine.interior.len() + spine.tasks.len()) as u64;
+    let mut reuse = 0;
+    for s in &walk {
+        alloc += s.alloc;
+        reuse += s.reuse;
+    }
+    carve_obs::counter("arena_alloc", alloc);
+    if reuse > 0 {
+        carve_obs::counter("arena_reuse", reuse);
+    }
     let mut plan = Plan {
         key: PlanKey::new(tree, ws.batch_width, ws.split_depth),
         tasks: segs,
@@ -1595,10 +1416,6 @@ fn record<const DIM: usize>(
     record_join(&spine.interior, 0, &mut plan);
     plan.join.shrink_to_fit();
     plan.join_dst.shrink_to_fit();
-    ws.release_spine(spine);
-    ws.emit_arena_counters();
-    ws.bucket_pool = Vec::new();
-    ws.walk = Vec::new();
     plan
 }
 
@@ -2010,11 +1827,82 @@ pub fn traversal_matvec_par<const DIM: usize, K, F>(
 
 // --- Assembly ---------------------------------------------------------------
 
-/// Sparse assembly by the walk itself, resolving node *ids*: each task
-/// leaves its `(row, col, val)` triplets in its log, and the logs drain
-/// into `coo` in SFC task order — so the emitted triplet sequence, and
-/// hence the built CSR, is identical for either kernel source and any
-/// thread count.
+/// Emits `W^T K_e W` into the triplet log: every (row stencil) × (col
+/// stencil) product, skipping structural zeros.
+fn emit_triplets(stencils: &[Vec<(u32, f64)>], ke: &DenseMatrix, log: &mut OutLog) {
+    let npe = stencils.len();
+    debug_assert_eq!(ke.rows, npe);
+    debug_assert_eq!(ke.cols, npe);
+    for i in 0..npe {
+        for j in 0..npe {
+            let v = ke[(i, j)];
+            if v == 0.0 {
+                continue;
+            }
+            for &(ri, rw) in &stencils[i] {
+                for &(cj, cw) in &stencils[j] {
+                    log.push((ri, cj, rw * cw * v));
+                }
+            }
+        }
+    }
+}
+
+impl<const DIM: usize> Replay<'_, DIM> {
+    /// Replays one task's leaf runs with node ids: per leaf, a direct slot
+    /// is the stencil `(ids[root], 1.0)`, a hanging slot the `(ids[root],
+    /// w)` of its sources in table order (a chain flattened by
+    /// [`chain_stencil`]); then the leaf's triplets. Merges carry no ids.
+    fn triplets<K: AssemblyKernel<DIM>>(
+        &self,
+        seg: &Segment,
+        ids: &[u32],
+        kernel: &mut K,
+        out: &mut TripletShare,
+        counts: &mut LeafCounts,
+    ) {
+        let TripletShare { log, stencils } = out;
+        stencils.resize_with(self.npe, Vec::new);
+        counts.hanging_slots += seg.hanging;
+        counts.hanging_chain += seg.chained;
+        let (mut slot_at, mut hang_at) = (0, 0);
+        for op in &seg.ops {
+            let Op::Run { first, width } = *op else {
+                continue;
+            };
+            let (first, width) = (first as usize, width as usize);
+            counts.panel(width);
+            for leaf in &self.elems[first..first + width] {
+                for (lin, stencil) in stencils.iter_mut().enumerate() {
+                    stencil.clear();
+                    let (src, _) = seg.slots[slot_at];
+                    slot_at += 1;
+                    if src != NO_SLOT {
+                        stencil.push((ids[src as usize], 1.0));
+                        continue;
+                    }
+                    for &(_, w) in self.table.sources(corner(leaf), lin) {
+                        let (s, i) = seg.hang[hang_at];
+                        hang_at += 1;
+                        if s != CHAIN {
+                            stencil.push((ids[s as usize], w));
+                        } else {
+                            chain_stencil(&seg.chain, i as usize, w, ids, stencil);
+                        }
+                    }
+                }
+                emit_triplets(stencils, &kernel.matrix(leaf), log);
+            }
+        }
+    }
+}
+
+/// Sparse assembly by replaying the tree's plan — the one the matvec
+/// replays, recorded here if the workspace does not hold it yet. Each
+/// worker share leaves its `(row, col, val)` triplets in its own log, and
+/// the logs drain into `coo` in share order, which is SFC task order: the
+/// emitted triplet sequence, and hence the built CSR, is the walk's, for
+/// either kernel source and any thread count.
 fn assemble_driver<const DIM: usize, K, F>(
     tree: Tree<'_, DIM>,
     global_ids: &[u32],
@@ -2025,69 +1913,53 @@ fn assemble_driver<const DIM: usize, K, F>(
     K: AssemblyKernel<DIM>,
     F: Fn() -> K + Sync,
 {
-    let Tree {
-        elems,
-        owned,
-        curve,
-        nodes,
-    } = tree;
+    let nodes = tree.nodes;
     assert_eq!(global_ids.len(), nodes.len());
-    if elems.is_empty() || owned.is_empty() {
+    if tree.elems.is_empty() || tree.owned.is_empty() {
         return;
     }
     let _obs = carve_obs::scope("assemble");
-    let table = ws.prolongation(nodes.order);
-    let env = Env {
-        elems,
-        owned,
-        curve,
-        coords: &nodes.coords,
-        p: nodes.order,
-        batch: ws.batch_width,
-        table: &table,
-    };
-    let npe = nodes_per_elem::<DIM>(env.p);
-    let mut root = ws.acquire_bucket();
-    root.root.extend(0..nodes.len() as u32);
-    let spine = build_spine(&env, ws.split_depth, root, ws);
-    // Capacity hint for the triplet stream: `owned leaves × npe²`.
-    let owned_leaves = (env.owned.end.min(elems.len())).saturating_sub(env.owned.start);
-    coo.reserve(owned_leaves * npe * npe);
-    let mut logs: Vec<OutLog> = spine.tasks.iter().map(|_| ws.acquire_log()).collect();
-    let mut items = task_items(&spine, &mut logs);
-    let run = |kernel: &mut K, share: &mut [&mut (&Task<DIM>, &mut OutLog)], scr: &mut _| {
-        let mut stencils = vec![Vec::new(); npe];
-        for (task, log) in share.iter_mut() {
-            let mut vis = AssemblyVisitor {
-                kernel: &mut *kernel,
-                global_ids,
-                stencils: &mut stencils,
-                log,
-            };
-            run_task(&env, task, &spine.interior, scr, &mut vis);
-        }
-    };
     let budget = kernels.budget(ws.threads);
+    let plan = ws.plan_for(&tree, budget);
+    let table = ws.prolongation(nodes.order);
+    let replay = Replay {
+        elems: tree.elems,
+        table: &table,
+        npe: nodes_per_elem::<DIM>(nodes.order),
+    };
+    // Capacity hint for the triplet stream: `owned leaves × npe²`.
+    let owned_leaves = tree
+        .owned
+        .end
+        .min(tree.elems.len())
+        .saturating_sub(tree.owned.start);
+    coo.reserve(owned_leaves * replay.npe * replay.npe);
+    let share = |kernel: &mut K, items: &mut [&mut &Segment], out: &mut TripletShare| {
+        let _obs = carve_obs::scope("leaf");
+        let mut counts = LeafCounts::default();
+        for seg in items.iter() {
+            replay.triplets(seg, global_ids, kernel, out, &mut counts);
+        }
+        counts.flush();
+    };
+    let mut items: Vec<&Segment> = plan.tasks.iter().collect();
+    let mut shares: Vec<TripletShare> = Vec::new();
     let workers = sweep(
         &mut items,
         |_| true,
         budget,
-        &mut ws.walk,
+        &mut shares,
         &mut kernels,
-        &run,
+        &share,
         || (),
     );
     carve_obs::counter("par_workers", workers as u64);
-    drop(items);
-    for mut log in logs {
-        for &(ri, cj, v) in log.iter() {
+    for out in &shares {
+        for &(ri, cj, v) in &out.log {
             coo.add(ri as usize, cj as usize, v);
         }
-        log.clear();
-        ws.log_pool.push(log);
     }
-    ws.release_spine(spine);
-    ws.emit_arena_counters();
+    ws.plan = Some(plan);
 }
 
 /// Assembles the global sparse matrix via octree traversal (§3.6),
@@ -2498,12 +2370,7 @@ mod tests {
             ] {
                 let at = build(threads, depth, width);
                 let tag = format!("p={p} threads={threads} depth={depth} width={width}");
-                assert_eq!(a1.row_ptr, at.row_ptr, "{tag}");
-                assert_eq!(a1.cols, at.cols, "{tag}");
-                assert_eq!(a1.vals.len(), at.vals.len());
-                for (i, (v1, vt)) in a1.vals.iter().zip(&at.vals).enumerate() {
-                    assert_eq!(v1.to_bits(), vt.to_bits(), "{tag} nz {i}");
-                }
+                assert_csr_bits(&a1, &at, &tag);
             }
         }
     }
@@ -2650,16 +2517,8 @@ mod tests {
                         &mut ws,
                         &|| ToyBatchMatrix::<2>::new(p),
                     );
-                    let a = coo.build();
-                    assert_eq!(a_ref.row_ptr, a.row_ptr, "p={p} threads={threads}");
-                    assert_eq!(a_ref.cols, a.cols, "p={p} threads={threads}");
-                    for (i, (v1, v2)) in a_ref.vals.iter().zip(&a.vals).enumerate() {
-                        assert_eq!(
-                            v1.to_bits(),
-                            v2.to_bits(),
-                            "p={p} threads={threads} width={width} nz {i}"
-                        );
-                    }
+                    let tag = format!("p={p} threads={threads} width={width}");
+                    assert_csr_bits(&a_ref, &coo.build(), &tag);
                 }
             }
         }
@@ -2886,8 +2745,13 @@ mod tests {
                 d1.phases["matvec/record"].counters["arena_alloc"] > 0,
                 "cold workspace must allocate (threads={threads})"
             );
-            assert!(ws.bucket_pool.is_empty() && ws.walk.is_empty());
-            assert!(ws.plan.is_some());
+            // Nothing of the walk stays: the workspace holds the plan and
+            // replay state sized by it — one scratch per worker, one spine
+            // log per task, the spine's accumulators.
+            let plan = ws.plan.as_ref().expect("cold apply keeps its plan");
+            assert!(ws.replay.len() <= threads);
+            assert_eq!(ws.logs.len(), plan.tasks.len());
+            assert_eq!(ws.spine.len(), plan.spine_len);
             let cold = buffers(&ws);
             let d2 = run(&mut ws);
             assert!(
@@ -2913,6 +2777,39 @@ mod tests {
         }
     }
 
+    /// Asserts `a` equals `a_ref` bit for bit: structure and values.
+    fn assert_csr_bits(a_ref: &carve_la::CsrMatrix, a: &carve_la::CsrMatrix, tag: &str) {
+        assert_eq!(a_ref.row_ptr, a.row_ptr, "{tag}");
+        assert_eq!(a_ref.cols, a.cols, "{tag}");
+        assert_eq!(a_ref.vals.len(), a.vals.len(), "{tag}");
+        for (i, (v1, v2)) in a_ref.vals.iter().zip(&a.vals).enumerate() {
+            assert_eq!(v1.to_bits(), v2.to_bits(), "{tag} nz {i}");
+        }
+    }
+
+    /// The toy CSR of `elems` assembled through `ws` by the factory path.
+    fn assemble_toy<const DIM: usize>(
+        elems: &[Octant<DIM>],
+        curve: Curve,
+        nodes: &NodeSet<DIM>,
+        ws: &mut TraversalWorkspace<DIM>,
+    ) -> carve_la::CsrMatrix {
+        let n = nodes.len();
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let mut coo = CooBuilder::new(n);
+        traversal_assemble_par(
+            elems,
+            0..elems.len(),
+            curve,
+            nodes,
+            &ids,
+            &mut coo,
+            ws,
+            &|| ToyBatchMatrix::<DIM>::new(nodes.order),
+        );
+        coo.build()
+    }
+
     /// One apply of `elems` through a fresh sequential workspace with the
     /// width-1 closure kernel: the reference every replay must equal.
     fn fresh_apply<const DIM: usize>(
@@ -2935,9 +2832,10 @@ mod tests {
         y
     }
 
-    /// Cold (record + replay) and warm (replay only) applies through one
-    /// workspace, over threads × panel widths × split depths, must each
-    /// equal a fresh workspace's apply bit for bit.
+    /// Cold (record + replay) and warm (replay only) applies and
+    /// assemblies through one workspace each, over threads × panel widths ×
+    /// split depths, must each equal a fresh workspace's bit for bit — and
+    /// so must an assembly replaying the plan the applies recorded.
     fn check_replay_matches_fresh<const DIM: usize>(
         elems: &[Octant<DIM>],
         nodes: &NodeSet<DIM>,
@@ -2947,12 +2845,41 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let y_ref = fresh_apply(elems, Curve::Hilbert, nodes, &x);
+        let a_ref = {
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let mut coo = CooBuilder::new(n);
+            traversal_assemble_ws(
+                elems,
+                0..elems.len(),
+                Curve::Hilbert,
+                nodes,
+                &ids,
+                &mut coo,
+                &mut TraversalWorkspace::with_threads(1),
+                &mut toy_matrix::<DIM>(nodes.order),
+            );
+            coo.build()
+        };
         for threads in [1usize, 2, 8] {
             for width in [1usize, 8] {
                 for depth in [1u8, 2, 3] {
-                    let mut ws = TraversalWorkspace::with_threads(threads)
-                        .with_batch_width(width)
-                        .with_split_depth(depth);
+                    let fresh = || {
+                        TraversalWorkspace::with_threads(threads)
+                            .with_batch_width(width)
+                            .with_split_depth(depth)
+                    };
+                    let tag = |round: &str| {
+                        format!(
+                            "DIM={DIM} p={} threads={threads} width={width} depth={depth} {round}",
+                            nodes.order
+                        )
+                    };
+                    let mut ws_asm = fresh();
+                    for round in ["cold assembly", "warm assembly"] {
+                        let a = assemble_toy(elems, Curve::Hilbert, nodes, &mut ws_asm);
+                        assert_csr_bits(&a_ref, &a, &tag(round));
+                    }
+                    let mut ws = fresh();
                     for round in ["cold", "warm"] {
                         let mut y = vec![0.0; n];
                         traversal_matvec_par(
@@ -2965,12 +2892,10 @@ mod tests {
                             &mut ws,
                             &|| ToyBatchKernel::<DIM>,
                         );
-                        let tag = format!(
-                            "DIM={DIM} p={} threads={threads} width={width} depth={depth} {round}",
-                            nodes.order
-                        );
-                        assert_bits(&y_ref, &y, &tag);
+                        assert_bits(&y_ref, &y, &tag(round));
                     }
+                    let a = assemble_toy(elems, Curve::Hilbert, nodes, &mut ws);
+                    assert_csr_bits(&a_ref, &a, &tag("assembly after the applies"));
                 }
             }
         }
@@ -3041,6 +2966,25 @@ mod tests {
             assert_eq!(d.phases["matvec/record"].calls, 1, "round {round}");
             assert_bits(&refs[k], &y, &format!("{curve:?} round {round}"));
         }
+        // Assemblies alternate the same way: each records, and each CSR
+        // equals a fresh workspace's.
+        let csr_refs: Vec<carve_la::CsrMatrix> = trees
+            .iter()
+            .map(|(c, e)| assemble_toy(e, *c, &nodes_m, &mut TraversalWorkspace::with_threads(1)))
+            .collect();
+        for round in 0..6 {
+            let k = round % 2;
+            let (curve, elems) = &trees[k];
+            let before = carve_obs::thread_snapshot();
+            let a = assemble_toy(elems, *curve, &nodes_m, &mut ws);
+            let d = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(d.phases["assemble/record"].calls, 1, "round {round}");
+            assert_csr_bits(
+                &csr_refs[k],
+                &a,
+                &format!("{curve:?} assembly round {round}"),
+            );
+        }
         // A different owned range of the same tree is another plan too.
         let (curve, elems) = &trees[1];
         let mid = elems.len() / 2;
@@ -3052,6 +2996,76 @@ mod tests {
         }
         for (a, b) in refs[1].iter().zip(&y) {
             assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));
+        }
+    }
+
+    #[test]
+    fn assembly_and_matvec_share_one_plan() {
+        // One workspace records a tree once, whichever use comes first:
+        // assemble then apply (the apply records nothing), and apply then
+        // assemble (the assembly records nothing). Every result equals a
+        // fresh workspace's.
+        let _e = carve_obs::force_enabled();
+        let domain = CarvedSolids::<2>::new(vec![Box::new(Sphere::new([0.5, 0.5], 0.28))]);
+        let raw = construct_boundary_refined(&domain, Curve::Hilbert, 2, 5);
+        let elems = construct_balanced(&domain, Curve::Hilbert, &raw);
+        let nodes = enumerate_nodes(&domain, &elems, 2);
+        let n = nodes.len();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).sin()).collect();
+        let y_ref = fresh_apply(&elems, Curve::Hilbert, &nodes, &x);
+        let a_ref = assemble_toy(
+            &elems,
+            Curve::Hilbert,
+            &nodes,
+            &mut TraversalWorkspace::with_threads(1),
+        );
+        let apply = |ws: &mut TraversalWorkspace<2>| {
+            let mut y = vec![0.0; n];
+            traversal_matvec_par(
+                &elems,
+                0..elems.len(),
+                Curve::Hilbert,
+                &nodes,
+                &x,
+                &mut y,
+                ws,
+                &|| ToyBatchKernel::<2>,
+            );
+            y
+        };
+        let records = |d: &carve_obs::Snapshot, use_: &str| {
+            d.phases
+                .get(&format!("{use_}/record"))
+                .map_or(0, |ph| ph.calls)
+        };
+        for threads in [1usize, 2] {
+            let mut ws = TraversalWorkspace::with_threads(threads);
+            let before = carve_obs::thread_snapshot();
+            let a = assemble_toy(&elems, Curve::Hilbert, &nodes, &mut ws);
+            let y = apply(&mut ws);
+            let d = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(records(&d, "assemble"), 1, "threads={threads}");
+            assert_eq!(
+                records(&d, "matvec"),
+                0,
+                "apply re-recorded (threads={threads})"
+            );
+            assert_csr_bits(&a_ref, &a, "assemble first");
+            assert_bits(&y_ref, &y, "apply second");
+
+            let mut ws = TraversalWorkspace::with_threads(threads);
+            let before = carve_obs::thread_snapshot();
+            let y = apply(&mut ws);
+            let a = assemble_toy(&elems, Curve::Hilbert, &nodes, &mut ws);
+            let d = carve_obs::thread_snapshot().diff(&before);
+            assert_eq!(records(&d, "matvec"), 1, "threads={threads}");
+            assert_eq!(
+                records(&d, "assemble"),
+                0,
+                "assembly re-recorded (threads={threads})"
+            );
+            assert_bits(&y_ref, &y, "apply first");
+            assert_csr_bits(&a_ref, &a, "assemble second");
         }
     }
 }

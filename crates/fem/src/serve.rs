@@ -92,8 +92,8 @@ pub struct CacheStats {
 /// Everything a scenario needs to answer requests without re-running
 /// setup: the distributed mesh, the assembled stiffness CSR, the
 /// globally-consistent Jacobi preconditioner, optionally the multigrid
-/// hierarchy, and the warm per-request state (traversal workspace with its
-/// ghosted-input scratch and exchange lanes, Krylov buffer pool).
+/// hierarchy, and the warm per-request state (traversal workspace with the
+/// recorded plan and its ghosted-input scratch, Krylov buffer pool).
 pub struct ScenarioEntry<const DIM: usize> {
     pub spec: ScenarioSpec,
     pub dm: DistMesh<DIM>,
@@ -105,8 +105,9 @@ pub struct ScenarioEntry<const DIM: usize> {
     jacobi: JacobiPrecond,
     /// Sequential V-cycle hierarchy, when the spec asked for one.
     mg: Option<Multigrid<DIM>>,
-    /// Warm traversal workspace: bucket arena, ghosted-input scratch, SoA
-    /// leaf panels. Reused by every solve on this entry.
+    /// Warm traversal workspace: the plan the assembly recorded, the
+    /// replay's accumulators and SoA leaf panels, ghosted-input scratch.
+    /// Reused by every solve on this entry.
     ws: RefCell<TraversalWorkspace<DIM>>,
     /// Pooled Krylov work vectors, reused across solves (LIFO, so repeat
     /// same-size solves are pointer-stable).
@@ -129,7 +130,10 @@ fn estimate_bytes<const DIM: usize>(dm: &DistMesh<DIM>, csr: &CsrMatrix) -> usiz
 impl<const DIM: usize> ScenarioEntry<DIM> {
     /// Cache-miss path: build the mesh, assemble the CSR through the
     /// (shared, capacity-reusing) triplet builder, derive the consistent
-    /// Jacobi diagonal, optionally build the multigrid hierarchy.
+    /// Jacobi diagonal, optionally build the multigrid hierarchy. The
+    /// assembly records the mesh's traversal plan into the entry's
+    /// workspace, so the first solve replays it without recording; the
+    /// workspace keeps no triplets.
     fn build(
         comm: &Comm,
         domain: &dyn Subdomain<DIM>,

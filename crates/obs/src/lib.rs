@@ -77,15 +77,31 @@ pub fn set_enabled(on: bool) {
 
 /// RAII handle from [`force_enabled`]; recording stays on until every
 /// outstanding guard is dropped.
-pub struct EnabledGuard(());
+pub struct EnabledGuard {
+    /// In this crate's own tests a guard also holds [`GUARDS`] for reading.
+    #[cfg(test)]
+    _held: std::sync::RwLockReadGuard<'static, ()>,
+}
+
+/// Held for reading by every [`EnabledGuard`] of this crate's tests, so a
+/// test that must see recording off takes it for writing: that waits out
+/// the live guards and keeps new ones from starting until it is done.
+#[cfg(test)]
+static GUARDS: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 /// Forces recording on for the guard's lifetime, regardless of `CARVE_OBS`.
 /// Refcounted, so concurrent measurement sections (e.g. two calibration
 /// tests) cannot switch each other off mid-run.
 #[must_use = "recording stops when the guard is dropped"]
 pub fn force_enabled() -> EnabledGuard {
+    let guard = EnabledGuard {
+        #[cfg(test)]
+        _held: GUARDS
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner),
+    };
     FORCE.fetch_add(1, Ordering::SeqCst);
-    EnabledGuard(())
+    guard
 }
 
 impl Drop for EnabledGuard {
@@ -456,19 +472,20 @@ mod tests {
     #[test]
     fn disabled_mode_is_a_complete_noop() {
         // No force guard, base off: scope returns None, nothing recorded.
-        let was = enabled();
+        // Sibling tests' guards are held off for the whole test.
+        let _alone = GUARDS
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(false);
-        assert!(FORCE.load(Ordering::SeqCst) == 0 || was, "test isolation");
-        if FORCE.load(Ordering::SeqCst) == 0 {
-            let before = thread_snapshot();
-            assert!(scope("ghost-phase").is_none());
-            counter("ghost-counter", 99);
-            let d = thread_snapshot().diff(&before);
-            assert!(
-                !d.phases.contains_key("ghost-phase") && !d.phases.contains_key(UNPHASED),
-                "disabled mode recorded data: {d:?}"
-            );
-        }
+        assert_eq!(FORCE.load(Ordering::SeqCst), 0, "a guard outlived its lock");
+        let before = thread_snapshot();
+        assert!(scope("ghost-phase").is_none());
+        counter("ghost-counter", 99);
+        let d = thread_snapshot().diff(&before);
+        assert!(
+            !d.phases.contains_key("ghost-phase") && !d.phases.contains_key(UNPHASED),
+            "disabled mode recorded data: {d:?}"
+        );
     }
 
     #[test]

@@ -18,7 +18,8 @@
 #   leaf-kernel-determinism
 #                      matvec_digest (1-rank matvec, 2-rank overlapped
 #                      matvec, assembled CSR, hanging-chain mesh; each
-#                      row cold and warm through one workspace, at panel
+#                      row cold and warm, an assemble row's warm pass
+#                      through its matvec row's workspace, at panel
 #                      widths 1 and 8, in one process)
 #                      byte-compared over threads {1,4} and against the
 #                      committed results/matvec_digest.txt: every panel
@@ -111,7 +112,8 @@ run_stage() {
     # (§6d) must give the same bits at every width and thread budget, cold
     # or warm: matvec_digest digests the output bits of all three uses of
     # the traversal (1-rank matvec, 2-rank overlapped matvec, assembly),
-    # each computed twice through one workspace, at panel widths 1 and 8,
+    # each computed cold and warm (an assembly's warm pass replays the plan
+    # its matvec row recorded), at panel widths 1 and 8,
     # and exits 1 naming a row that differs; the documents of the thread
     # budgets are byte-compared
     # with each other and with the committed reference, so a change of
